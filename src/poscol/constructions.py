@@ -15,6 +15,7 @@ import itertools
 
 from .errors import DEFAULT_LIMITS, GraphInputError, Limits
 from .families import FamilySpec, generate
+from .formulas import multipartite_chi_gp
 from .graphs import Graph, diameter, extreme_vertices, induced_subgraph, is_block_graph, is_diamond_free
 from .kirkman import kirkman_triple_system
 from .position import PositionKind
@@ -151,19 +152,13 @@ def _line_complete_gp_classes(n: int) -> tuple[list[list[int]], bool]:
 # -- complete multipartite -----------------------------------------------------
 
 
-def multipartite_gp_value(parts: tuple[int, ...]) -> int:
-    """min{r, min_i n_i + i - 1} over descending parts (1-based i)."""
-    r = len(parts)
-    return min([r] + [parts[i] + i for i in range(r)])
-
-
 def _multipartite_gp_classes(parts: tuple[int, ...]) -> tuple[list[list[int]], bool]:
     r = len(parts)
     bounds = [0]
     for p in parts:
         bounds.append(bounds[-1] + p)
     part_vertices = [list(range(bounds[i], bounds[i + 1])) for i in range(r)]
-    value = multipartite_gp_value(parts)
+    value = multipartite_chi_gp(parts)
     if value == r:
         return list(part_vertices), True
     i = next(i for i in range(r) if parts[i] + i == value)  # 0-based split
@@ -439,7 +434,7 @@ def construct_colouring(
             for p in parts:
                 bounds.append(bounds[-1] + p)
             classes = [list(range(bounds[i], bounds[i + 1])) for i in range(a)]
-            exact = kind.independent or multipartite_gp_value(parts) == a
+            exact = kind.independent or multipartite_chi_gp(parts) == a
             return _certify(generate(spec), classes, kind, "turan-partite-sets", exact, limits)
         raise UnsupportedConstruction(f"no turan construction for {kind.value}")
     if name == "h":

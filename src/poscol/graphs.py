@@ -288,6 +288,11 @@ def is_diamond_free(g: Graph) -> bool:
     return True
 
 
+def degree_order(g: Graph) -> list[int]:
+    """Vertices by descending degree, ties by id: the searches' branching order."""
+    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+
+
 def complete_graph_edges(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 

@@ -11,6 +11,14 @@ impose no constraint.
 
 All six properties are closed under taking subsets, which the exact searches
 exploit for pruning.
+
+The properties are decided twice here, on purpose.  The searches
+(:class:`SetState`, ``position_number``, ``position_sets_of_size`` and the
+solver's greedy and partition searches) run on :class:`Constraints`, the
+bitmask form of one (graph, kind) pair, compiled once and cached on the
+graph.  ``is_position_set`` works from the distance matrix and the
+induced-path oracle alone and never touches the compiled form, so it
+re-verifies every search result independently.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, DEFAULT_LIMITS, GraphInputError, Limits
-from .graphs import Graph, INF
+from .graphs import Graph, INF, degree_order
 
 
 class PositionKind(enum.Enum):
@@ -31,13 +39,15 @@ class PositionKind(enum.Enum):
     MONO_I = "mono_i"
     MU_I = "mu_i"
 
-    @property
-    def independent(self) -> bool:
-        return self.value.endswith("_i")
+    # plain attributes, set on every member just below: the membership
+    # checks read them on every call
+    independent: bool
+    base: "PositionKind"
 
-    @property
-    def base(self) -> "PositionKind":
-        return PositionKind(self.value[:-2]) if self.independent else self
+
+for _kind in PositionKind:
+    _kind.independent = _kind.value.endswith("_i")
+    _kind.base = PositionKind(_kind.value.removesuffix("_i"))
 
 
 _KIND_ALIASES = {
@@ -123,7 +133,10 @@ def exists_induced_path_through(
             on_path.remove(x)
         return False
 
-    found = extend([u], {u}, set())
+    try:
+        found = extend([u], {u}, set())
+    finally:
+        del extend  # a recursive closure is a reference cycle; free it now
     memo[key] = found
     return found
 
@@ -219,149 +232,214 @@ def is_position_set(
     return True
 
 
-# -- incremental class state (shared by the exact searches) ------------------
+# -- compiled constraints (shared by the exact searches) ----------------------
+
+
+class Constraints:
+    """One (graph, kind) pair compiled into int bitmasks; bit v is vertex v.
+
+    ``adj[v]`` is the neighbourhood of v and ``layers[v][d]`` the set of
+    vertices at distance d from v.  For gp and mono three vertices are in
+    conflict exactly when they are collinear: one of them lies between the
+    other two, on a shortest path for gp and on an induced path for mono.
+    Collinearity is a property of the unordered triple, so ``line(a, b)``,
+    the mask of the vertices collinear with a and b, describes every
+    conflict of the pair; it is filled lazily.  For mu, ``sees`` walks the
+    distance layers of one vertex with mask ANDs, so one walk decides the
+    visibility of many targets.
+
+    Built once per pair by :func:`compiled` and cached in the graph's memo.
+    It keeps no reference to the graph, so the memo forms no reference cycle.
+    """
+
+    __slots__ = (
+        "kind", "independent", "mu", "n", "dist", "adj", "layers", "component",
+        "_lines", "_behind_masks",
+    )
+
+    def __init__(self, g: Graph, kind: PositionKind):
+        self.kind = kind
+        self.independent = kind.independent
+        self.mu = kind.base is PositionKind.MU
+        self.n = g.n
+        self.dist = dist = g.distance_matrix()
+        self.adj = tuple(sum(1 << u for u in nb) for nb in g.adj)
+        layers = []
+        for row in dist:
+            by_dist = [0] * (1 + max(d for d in row if d is not INF))
+            for w, d in enumerate(row):
+                if d is not INF:
+                    by_dist[d] |= 1 << w
+            layers.append(by_dist)
+        self.layers = tuple(layers)
+        self.component = tuple(sum(by_dist) for by_dist in layers)
+        self._lines: dict[int, int] = {}
+        self._behind_masks: dict[int, int] = {}
+
+    def line(self, a: int, b: int, g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+        """Mask of the vertices w for which one of a, b, w lies between the others.
+
+        ``g`` is the graph this was compiled from; the mono kinds ask its
+        induced-path oracle, under ``limits``.
+        """
+        key = a * self.n + b if a < b else b * self.n + a
+        found = self._lines.get(key)
+        if found is None:
+            found = 0 if self.dist[a][b] is INF else self._collinear(a, b, g, limits)
+            self._lines[key] = found
+        return found
+
+    def _collinear(self, a: int, b: int, g: Graph, limits: Limits) -> int:
+        d = self.dist[a][b]
+        la, lb = self.layers[a], self.layers[b]
+        out = self._beyond(a, b) | self._beyond(b, a)
+        for t in range(1, d):  # w between a and b
+            out |= la[t] & lb[d - t]
+        if self.kind.base is PositionKind.MONO:
+            # shortest paths are induced; the oracle decides the other vertices
+            rest = self.component[a] & ~(out | 1 << a | 1 << b)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                if (
+                    exists_induced_path_through(g, a, w, b, limits)
+                    or exists_induced_path_through(g, w, a, b, limits)
+                    or exists_induced_path_through(g, a, b, w, limits)
+                ):
+                    out |= low
+        return out
+
+    def _beyond(self, a: int, b: int) -> int:
+        """Mask of the vertices w other than b with b on some shortest a-w path."""
+        d = self.dist[a][b]
+        la, lb = self.layers[a], self.layers[b]
+        out = 0
+        for t in range(1, min(len(lb), len(la) - d)):
+            out |= lb[t] & la[d + t]
+        return out
+
+    def sees(self, a: int, targets: int, blocked: int) -> bool:
+        """True iff ``a`` sees every vertex of the mask ``targets``.
+
+        ``a`` sees ``b`` when some shortest a-b path has no interior vertex
+        in ``blocked``.  One walk from ``a`` serves all the targets: layer t
+        holds the vertices at distance t that such a path reaches.  The
+        targets must lie in the component of ``a``.
+        """
+        la, adj = self.layers[a], self.adj
+        free = ~blocked
+        frontier = 1 << a
+        for t in range(1, len(la)):
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            reach &= la[t]
+            targets &= ~reach
+            frontier = reach & free
+            if not targets or not frontier:
+                break
+        return not targets
+
+    def keeps_visibility(self, mask: int, v: int) -> bool:
+        """Whether the mutual-visibility set ``mask`` stays one when ``v`` joins.
+
+        ``v`` must see every member of its component, and a member pair can
+        only lose sight of each other when ``v`` lies on a shortest path
+        between them, so only those pairs are checked again.
+        """
+        near = mask & self.component[v]
+        if not self.sees(v, near, mask):
+            return False
+        grown = mask | 1 << v
+        while near:
+            low = near & -near
+            near ^= low
+            a = low.bit_length() - 1
+            behind = self._behind(a, v) & mask
+            if behind and not self.sees(a, behind, grown):
+                return False
+        return True
+
+    def _behind(self, a: int, v: int) -> int:
+        """Mask of the vertices b > a with ``v`` inside some shortest a-b path."""
+        key = a * self.n + v
+        found = self._behind_masks.get(key)
+        if found is None:
+            found = self._behind_masks[key] = self._beyond(a, v) & -(2 << a)
+        return found
+
+
+def compiled(g: Graph, kind: PositionKind) -> Constraints:
+    """The :class:`Constraints` of ``g`` and ``kind``, built on first use."""
+    core = g._memo.get(("constraints", kind))
+    if core is None:
+        core = g._memo[("constraints", kind)] = Constraints(g, kind)
+    return core
 
 
 class SetState:
-    """A growing candidate position set with O(additions) feasibility checks.
+    """A growing candidate position set with incremental feasibility checks.
 
-    Subset-closure makes extension checks sound: when ``v`` joins, only the
-    constraints involving ``v`` can fail for gp/mono; for mutual visibility
-    the new vertex can also block previously chosen witness geodesics, so
-    those pairs (and only those) are re-verified.
+    Runs on the compiled :class:`Constraints` of its graph and kind.  For
+    gp and mono, and for the independence of the ``_i`` kinds, the set keeps
+    one ``forbidden`` mask: ``v`` may join exactly when its bit is clear, and
+    on joining it adds its lines through every member (and, for ``_i``
+    kinds, its neighbourhood).  For mu the visibility of the affected pairs
+    is checked again on every addition.  Subset closure makes these
+    extension checks sound.
     """
 
-    __slots__ = ("g", "kind", "limits", "members", "dist", "_witness", "_undo")
+    __slots__ = ("g", "limits", "core", "members", "mask", "forbidden", "_saved")
 
     def __init__(self, g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS):
         self.g = g
-        self.kind = kind
         self.limits = limits
+        self.core = compiled(g, kind)
         self.members: list[int] = []
-        self.dist = g.distance_matrix()
-        # geodesic interior witnesses, mu kinds only: (a, b) -> frozenset
-        self._witness: dict[tuple[int, int], frozenset[int]] = {}
-        self._undo: list[list[tuple[tuple[int, int], frozenset[int] | None]]] = []
+        self.mask = 0
+        self.forbidden = 0
+        self._saved: list[int] = []  # ``forbidden`` before each addition
 
     def __len__(self) -> int:
         return len(self.members)
 
+    def admits(self, v: int) -> bool:
+        """Whether ``try_add(v)`` would succeed; the set is left unchanged."""
+        if self.forbidden >> v & 1:
+            return False
+        return not self.core.mu or self.core.keeps_visibility(self.mask, v)
+
     def try_add(self, v: int) -> bool:
         """Add ``v`` if the set stays a position set; report success."""
-        g, dist, members = self.g, self.dist, self.members
-        if self.kind.independent:
-            nb = g.adj[v]
-            if any(u in nb for u in members):
+        if self.forbidden >> v & 1:
+            return False
+        core = self.core
+        grown = self.forbidden
+        if core.mu:
+            if not core.keeps_visibility(self.mask, v):
                 return False
-        base = self.kind.base
-        if base is PositionKind.GP:
-            if self._gp_conflict(v):
-                return False
-            members.append(v)
-            return True
-        if base is PositionKind.MONO:
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    if (
-                        exists_induced_path_through(g, a, v, b, self.limits)
-                        or exists_induced_path_through(g, v, a, b, self.limits)
-                        or exists_induced_path_through(g, v, b, a, self.limits)
-                    ):
-                        return False
-            members.append(v)
-            return True
-        return self._mu_try_add(v)
-
-    def _gp_conflict(self, v: int) -> bool:
-        dist, members = self.dist, self.members
-        dv = dist[v]
-        for i, a in enumerate(members):
-            dva = dv[a]
-            da = dist[a]
-            for b in members[i + 1 :]:
-                dvb = dv[b]
-                dab = da[b]
-                if dab is not INF and dva + dvb == dab:
-                    return True
-                if dvb is not INF and dva is not INF:
-                    if dva + dab == dvb or dvb + dab == dva:
-                        return True
-        return False
-
-    def _mu_try_add(self, v: int) -> bool:
-        g, dist, members = self.g, self.dist, self.members
-        dv = dist[v]
-        member_set = set(members)
-        log: list[tuple[tuple[int, int], frozenset[int] | None]] = []
-        new_wit: dict[tuple[int, int], frozenset[int]] = {}
-        for u in members:
-            if dv[u] is INF:
-                continue
-            blocked = member_set - {u}
-            interior = _geodesic_witness(g, dist, v, u, blocked)
-            if interior is None:
-                return False
-            new_wit[(v, u) if v < u else (u, v)] = interior
-        for pair, interior in self._witness.items():
-            if v in interior:
-                a, b = pair
-                blocked = (member_set | {v}) - {a, b}
-                repl = _geodesic_witness(g, dist, a, b, blocked)
-                if repl is None:
-                    return False
-                new_wit[pair] = repl
-        for pair, interior in new_wit.items():
-            log.append((pair, self._witness.get(pair)))
-            self._witness[pair] = interior
-        self._undo.append(log)
-        members.append(v)
+        else:
+            g, limits = self.g, self.limits
+            for b in self.members:
+                grown |= core.line(v, b, g, limits)
+        if core.independent:
+            grown |= core.adj[v]
+        self._saved.append(self.forbidden)
+        self.forbidden = grown
+        self.members.append(v)
+        self.mask |= 1 << v
         return True
 
     def pop(self) -> None:
         """Undo the last successful ``try_add`` (adds and pops must nest LIFO)."""
-        self.members.pop()
-        if self.kind.base is PositionKind.MU:
-            for pair, old in reversed(self._undo.pop()):
-                if old is None:
-                    del self._witness[pair]
-                else:
-                    self._witness[pair] = old
-
-
-def _geodesic_witness(g, dist, u, v, blocked) -> frozenset[int] | None:
-    """Interior of one shortest u-v path avoiding ``blocked``, else None."""
-    duv = dist[u][v]
-    du, dvr = dist[u], dist[v]
-    if duv is INF:
-        return None
-    parents: dict[int, int] = {u: u}
-    frontier = [u]
-    for step in range(int(duv)):
-        nxt = []
-        for x in frontier:
-            for y in g.adj[x]:
-                if du[y] == step + 1 and dvr[y] == duv - step - 1 and y not in parents:
-                    if y == v or y not in blocked:
-                        parents[y] = x
-                        nxt.append(y)
-        if v in parents:
-            interior = []
-            x = parents[v]
-            while x != u:
-                interior.append(x)
-                x = parents[x]
-            return frozenset(interior)
-        frontier = nxt
-        if not frontier:
-            return None
-    return frozenset() if duv == 0 else None
+        self.mask ^= 1 << self.members.pop()
+        self.forbidden = self._saved.pop()
 
 
 # -- exact maxima -------------------------------------------------------------
-
-
-def _search_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
 
 
 def position_number(
@@ -376,7 +454,6 @@ def position_number(
     cached = g._memo.get(("pi_witness", kind))
     if cached is not None:
         return cached
-    order = _search_order(g)
     state = SetState(g, kind, limits)
     ticker = limits.ticker()
     best: list[int] = []
@@ -391,10 +468,14 @@ def position_number(
             if len(state.members) + len(cands) - idx <= len(best):
                 return
             if state.try_add(v):
-                search(cands[idx + 1 :])
+                forbidden = state.forbidden
+                search([u for u in cands[idx + 1 :] if not forbidden >> u & 1])
                 state.pop()
 
-    search(order)
+    try:
+        search(degree_order(g))
+    finally:
+        del search  # a recursive closure is a reference cycle; free it now
     result = PositionWitness(len(best), frozenset(best), kind)
     g._memo[("pi_witness", kind)] = result
     return result
@@ -404,7 +485,6 @@ def position_sets_of_size(
     g: Graph, kind: PositionKind, size: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[frozenset[int]]:
     """Yield every ``kind`` position set of exactly ``size`` vertices."""
-    order = _search_order(g)
     state = SetState(g, kind, limits)
     ticker = limits.ticker()
 
@@ -418,10 +498,14 @@ def position_sets_of_size(
             if len(cands) - idx < need:
                 return
             if state.try_add(v):
-                yield from search(cands[idx + 1 :])
+                forbidden = state.forbidden
+                yield from search([u for u in cands[idx + 1 :] if not forbidden >> u & 1])
                 state.pop()
 
-    yield from search(order)
+    try:
+        yield from search(degree_order(g))
+    finally:
+        del search  # a recursive closure is a reference cycle; free it now
 
 
 def is_maximal_position_set(

@@ -128,9 +128,7 @@ class ReductionGraph:
         return self.graph.n - 1
 
     def literal_vertex(self, lit: int, clause_index: int) -> int:
-        i, j, q = abs(lit), clause_index, self.instance.q
-        base = (i - 1) * 2 * q
-        return base + (j if lit > 0 else q + j)
+        return _literal_vertex(self.instance.q, lit, clause_index)
 
 
 def build_reduction(inst: NaeInstance) -> ReductionGraph:
@@ -151,7 +149,7 @@ def build_reduction(inst: NaeInstance) -> ReductionGraph:
         ]
     roles += [("y",), ("z",)]
     for j, clause in enumerate(inst.clauses):
-        v1, v2, v3 = (rg_literal(inst, lit, j) for lit in clause)
+        v1, v2, v3 = (_literal_vertex(q, lit, j) for lit in clause)
         edges += [(v1, v2), (v2, v3)]
     edges += [(y, v) for v in range(2 * p * q)]
     edges += [(z, v) for v in range(2 * p * q)]
@@ -159,9 +157,9 @@ def build_reduction(inst: NaeInstance) -> ReductionGraph:
     return ReductionGraph(graph, tuple(roles), inst)
 
 
-def rg_literal(inst: NaeInstance, lit: int, clause_index: int) -> int:
-    i, q = abs(lit), inst.q
-    base = (i - 1) * 2 * q
+def _literal_vertex(q: int, lit: int, clause_index: int) -> int:
+    """Vertex of ``lit`` in clause ``clause_index``: u_{i,j} if positive, else nu_{i,j}."""
+    base = (abs(lit) - 1) * 2 * q
     return base + (clause_index if lit > 0 else q + clause_index)
 
 

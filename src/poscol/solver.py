@@ -3,10 +3,15 @@
 The position chromatic number solver iteratively deepens over the colour
 count k, running a backtracking partition search at each k.  Classes grow
 through :class:`poscol.position.SetState`, whose extension checks are sound
-because every position property is closed under subsets.  Symmetry between
-colour classes is broken by only letting a vertex open class j when classes
-0..j-1 are nonempty.  Budgets make the solver interruptible: partial results
-are tagged ``upper_bound_only``, never passed off as exact.
+because every position property is closed under subsets.  The greedy bound,
+``position_number`` and both partition searches run on the compiled bitmask
+constraints of :mod:`poscol.position`; for gp and mono, whether a vertex fits
+a class is one bit test.  Every colouring is re-verified by
+``verify_colouring``, which uses the independent membership oracles and not
+the compiled constraints, before it is reported.  Symmetry between colour
+classes is broken by only letting a vertex open class j when classes 0..j-1
+are nonempty.  Budgets make the solver interruptible: partial results are
+tagged ``upper_bound_only``, never passed off as exact.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .errors import BudgetExceededError, DEFAULT_LIMITS, GraphInputError, Limits
 from .graphs import (
     Graph,
     complement,
+    degree_order,
     diameter,
     is_diamond_free,
     monophonic_diameter,
@@ -102,10 +108,6 @@ def verify_colouring(
 # -- partition search --------------------------------------------------------
 
 
-def _order_by_degree(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
-
-
 def _feasible_partition(
     g: Graph,
     kind: PositionKind,
@@ -127,8 +129,9 @@ def _feasible_partition(
         return None
     if cap is not None and k * cap == g.n:
         return _perfect_packing(g, kind, k, cap, limits, ticker)
-    order = _order_by_degree(g)
+    order = degree_order(g)
     states = [SetState(g, kind, limits) for _ in range(k)]
+    mu = states[0].core.mu
     assignment = [-1] * g.n
 
     def bt(assigned: int, opened: int) -> bool:
@@ -148,8 +151,8 @@ def _feasible_partition(
             opts = []
             for c in range(limit):
                 st = states[c]
-                if st.try_add(v):
-                    st.pop()
+                # for gp and mono the forbidden mask alone decides
+                if not st.forbidden >> v & 1 and (not mu or st.admits(v)):
                     opts.append(c)
                     if best_opts is not None and len(opts) >= len(best_opts):
                         break
@@ -171,8 +174,11 @@ def _feasible_partition(
             assignment[best_v] = -1
         return False
 
-    if not bt(0, 0):
-        return None
+    try:
+        if not bt(0, 0):
+            return None
+    finally:
+        del bt  # a recursive closure is a reference cycle; free it now
     used = max(assignment) + 1
     return Colouring(tuple(assignment), used)
 
@@ -203,29 +209,31 @@ def _perfect_packing(
         state = SetState(g, kind, limits)
         state.try_add(anchor)
         assignment[anchor] = colour
-
-        def extend(start: int) -> bool:
-            ticker.tick()
-            if len(state.members) == cap:
-                return fill(colour + 1)
-            v = start
-            while v < n:
-                if assignment[v] == -1 and state.try_add(v):
-                    assignment[v] = colour
-                    if extend(v + 1):
-                        return True
-                    state.pop()
-                    assignment[v] = -1
-                v += 1
-            return False
-
-        if extend(anchor + 1):
+        if extend(colour, state, anchor + 1):
             return True
         assignment[anchor] = -1
         return False
 
-    if not fill(0):
-        return None
+    def extend(colour: int, state: SetState, start: int) -> bool:
+        ticker.tick()
+        if len(state.members) == cap:
+            return fill(colour + 1)
+        v = start
+        while v < n:
+            if assignment[v] == -1 and state.try_add(v):
+                assignment[v] = colour
+                if extend(colour, state, v + 1):
+                    return True
+                state.pop()
+                assignment[v] = -1
+            v += 1
+        return False
+
+    try:
+        if not fill(0):
+            return None
+    finally:
+        del fill, extend  # mutually recursive closures form a reference cycle
     return Colouring(tuple(assignment), k)
 
 
@@ -233,7 +241,7 @@ def greedy_position_colouring(
     g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
 ) -> Colouring:
     """First-fit colouring in descending-degree order; an upper bound witness."""
-    order = _order_by_degree(g)
+    order = degree_order(g)
     states: list[SetState] = []
     assignment = [-1] * g.n
     for v in order:
@@ -275,7 +283,6 @@ def _cheap_lower(g: Graph, kind: PositionKind, limits: Limits) -> tuple[int, str
         cand = -(-g.n // pi)
         if cand > best:
             best, reason = cand, "n over position number"
-        g._memo[("pi", kind)] = pi
     except BudgetExceededError:
         pass
     return best, reason
@@ -298,7 +305,7 @@ def chromatic_position_number(
         lower, _ = _cheap_lower(g, kind, limits)
     except BudgetExceededError:
         lower = 1
-    cap = g._memo.get(("pi", kind))
+    cap = _known_position_number(g, kind)
     best = greedy
     ticker = limits.ticker()
     exact = True
@@ -316,6 +323,12 @@ def chromatic_position_number(
     return CertifiedColouring(
         best, kind, True, "solver", "exact" if exact else "upper_bound_only"
     )
+
+
+def _known_position_number(g: Graph, kind: PositionKind) -> int | None:
+    """The position number if an earlier search has already cached it."""
+    cached = g._memo.get(("pi_witness", kind))
+    return cached.value if cached is not None else None
 
 
 def _budgeted_position_number(g: Graph, kind: PositionKind, limits: Limits) -> int | None:
@@ -340,8 +353,7 @@ def feasible_position_colouring(
     its small node budget is the position number computed for its capacity
     prune and the search rerun under the caller's limits.
     """
-    cached = g._memo.get(("pi_witness", kind))
-    cap = cached.value if cached is not None else None
+    cap = _known_position_number(g, kind)
     quick = Limits(
         node_limit=100_000,
         time_limit=limits.time_limit,
@@ -367,7 +379,7 @@ def feasible_position_colouring(
 
 def _greedy_clique(g: Graph) -> list[int]:
     clique: list[int] = []
-    for v in _order_by_degree(g):
+    for v in degree_order(g):
         if all(v in g.adj[u] for u in clique):
             clique.append(v)
     return clique
@@ -429,7 +441,10 @@ def chromatic_number_with_colouring(
             if best[0] == lb:
                 return
 
-    bt(len(clique), len(clique))
+    try:
+        bt(len(clique), len(clique))
+    finally:
+        del bt  # a recursive closure is a reference cycle; free it now
     return best[0], _normalise_colouring(best[1])
 
 
@@ -490,7 +505,7 @@ def cochromatic_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
     """Smallest k partitioning V into classes each a clique or independent set."""
     if g.n == 0:
         return 0
-    order = _order_by_degree(g)
+    order = degree_order(g)
     ticker = limits.ticker()
     for k in range(1, g.n + 1):
         states = [_CliqueOrIndependentState(g) for _ in range(k)]
@@ -506,8 +521,11 @@ def cochromatic_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
                     states[c].pop()
             return False
 
-        if bt(0, 0):
-            return k
+        try:
+            if bt(0, 0):
+                return k
+        finally:
+            del bt  # a recursive closure is a reference cycle; free it now
     raise AssertionError("unreachable: singletons always work")
 
 
@@ -554,7 +572,10 @@ def total_dominating_set(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[int
                 cover_count[w] -= 1
             chosen.pop()
 
-    bt()
+    try:
+        bt()
+    finally:
+        del bt  # a recursive closure is a reference cycle; free it now
     return int(best[0]), best[1]  # type: ignore[arg-type]
 
 

@@ -5,17 +5,21 @@ import pytest
 
 from conftest import PETERSEN_GP_CLASSES, complete, cycle, path
 from oracles import (
+    geodesic_betweenness_triples,
     induced_path_through_arrangements,
+    induced_path_triples,
     oracle_is_position_set,
     oracle_position_number,
 )
 from poscol.catalogue import graphs_of_order
 from poscol.errors import GraphInputError
 from poscol.families import kneser2_graph
-from poscol.graphs import build_graph, product
+from poscol.graphs import build_graph, disjoint_union, product
 from poscol.position import (
     ALL_KINDS,
     PositionKind,
+    SetState,
+    compiled,
     exists_induced_path_through,
     geodesic_avoiding,
     is_maximal_position_set,
@@ -142,6 +146,62 @@ class TestGeodesicAvoiding:
         g = build_graph(2, [])
         with pytest.raises(GraphInputError):
             geodesic_avoiding(g, 0, 1, set())
+
+
+def _differential_graphs():
+    """Seeded random graphs on at most 9 vertices; every third is disconnected."""
+    rng = random.Random(2024)
+    out = []
+    for i in range(9):
+        if i % 3 == 2:
+            g = disjoint_union(random_graph(rng.randint(3, 5), 0.6, rng),
+                               random_graph(rng.randint(2, 4), 0.6, rng))
+        else:
+            g = random_graph(rng.randint(5, 9), rng.choice([0.25, 0.4, 0.6]), rng)
+        out.append(g)
+    return out
+
+
+class TestSetStateAgainstOracles:
+    @pytest.mark.parametrize("index", range(9))
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_random_lifo_sequences(self, index, kind):
+        g = _differential_graphs()[index]
+        rng = random.Random(index)
+        oracle: dict[frozenset, bool] = {}
+        state = SetState(g, kind)
+        for _ in range(60):
+            outside = [v for v in range(g.n) if v not in state.members]
+            if not outside or (state.members and rng.random() < 0.3):
+                state.pop()
+                continue
+            v = rng.choice(outside)
+            s = frozenset(state.members + [v])
+            if s not in oracle:
+                oracle[s] = oracle_is_position_set(g, s, kind)
+            before = list(state.members)
+            assert state.admits(v) == oracle[s], (before, v)
+            assert state.members == before
+            assert state.try_add(v) == oracle[s], (before, v)
+            assert state.members == (before + [v] if oracle[s] else before)
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_lines_are_the_collinear_sets(self, index):
+        g = _differential_graphs()[index]
+        for kind, triples in ((K.GP, geodesic_betweenness_triples(g)),
+                              (K.MONO, induced_path_triples(g))):
+            core = compiled(g, kind)
+
+            def between(x, y, z):
+                return (min(x, z), y, max(x, z)) in triples
+
+            for a, b in itertools.combinations(range(g.n), 2):
+                expect = sum(
+                    1 << w for w in range(g.n)
+                    if w not in (a, b)
+                    and (between(a, w, b) or between(w, a, b) or between(a, b, w))
+                )
+                assert core.line(a, b, g) == core.line(b, a, g) == expect, (kind, a, b)
 
 
 class TestPositionNumber:

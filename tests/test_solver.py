@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -16,8 +17,9 @@ from oracles import (
 )
 from poscol.catalogue import graphs_of_order
 from poscol.errors import GraphInputError
-from poscol.families import random_connected_graph
+from poscol.families import generate, parse_family, random_connected_graph
 from poscol.graphs import (
+    Graph,
     build_graph,
     diameter,
     disjoint_union,
@@ -27,6 +29,7 @@ from poscol.graphs import (
     relabel,
 )
 from poscol.position import ALL_KINDS, PositionKind
+from poscol.reduction import check_equivalence, random_nae_instance
 from poscol.solver import (
     Colouring,
     bounds,
@@ -244,6 +247,29 @@ class TestInequalitySuite:
                 if not is_connected(g):
                     rep = check_inequality_suite(g)
                     assert rep.all_hold, (g.edges(), [r.name for r in rep.failures])
+
+
+def test_solves_leave_no_graph_for_the_cycle_collector():
+    """Reference counting alone frees a solved graph, its memo and its constraints."""
+
+    def live_graphs():
+        return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_graphs()
+        # random:9,0.4,1 reaches the perfect-packing search for mono
+        for spec in ("petersen", "cartesian(path:3,path:4)", "random:9,0.4,1"):
+            for kind in ALL_KINDS:
+                chromatic_position_number(generate(parse_family(spec)), kind)
+        for seed in range(3):
+            check_equivalence(random_nae_instance(4, 4, seed))
+        assert live_graphs() == before
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_budget_exhaustion_returns_tagged_upper_bound(petersen):
