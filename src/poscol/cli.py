@@ -60,12 +60,9 @@ def _parse_graph_text(text: str) -> Graph:
 
 
 def _limits(args) -> Limits:
-    limits = Limits()
-    if getattr(args, "node_limit", None) is not None:
-        limits.node_limit = args.node_limit
-    if getattr(args, "time_limit", None) is not None:
-        limits.time_limit = args.time_limit
-    return limits
+    """The budget flags; an unset flag falls back to its environment variable."""
+    flags = {"node_limit": args.node_limit, "time_limit": args.time_limit}
+    return Limits(**{name: value for name, value in flags.items() if value is not None})
 
 
 def _emit(obj) -> None:
@@ -317,9 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="exact chi or bounds for a graph on stdin/file")
     p.add_argument("--kind", required=True, help="gp|mono|mu|gpi|monoi|mui")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--bounds", action="store_true", default=False)
+    p.add_argument("--bounds", action="store_true")
     p.add_argument("--input", default="-", help="graph6 line or adjacency JSON ('-' = stdin)")
     add_budget_flags(p)
     p.set_defaults(func=cmd_compute)

@@ -1,14 +1,16 @@
-"""Shared error types and resource limits."""
+"""Shared error types and the search budget."""
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 class GraphInputError(ValueError):
-    """Malformed graph, colouring or instance input."""
+    """Malformed graph, colouring, instance or budget input."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -19,49 +21,58 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-_ENV_NODE = "POS_NODE_LIMIT"
-_ENV_TIME = "POS_TIME_LIMIT"
+TICK_BLOCK = 1024  # steps a tight loop counts locally before charging them in one tick
 
 
-def _env_int(name: str) -> int | None:
+def _env_budget(name: str, parse: type) -> int | float | None:
     raw = os.environ.get(name)
-    return int(raw) if raw else None
+    try:
+        return parse(raw) if raw else None
+    except ValueError:
+        raise GraphInputError(f"{name}={raw!r} in the environment is not a budget") from None
 
 
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    return float(raw) if raw else None
-
-
-@dataclass
+@dataclass(frozen=True)
 class Limits:
-    """Search budgets: ``node_limit`` counts search steps, ``time_limit`` is seconds.
+    """The budget of one top-level call: ``node_limit`` search nodes, counting
+    induced-path steps, and ``time_limit`` seconds; ``None`` means unlimited.
 
-    ``None`` means unlimited.  Environment variables POS_NODE_LIMIT and
-    POS_TIME_LIMIT provide process-wide defaults.
+    ``ticker()`` starts it once, and every phase of the call draws from that
+    running budget, except the greedy upper bound and the final verification
+    of a found colouring: a budget stop still returns a verified colouring.
+    A running :class:`BudgetTicker` passed where a ``Limits`` is accepted is
+    shared, not restarted.  POS_NODE_LIMIT and POS_TIME_LIMIT in the
+    environment give process-wide defaults.
     """
 
-    node_limit: int | None = field(default_factory=lambda: _env_int(_ENV_NODE))
-    time_limit: float | None = field(default_factory=lambda: _env_float(_ENV_TIME))
-    induced_path_steps: int = 10_000_000
+    node_limit: int | None = field(default_factory=lambda: _env_budget("POS_NODE_LIMIT", int))
+    time_limit: float | None = field(default_factory=lambda: _env_budget("POS_TIME_LIMIT", float))
 
-    def ticker(self) -> "BudgetTicker":
+    def __post_init__(self) -> None:
+        for name, value in (("node limit", self.node_limit), ("time limit", self.time_limit)):
+            if value is not None and not value >= 0:  # NaN fails too
+                raise GraphInputError(f"{name} must be >= 0, got {value}")
+
+    def ticker(self) -> BudgetTicker:
         return BudgetTicker(self)
 
 
 class BudgetTicker:
-    """Mutable countdown over a :class:`Limits`; one per search invocation."""
+    """A running budget; ``tick(n)`` charges n search nodes.
 
-    __slots__ = ("nodes_left", "deadline", "_check_every", "_until_check")
+    The clock is read at the first charge and then once per ``TICK_BLOCK``
+    charged nodes: a read on every node would dominate the searches.
+    """
+
+    __slots__ = ("nodes_left", "deadline", "_until_check")
 
     def __init__(self, limits: Limits):
         self.nodes_left = limits.node_limit
-        self.deadline = (
-            time.monotonic() + limits.time_limit if limits.time_limit else None
-        )
-        # time checks are batched: syscalls on every node would dominate
-        self._check_every = 4096
-        self._until_check = self._check_every
+        self.deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
+        self._until_check = 1
+
+    def ticker(self) -> BudgetTicker:
+        return self
 
     def tick(self, n: int = 1) -> None:
         if self.nodes_left is not None:
@@ -69,11 +80,30 @@ class BudgetTicker:
             if self.nodes_left < 0:
                 raise BudgetExceededError("node limit exceeded")
         if self.deadline is not None:
-            self._until_check -= 1
+            self._until_check -= n
             if self._until_check <= 0:
-                self._until_check = self._check_every
-                if time.monotonic() > self.deadline:
+                self._until_check = TICK_BLOCK
+                if time.monotonic() >= self.deadline:
                     raise BudgetExceededError("time limit exceeded")
 
+    @contextmanager
+    def capped(self, nodes: int) -> Iterator[None]:
+        """Stop the block after ``nodes`` nodes; they count toward this budget too."""
+        left = self.nodes_left
+        self.nodes_left = start = nodes if left is None else min(nodes, left)
+        try:
+            yield
+        finally:
+            self.nodes_left = None if left is None else left - (start - self.nodes_left)
 
-DEFAULT_LIMITS = Limits()
+
+class _EnvLimits(Limits):
+    """``Limits()`` read afresh whenever a budget starts, so a malformed
+    environment variable fails the call that uses it, not the import."""
+
+    def ticker(self) -> BudgetTicker:
+        return Limits().ticker()
+
+
+DEFAULT_LIMITS: Limits = _EnvLimits(node_limit=None, time_limit=None)
+UNLIMITED = Limits(node_limit=None, time_limit=None)  # for work a budget stop must finish

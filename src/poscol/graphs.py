@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .errors import BudgetExceededError, DEFAULT_LIMITS, GraphInputError, Limits
+from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
 
 INF = math.inf
 
@@ -180,28 +180,30 @@ def diameter(g: Graph) -> ComponentStructure:
     return result
 
 
-def monophonic_diameter(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+def monophonic_diameter(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     """Length of a longest induced path, maximised over components.
 
-    Exact, by backtracking over induced extensions; aborts with
-    :class:`BudgetExceededError` rather than guessing once the step budget
-    runs out.
+    Exact, by backtracking over induced extensions, each of which counts as
+    a search node of ``limits``; aborts with :class:`BudgetExceededError`
+    rather than guessing once the budget runs out.
     """
     key = "monophonic_diameter"
     cached = g._memo.get(key)
     if cached is not None:
         return cached
+    ticker = limits.ticker()
     best = 0
-    steps = limits.induced_path_steps
+    left = TICK_BLOCK
     adj = g.adj
     for start in range(g.n):
         # path as list; forbidden = vertices adjacent to interior (chord risk)
         stack: list[tuple[list[int], set[int]]] = [([start], set())]
         while stack:
             path, banned = stack.pop()
-            steps -= 1
-            if steps < 0:
-                raise BudgetExceededError("monophonic_diameter step budget exceeded")
+            left -= 1
+            if not left:
+                ticker.tick(TICK_BLOCK)
+                left = TICK_BLOCK
             if len(path) - 1 > best:
                 best = len(path) - 1
             last = path[-1]
@@ -211,6 +213,7 @@ def monophonic_diameter(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
                     continue
                 stack.append((path + [w], banned | (adj[last] - {w})))
     g._memo[key] = best
+    ticker.tick(TICK_BLOCK - left)
     return best
 
 

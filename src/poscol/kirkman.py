@@ -82,9 +82,12 @@ def _search_kts(n: int) -> TripleSystem | None:
             classes.pop()
         return False
 
-    if extend():
-        return TripleSystem(n, tuple(classes))
-    return None
+    try:
+        if extend():
+            return TripleSystem(n, tuple(classes))
+        return None
+    finally:
+        del class_partitions, extend  # recursive closures form reference cycles
 
 
 # Classical 15-point schoolgirl arrangement (seven days of five rows).

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, DEFAULT_LIMITS, GraphInputError, Limits
+from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
 from .graphs import Graph, INF, degree_order
 
 
@@ -89,14 +89,15 @@ class PositionWitness:
 
 
 def exists_induced_path_through(
-    g: Graph, u: int, w: int, v: int, limits: Limits = DEFAULT_LIMITS
+    g: Graph, u: int, w: int, v: int, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> bool:
     """True iff some induced u-v path of ``g`` contains ``w``.
 
     Backtracks over induced extensions from ``u``; a branch dies as soon as
     ``v`` or ``w`` becomes adjacent to the path interior, since an induced
-    path can never pick such a vertex up later.  Results are memoised on the
-    graph (the endpoints are symmetric).
+    path can never pick such a vertex up later.  Each extension counts as a
+    search node of ``limits``.  Results are memoised on the graph (the
+    endpoints are symmetric).
     """
     if len({u, w, v}) != 3:
         raise GraphInputError("u, w, v must be three distinct vertices")
@@ -109,13 +110,15 @@ def exists_induced_path_through(
     if dist[u][v] is INF or dist[u][w] is INF:
         memo[key] = False
         return False
+    ticker = limits.ticker()
     adj = g.adj
-    budget = [limits.induced_path_steps]
+    left = [TICK_BLOCK]
 
     def extend(path: list[int], on_path: set[int], banned: set[int]) -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError("induced path search budget exceeded")
+        left[0] -= 1
+        if not left[0]:
+            ticker.tick(TICK_BLOCK)
+            left[0] = TICK_BLOCK
         last = path[-1]
         if v in adj[last] and v not in banned and w in on_path:
             return True
@@ -138,6 +141,7 @@ def exists_induced_path_through(
     finally:
         del extend  # a recursive closure is a reference cycle; free it now
     memo[key] = found
+    ticker.tick(TICK_BLOCK - left[0])
     return found
 
 
@@ -194,7 +198,7 @@ def is_position_set(
     g: Graph,
     s: Iterable[int],
     kind: PositionKind,
-    limits: Limits = DEFAULT_LIMITS,
+    limits: Limits | BudgetTicker = DEFAULT_LIMITS,
 ) -> bool:
     """Decide whether ``s`` has the position property ``kind`` in ``g``."""
     s = sorted(set(s))
@@ -212,13 +216,14 @@ def is_position_set(
     if base is PositionKind.GP:
         return not _gp_triple_violation(dist, s)
     if base is PositionKind.MONO:
+        ticker = limits.ticker()
         for i, a in enumerate(s):
             for j in range(i + 1, len(s)):
                 b = s[j]
                 for w in s:
                     if w == a or w == b:
                         continue
-                    if exists_induced_path_through(g, a, w, b, limits):
+                    if exists_induced_path_through(g, a, w, b, ticker):
                         return False
         return True
     # mutual visibility
@@ -276,7 +281,7 @@ class Constraints:
         self._lines: dict[int, int] = {}
         self._behind_masks: dict[int, int] = {}
 
-    def line(self, a: int, b: int, g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+    def line(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
         """Mask of the vertices w for which one of a, b, w lies between the others.
 
         ``g`` is the graph this was compiled from; the mono kinds ask its
@@ -289,7 +294,7 @@ class Constraints:
             self._lines[key] = found
         return found
 
-    def _collinear(self, a: int, b: int, g: Graph, limits: Limits) -> int:
+    def _collinear(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker) -> int:
         d = self.dist[a][b]
         la, lb = self.layers[a], self.layers[b]
         out = self._beyond(a, b) | self._beyond(b, a)
@@ -392,11 +397,13 @@ class SetState:
     extension checks sound.
     """
 
-    __slots__ = ("g", "limits", "core", "members", "mask", "forbidden", "_saved")
+    __slots__ = ("g", "budget", "core", "members", "mask", "forbidden", "_saved")
 
-    def __init__(self, g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS):
+    def __init__(
+        self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
+    ):
         self.g = g
-        self.limits = limits
+        self.budget = limits.ticker()
         self.core = compiled(g, kind)
         self.members: list[int] = []
         self.mask = 0
@@ -422,9 +429,9 @@ class SetState:
             if not core.keeps_visibility(self.mask, v):
                 return False
         else:
-            g, limits = self.g, self.limits
+            g, budget = self.g, self.budget
             for b in self.members:
-                grown |= core.line(v, b, g, limits)
+                grown |= core.line(v, b, g, budget)
         if core.independent:
             grown |= core.adj[v]
         self._saved.append(self.forbidden)
@@ -443,7 +450,7 @@ class SetState:
 
 
 def position_number(
-    g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
+    g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> PositionWitness:
     """Exact maximum size of a ``kind`` position set, with one witness.
 
@@ -454,8 +461,8 @@ def position_number(
     cached = g._memo.get(("pi_witness", kind))
     if cached is not None:
         return cached
-    state = SetState(g, kind, limits)
     ticker = limits.ticker()
+    state = SetState(g, kind, ticker)
     best: list[int] = []
 
     def search(cands: list[int]) -> None:
@@ -485,8 +492,8 @@ def position_sets_of_size(
     g: Graph, kind: PositionKind, size: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[frozenset[int]]:
     """Yield every ``kind`` position set of exactly ``size`` vertices."""
-    state = SetState(g, kind, limits)
     ticker = limits.ticker()
+    state = SetState(g, kind, ticker)
 
     def search(cands: list[int]) -> Iterator[frozenset[int]]:
         ticker.tick()
@@ -517,11 +524,12 @@ def is_maximal_position_set(
     larger superset would extend through one of them.
     """
     s = set(s)
-    if not is_position_set(g, s, kind, limits):
+    ticker = limits.ticker()
+    if not is_position_set(g, s, kind, ticker):
         raise GraphInputError("is_maximal_position_set requires a valid position set")
     for v in range(g.n):
         if v in s:
             continue
-        if is_position_set(g, s | {v}, kind, limits):
+        if is_position_set(g, s | {v}, kind, ticker):
             return False
     return True

@@ -11,16 +11,19 @@ a class is one bit test.  Every colouring is re-verified by
 the compiled constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
-tagged ``upper_bound_only``, never passed off as exact.
+tagged ``upper_bound_only``, never passed off as exact.  Each top-level
+call starts one budget, and every phase of the call draws from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceededError, DEFAULT_LIMITS, GraphInputError, Limits
+from .errors import (
+    DEFAULT_LIMITS, UNLIMITED, BudgetExceededError, BudgetTicker, GraphInputError, Limits,
+)
 from .graphs import (
     Graph,
     complement,
@@ -102,19 +105,15 @@ def verify_colouring(
         seen[cls] = True
     if not all(seen):
         raise GraphInputError("gap in class ids: some class is empty")
-    return all(is_position_set(g, cls, kind, limits) for cls in c.classes())
+    ticker = limits.ticker()
+    return all(is_position_set(g, cls, kind, ticker) for cls in c.classes())
 
 
 # -- partition search --------------------------------------------------------
 
 
 def _feasible_partition(
-    g: Graph,
-    kind: PositionKind,
-    k: int,
-    limits: Limits,
-    ticker,
-    cap: int | None,
+    g: Graph, kind: PositionKind, k: int, budget: BudgetTicker, cap: int | None
 ) -> Colouring | None:
     """One colouring with at most ``k`` classes, or None if impossible.
 
@@ -128,14 +127,14 @@ def _feasible_partition(
     if k <= 0:
         return None
     if cap is not None and k * cap == g.n:
-        return _perfect_packing(g, kind, k, cap, limits, ticker)
+        return _perfect_packing(g, kind, k, cap, budget)
     order = degree_order(g)
-    states = [SetState(g, kind, limits) for _ in range(k)]
+    states = [SetState(g, kind, budget) for _ in range(k)]
     mu = states[0].core.mu
     assignment = [-1] * g.n
 
     def bt(assigned: int, opened: int) -> bool:
-        ticker.tick()
+        budget.tick()
         if assigned == g.n:
             return True
         if cap is not None:
@@ -184,7 +183,7 @@ def _feasible_partition(
 
 
 def _perfect_packing(
-    g: Graph, kind: PositionKind, k: int, cap: int, limits: Limits, ticker
+    g: Graph, kind: PositionKind, k: int, cap: int, budget: BudgetTicker
 ) -> Colouring | None:
     """k classes of exactly ``cap`` vertices each (the tight case k*cap == n).
 
@@ -202,11 +201,11 @@ def _perfect_packing(
         return v
 
     def fill(colour: int) -> bool:
-        ticker.tick()
+        budget.tick()
         if colour == k:
             return True
         anchor = next_free()
-        state = SetState(g, kind, limits)
+        state = SetState(g, kind, budget)
         state.try_add(anchor)
         assignment[anchor] = colour
         if extend(colour, state, anchor + 1):
@@ -215,7 +214,7 @@ def _perfect_packing(
         return False
 
     def extend(colour: int, state: SetState, start: int) -> bool:
-        ticker.tick()
+        budget.tick()
         if len(state.members) == cap:
             return fill(colour + 1)
         v = start
@@ -237,10 +236,8 @@ def _perfect_packing(
     return Colouring(tuple(assignment), k)
 
 
-def greedy_position_colouring(
-    g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
-) -> Colouring:
-    """First-fit colouring in descending-degree order; an upper bound witness."""
+def greedy_position_colouring(g: Graph, kind: PositionKind) -> Colouring:
+    """First-fit colouring in descending-degree order; an unbudgeted upper bound witness."""
     order = degree_order(g)
     states: list[SetState] = []
     assignment = [-1] * g.n
@@ -250,46 +247,31 @@ def greedy_position_colouring(
                 assignment[v] = c
                 break
         else:
-            st = SetState(g, kind, limits)
+            st = SetState(g, kind, UNLIMITED)
             st.try_add(v)
             states.append(st)
             assignment[v] = len(states) - 1
     return Colouring(tuple(assignment), len(states))
 
 
-def _cheap_lower(g: Graph, kind: PositionKind, limits: Limits) -> tuple[int, str]:
-    """Valid lower bounds that do not need the full bounds() machinery."""
-    if g.n == 0:
-        return 0, "empty graph"
-    best, reason = 1, "trivial"
-    comp = diameter(g)
+def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterator[tuple[int, str]]:
+    """Every applicable lower bound on chi_kind of a nonempty graph, with its reason.
+
+    Cheapest first, so a caller whose budget runs out midway keeps the
+    bounds found before the stop.
+    """
+    yield 1, "trivial"
     if kind in (PositionKind.GP, PositionKind.GP_I):
-        cand = -(-(comp.diam_star + 1) // 2)
-        if cand > best:
-            best, reason = cand, "diameter"
+        yield -(-(diameter(g).diam_star + 1) // 2), "diameter"
     if kind in (PositionKind.MONO, PositionKind.MONO_I):
-        try:
-            cand = -(-(monophonic_diameter(g, limits) + 1) // 2)
-        except BudgetExceededError:
-            cand = 1
-        if cand > best:
-            best, reason = cand, "monophonic diameter"
+        yield -(-(monophonic_diameter(g, budget) + 1) // 2), "monophonic diameter"
     if kind.independent:
-        cand = chromatic_number(g, limits)
-        if cand > best:
-            best, reason = cand, "chromatic number"
-    try:
-        pi = position_number(g, kind, limits).value
-        cand = -(-g.n // pi)
-        if cand > best:
-            best, reason = cand, "n over position number"
-    except BudgetExceededError:
-        pass
-    return best, reason
+        yield chromatic_number(g, budget), "chromatic number"
+    yield -(-g.n // position_number(g, kind, budget).value), "ceil(n/pi)"
 
 
 def chromatic_position_number(
-    g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
+    g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> CertifiedColouring:
     """Exact chi_kind by iterative deepening from the best lower bound.
 
@@ -300,25 +282,23 @@ def chromatic_position_number(
     """
     if g.n == 0:
         return CertifiedColouring(Colouring((), 0), kind, True, "solver", "exact")
-    greedy = greedy_position_colouring(g, kind, limits)
+    budget = limits.ticker()
+    best = greedy_position_colouring(g, kind)
+    lower = 1
     try:
-        lower, _ = _cheap_lower(g, kind, limits)
+        for value, _ in _lower_bounds(g, kind, budget):
+            lower = max(lower, value)
+        cap = _known_position_number(g, kind)
+        for k in range(lower, best.k):
+            found = _feasible_partition(g, kind, k, budget, cap)
+            if found is not None:
+                best = found
+                break
+        exact = True
     except BudgetExceededError:
-        lower = 1
-    cap = _known_position_number(g, kind)
-    best = greedy
-    ticker = limits.ticker()
-    exact = True
-    for k in range(lower, best.k):
-        try:
-            found = _feasible_partition(g, kind, k, limits, ticker, cap)
-        except BudgetExceededError:
-            exact = False
-            break
-        if found is not None:
-            best = found
-            break
-    if not verify_colouring(g, best, kind, limits):
+        # the bounds found before the stop may already match the greedy colouring
+        exact = lower >= best.k
+    if not verify_colouring(g, best, kind, UNLIMITED):
         raise AssertionError("solver produced an invalid colouring")
     return CertifiedColouring(
         best, kind, True, "solver", "exact" if exact else "upper_bound_only"
@@ -331,45 +311,31 @@ def _known_position_number(g: Graph, kind: PositionKind) -> int | None:
     return cached.value if cached is not None else None
 
 
-def _budgeted_position_number(g: Graph, kind: PositionKind, limits: Limits) -> int | None:
-    """The exact position number if a 200k-node search finds it, else None."""
-    pi_limits = Limits(
-        node_limit=200_000,
-        time_limit=limits.time_limit,
-        induced_path_steps=limits.induced_path_steps,
-    )
-    try:
-        return position_number(g, kind, pi_limits).value
-    except BudgetExceededError:
-        return None
-
-
 def feasible_position_colouring(
     g: Graph, kind: PositionKind, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> Colouring | None:
     """A verified colouring with at most ``k`` classes, or None if none exists.
 
-    A quick capless search usually settles the question; only when it blows
-    its small node budget is the position number computed for its capacity
-    prune and the search rerun under the caller's limits.
+    A quick search of at most 100k nodes usually settles the question; only
+    when it runs out is the position number computed, in at most 200k nodes,
+    for its capacity prune and the search rerun.  All of it draws from one
+    budget.
     """
+    budget = limits.ticker()
     cap = _known_position_number(g, kind)
-    quick = Limits(
-        node_limit=100_000,
-        time_limit=limits.time_limit,
-        induced_path_steps=limits.induced_path_steps,
-    )
-    if limits.node_limit is not None:
-        quick.node_limit = min(quick.node_limit, limits.node_limit)
     try:
-        found = _feasible_partition(g, kind, k, limits, quick.ticker(), cap)
+        with budget.capped(100_000):
+            found = _feasible_partition(g, kind, k, budget, cap)
     except BudgetExceededError:
-        if cap is None:
-            cap = _budgeted_position_number(g, kind, limits)
+        try:
+            with budget.capped(200_000):
+                cap = position_number(g, kind, budget).value
+        except BudgetExceededError:
+            pass
         if cap is not None and k * cap < g.n:
             return None
-        found = _feasible_partition(g, kind, k, limits, limits.ticker(), cap)
-    if found is not None and not verify_colouring(g, found, kind, limits):
+        found = _feasible_partition(g, kind, k, budget, cap)
+    if found is not None and not verify_colouring(g, found, kind, UNLIMITED):
         raise AssertionError("solver produced an invalid colouring")
     return found
 
@@ -386,7 +352,7 @@ def _greedy_clique(g: Graph) -> list[int]:
 
 
 def chromatic_number_with_colouring(
-    g: Graph, limits: Limits = DEFAULT_LIMITS
+    g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> tuple[int, Colouring]:
     """Exact chromatic number via DSATUR-ordered branch and bound."""
     n = g.n
@@ -458,20 +424,20 @@ def _normalise_colouring(assign: list[int]) -> Colouring:
     return Colouring(tuple(out), len(remap))
 
 
-def chromatic_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+def chromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     key = "chromatic_number"
     if key not in g._memo:
         g._memo[key] = chromatic_number_with_colouring(g, limits)[0]
     return g._memo[key]
 
 
-def clique_cover(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[int, Colouring]:
+def clique_cover(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> tuple[int, Colouring]:
     """Minimum partition into cliques: a proper colouring of the complement."""
     k, col = chromatic_number_with_colouring(complement(g), limits)
     return k, col
 
 
-def clique_cover_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+def clique_cover_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     return clique_cover(g, limits)[0]
 
 
@@ -501,7 +467,7 @@ class _CliqueOrIndependentState:
         self._flags.pop()
 
 
-def cochromatic_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+def cochromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     """Smallest k partitioning V into classes each a clique or independent set."""
     if g.n == 0:
         return 0
@@ -529,7 +495,9 @@ def cochromatic_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
     raise AssertionError("unreachable: singletons always work")
 
 
-def total_dominating_set(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[int, frozenset[int]]:
+def total_dominating_set(
+    g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS
+) -> tuple[int, frozenset[int]]:
     """Exact minimum total dominating set by set-cover branch and bound.
 
     Undefined when any vertex is isolated (its open neighbourhood is empty).
@@ -579,7 +547,7 @@ def total_dominating_set(g: Graph, limits: Limits = DEFAULT_LIMITS) -> tuple[int
     return int(best[0]), best[1]  # type: ignore[arg-type]
 
 
-def total_domination_number(g: Graph, limits: Limits = DEFAULT_LIMITS) -> int:
+def total_domination_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     return total_dominating_set(g, limits)[0]
 
 
@@ -599,27 +567,20 @@ def bounds(g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS) -> Bou
     n = g.n
     if n == 0:
         return BoundPair(0, 0, "empty graph", "empty graph")
-    pi = position_number(g, kind, limits).value
-    lower: list[tuple[int, str]] = [(1, "trivial"), (-(-n // pi), "ceil(n/pi)")]
+    budget = limits.ticker()
+    lo = max(_lower_bounds(g, kind, budget))
+    pi = position_number(g, kind, budget).value
     upper: list[tuple[int, str]] = [(n - pi + 1, "n-pi+1")]
     comp = diameter(g)
-    if kind in (PositionKind.GP, PositionKind.GP_I):
-        lower.append((-(-(comp.diam_star + 1) // 2), "diameter"))
-    if kind in (PositionKind.MONO, PositionKind.MONO_I):
-        lower.append(
-            (-(-(monophonic_diameter(g, limits) + 1) // 2), "monophonic diameter")
-        )
     if kind.independent:
-        lower.append((chromatic_number(g, limits), "chromatic number"))
         # splitting a longest geodesic into independent pairs needs diam >= 2
         if comp.diam_star >= 2:
             upper.append((n - (comp.diam_star + 1) // 2, "geodesic split"))
     else:
         upper.append((-(-(n - pi + 2) // 2), "pairing"))
-        upper.append((clique_cover_number(g, limits), "clique cover"))
+        upper.append((clique_cover_number(g, budget), "clique cover"))
     if kind is PositionKind.GP and is_diamond_free(g) and all(g.adj[v] for v in range(n)):
-        upper.append((total_domination_number(g, limits), "total domination"))
-    lo = max(lower)
+        upper.append((total_domination_number(g, budget), "total domination"))
     up = min(upper)
     return BoundPair(lo[0], up[0], lo[1], up[1])
 
@@ -654,13 +615,14 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
     """Evaluate every applicable inequality between the colouring parameters."""
     rep = InequalityReport()
     n = g.n
-    chi = {kind: chromatic_position_number(g, kind, limits).k for kind in ALL_KINDS}
-    pi = {kind: position_number(g, kind, limits).value for kind in ALL_KINDS}
+    budget = limits.ticker()
+    chi = {kind: chromatic_position_number(g, kind, budget).k for kind in ALL_KINDS}
+    pi = {kind: position_number(g, kind, budget).value for kind in ALL_KINDS}
     K = PositionKind
-    chrom = chromatic_number(g, limits)
-    theta = clique_cover_number(g, limits)
+    chrom = chromatic_number(g, budget)
+    theta = clique_cover_number(g, budget)
     comp = diameter(g)
-    mdiam = monophonic_diameter(g, limits)
+    mdiam = monophonic_diameter(g, budget)
 
     rep.check(
         "chain mu<=gp<=mono",
@@ -706,7 +668,7 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
         f"{chi[K.MONO]} >= ceil(({mdiam}+1)/2)",
     )
     if comp.diam_star <= 3:
-        zeta = cochromatic_number(g, limits)
+        zeta = cochromatic_number(g, budget)
         rep.check(
             "diam<=3: gpi equals chromatic",
             chi[K.GP_I] == chrom,
@@ -723,7 +685,7 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
             f"{chi[K.GP]} <= {zeta}",
         )
     if all(g.adj[v] for v in range(n)):
-        gamma_t = total_domination_number(g, limits)
+        gamma_t = total_domination_number(g, budget)
         rep.check(
             "mu below total domination",
             chi[K.MU] <= gamma_t,
@@ -736,10 +698,10 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
                 f"{chi[K.GP]} <= {gamma_t}",
             )
     gbar = complement(g)
-    theta_bar = clique_cover_number(gbar, limits)
-    chrom_bar = chromatic_number(gbar, limits)
+    theta_bar = clique_cover_number(gbar, budget)
+    chrom_bar = chromatic_number(gbar, budget)
     for kind in (K.GP, K.MONO):
-        chi_bar = chromatic_position_number(gbar, kind, limits).k
+        chi_bar = chromatic_position_number(gbar, kind, budget).k
         rep.check(
             f"nordhaus-gaddum sum chain ({kind.value})",
             chi[kind] + chi_bar <= theta + theta_bar <= n + 1,
@@ -750,7 +712,7 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
         # 2*sqrt(n) form only once n >= 4 (K2 already violates the latter)
         floor_val = max(n, 2 * math.sqrt(n)) if n >= 4 else n
         for kind in (K.GP_I, K.MONO_I):
-            chi_bar = chromatic_position_number(gbar, kind, limits).k
+            chi_bar = chromatic_position_number(gbar, kind, budget).k
             rep.check(
                 f"nordhaus-gaddum product chain ({kind.value})",
                 chi[kind] * chi_bar >= chrom * chrom_bar >= floor_val,

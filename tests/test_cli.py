@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poscol
 from poscol.cli import main
 from poscol.graph6 import graph6_encode
 from poscol.families import generate, parse_family
@@ -65,6 +70,31 @@ class TestCompute:
             monkeypatch,
         )
         assert code == 3
+
+    def test_zero_time_limit_is_no_time(self, capsys, monkeypatch, petersen_g6):
+        code, out, _ = run(
+            capsys, ["compute", "--kind", "mono", "--time-limit", "0"], petersen_g6, monkeypatch
+        )
+        assert code == 3 and json.loads(out)["optimality"] == "upper_bound_only"
+
+    @pytest.mark.parametrize("flag, value", [("--node-limit", "-3"), ("--time-limit", "-1")])
+    def test_negative_budget_exits_2(self, capsys, monkeypatch, petersen_g6, flag, value):
+        argv = ["compute", "--kind", "gp", flag, value]
+        code, _, err = run(capsys, argv, petersen_g6, monkeypatch)
+        assert code == 2 and err.startswith("input error")
+
+    @pytest.mark.parametrize("name, value", [("POS_NODE_LIMIT", "abc"), ("POS_TIME_LIMIT", "1s")])
+    def test_malformed_budget_env_exits_2(self, petersen_g6, name, value):
+        # a fresh interpreter: the variable must not break `import poscol` either
+        src = str(Path(poscol.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, **{name: value})
+        proc = subprocess.run(
+            [sys.executable, "-m", "poscol.cli", "compute", "--kind", "gp"],
+            input=petersen_g6, capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("input error") and name in proc.stderr
 
 
 class TestVerify:

