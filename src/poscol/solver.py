@@ -11,8 +11,10 @@ a class is one bit test.  Every colouring is re-verified by
 the compiled constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
-tagged ``upper_bound_only``, never passed off as exact.  Each top-level
-call starts one budget, and every phase of the call draws from it.
+tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
+greedy upper bound, the cheap lower bounds, then the deepening, which computes
+the position number pi only when a level stalls; each top-level call starts
+one budget, and every phase but the greedy bound draws from it.
 """
 
 from __future__ import annotations
@@ -255,10 +257,11 @@ def greedy_position_colouring(g: Graph, kind: PositionKind) -> Colouring:
 
 
 def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterator[tuple[int, str]]:
-    """Every applicable lower bound on chi_kind of a nonempty graph, with its reason.
+    """The cheap lower bounds on chi_kind of a nonempty graph, with their reasons.
 
     Cheapest first, so a caller whose budget runs out midway keeps the
-    bounds found before the stop.
+    bounds found before the stop.  ceil(n/pi) is not among them: pi is
+    computed only by a stalled deepening level and by ``bounds()``.
     """
     yield 1, "trivial"
     if kind in (PositionKind.GP, PositionKind.GP_I):
@@ -267,18 +270,19 @@ def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterato
         yield -(-(monophonic_diameter(g, budget) + 1) // 2), "monophonic diameter"
     if kind.independent:
         yield chromatic_number(g, budget), "chromatic number"
-    yield -(-g.n // position_number(g, kind, budget).value), "ceil(n/pi)"
 
 
 def chromatic_position_number(
     g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> CertifiedColouring:
-    """Exact chi_kind by iterative deepening from the best lower bound.
+    """Exact chi_kind by iterative deepening from the cheap lower bounds.
 
     The greedy first-fit colouring supplies the initial upper bound, so a
-    feasible colouring always exists at the top of the deepening range; if
-    the budget runs out first, the best colouring found so far is returned
-    tagged ``upper_bound_only``.
+    feasible colouring always exists at the top of the deepening range.  Each
+    level runs ``_level``, which computes pi only if its quick search
+    stalls.  If the budget runs out first, the best colouring found so far is
+    returned, ``exact`` only when the bounds, the levels refuted and any
+    cached pi already meet it, else tagged ``upper_bound_only``.
     """
     if g.n == 0:
         return CertifiedColouring(Colouring((), 0), kind, True, "solver", "exact")
@@ -288,20 +292,21 @@ def chromatic_position_number(
     try:
         for value, _ in _lower_bounds(g, kind, budget):
             lower = max(lower, value)
-        cap = _known_position_number(g, kind)
-        for k in range(lower, best.k):
-            found = _feasible_partition(g, kind, k, budget, cap)
+        while lower < best.k:
+            found = _level(g, kind, lower, budget)
             if found is not None:
                 best = found
                 break
-        exact = True
+            lower += 1
     except BudgetExceededError:
-        # the bounds found before the stop may already match the greedy colouring
-        exact = lower >= best.k
+        pass
+    pi = _known_position_number(g, kind)
+    if pi is not None:
+        lower = max(lower, -(-g.n // pi))
     if not verify_colouring(g, best, kind, UNLIMITED):
         raise AssertionError("solver produced an invalid colouring")
     return CertifiedColouring(
-        best, kind, True, "solver", "exact" if exact else "upper_bound_only"
+        best, kind, True, "solver", "exact" if lower >= best.k else "upper_bound_only"
     )
 
 
@@ -311,30 +316,43 @@ def _known_position_number(g: Graph, kind: PositionKind) -> int | None:
     return cached.value if cached is not None else None
 
 
+_QUICK_NODES = 1_000  # benchmark levels settled without pi took <= 466; 3k and 10k ran slower
+
+
+def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colouring | None:
+    """One colouring with at most ``k`` classes, or None if none exists.
+
+    A cached pi with k*pi < n refutes the level outright.  Without pi, a
+    search of at most ``_QUICK_NODES`` nodes usually settles it; only when
+    that stalls is pi computed, in at most 200k nodes, and cached.
+    Then either k*pi < n refutes the level, or it is searched again with the
+    capacity prune (a perfect packing when k*pi == n) on the rest of the budget.
+    """
+    pi = _known_position_number(g, kind)
+    if pi is None:
+        try:
+            with budget.capped(_QUICK_NODES):
+                return _feasible_partition(g, kind, k, budget, None)
+        except BudgetExceededError:
+            try:
+                with budget.capped(200_000):
+                    pi = position_number(g, kind, budget).value
+            except BudgetExceededError:
+                pass
+    if pi is not None and k * pi < g.n:
+        return None
+    return _feasible_partition(g, kind, k, budget, pi)
+
+
 def feasible_position_colouring(
     g: Graph, kind: PositionKind, k: int, limits: Limits = DEFAULT_LIMITS
 ) -> Colouring | None:
     """A verified colouring with at most ``k`` classes, or None if none exists.
 
-    A quick search of at most 100k nodes usually settles the question; only
-    when it runs out is the position number computed, in at most 200k nodes,
-    for its capacity prune and the search rerun.  All of it draws from one
-    budget.
+    One deepening level (``_level``): a quick search, and pi with the
+    capacity prune only if that stalls, all drawn from one budget.
     """
-    budget = limits.ticker()
-    cap = _known_position_number(g, kind)
-    try:
-        with budget.capped(100_000):
-            found = _feasible_partition(g, kind, k, budget, cap)
-    except BudgetExceededError:
-        try:
-            with budget.capped(200_000):
-                cap = position_number(g, kind, budget).value
-        except BudgetExceededError:
-            pass
-        if cap is not None and k * cap < g.n:
-            return None
-        found = _feasible_partition(g, kind, k, budget, cap)
+    found = _level(g, kind, k, limits.ticker())
     if found is not None and not verify_colouring(g, found, kind, UNLIMITED):
         raise AssertionError("solver produced an invalid colouring")
     return found
@@ -568,8 +586,9 @@ def bounds(g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS) -> Bou
     if n == 0:
         return BoundPair(0, 0, "empty graph", "empty graph")
     budget = limits.ticker()
-    lo = max(_lower_bounds(g, kind, budget))
+    cheap = max(_lower_bounds(g, kind, budget))
     pi = position_number(g, kind, budget).value
+    lo = max(cheap, (-(-n // pi), "ceil(n/pi)"))
     upper: list[tuple[int, str]] = [(n - pi + 1, "n-pi+1")]
     comp = diameter(g)
     if kind.independent:

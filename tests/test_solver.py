@@ -143,6 +143,12 @@ class TestBounds:
         b = bounds(complete(6), K.GP)
         assert (b.lower, b.upper) == (1, 1)
 
+    def test_grid_lower_bounds_come_from_pi(self):
+        # the solver no longer computes pi up front; bounds() still does
+        g = generate(parse_family("cartesian(path:4,path:6)"))
+        lows = [(bounds(g, kind).lower, bounds(g, kind).lower_reason) for kind in ALL_KINDS]
+        assert lows == [(v, "ceil(n/pi)") for v in (6, 12, 3, 6, 12, 3)]
+
     def test_bracket_solver_everywhere(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -326,6 +332,19 @@ def test_feasible_colouring_phases_share_one_node_budget(monkeypatch):
     assert sum(charged) <= 100 + TICK_BLOCK
 
 
+def test_feasible_colouring_refutes_by_pi_within_budget():
+    """A stalled quick pass leaves pi and its k*pi < n refutation the rest of the budget."""
+    g = generate(parse_family("cartesian(path:4,path:6)"))
+    assert feasible_position_colouring(g, K.GP, 5, Limits(node_limit=10000)) is None
+
+
+def test_solve_computes_pi_only_when_a_level_stalls():
+    g = generate(parse_family("kneser2:7"))
+    r = chromatic_position_number(g, K.MU)
+    assert (r.k, r.optimality) == (2, "exact")
+    assert ("pi_witness", K.MU) not in g._memo
+
+
 # Wall-time budgets are checked with a slack: the greedy bound and the final
 # verification run outside the budget, the clock is read once per block of
 # nodes, and the machine may be slow.  Both calls below end within 0.05 s of
@@ -339,6 +358,15 @@ def test_time_limit_holds_across_a_mono_solve():
     r = chromatic_position_number(g, K.MONO, Limits(time_limit=1.0))
     assert time.monotonic() - start < 1.0 + TIME_SLACK
     assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, K.MONO)
+
+
+def test_time_limit_left_to_the_deepening():
+    # pi for mu on this graph takes seconds; the deepening proves 3 without it
+    g = generate(parse_family("strong(path:5,path:6)"))
+    start = time.monotonic()
+    r = chromatic_position_number(g, K.MU, Limits(time_limit=2.0))
+    assert (r.k, r.optimality) == (3, "exact")
+    assert time.monotonic() - start < 2.0 + TIME_SLACK
 
 
 def test_time_limit_stops_monophonic_diameter():
