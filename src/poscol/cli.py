@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .catalogue import catalogue_lines
 from .errors import BudgetExceededError, GraphInputError, Limits
@@ -77,17 +78,7 @@ def cmd_compute(args) -> int:
     kind = parse_kind(args.kind)
     limits = _limits(args)
     if args.bounds:
-        pair = bounds(graph, kind, limits)
-        _emit(
-            {
-                "kind": kind.value,
-                "n": graph.n,
-                "lower": pair.lower,
-                "upper": pair.upper,
-                "lower_reason": pair.lower_reason,
-                "upper_reason": pair.upper_reason,
-            }
-        )
+        _emit({"kind": kind.value, "n": graph.n, **asdict(bounds(graph, kind, limits))})
         return EXIT_OK
     result = chromatic_position_number(graph, kind, limits)
     out = colouring_to_dict(result.colouring, kind)
@@ -167,52 +158,32 @@ def _suite_cycles(args, limits) -> list[dict]:
     from .position import PositionKind
 
     items = []
-    for n in range(5, 16):
-        expected = -(-n // 3)
-        solved = chromatic_position_number(
-            generate(parse_family(f"cycle:{n}")), PositionKind.GP, limits
-        ).k
-        built = construct_colouring(parse_family(f"cycle:{n}"), PositionKind.GP, limits).k
-        items.append(
-            {
-                "input": f"cycle:{n} gp",
-                "expected": expected,
-                "computed": solved,
-                "construction": built,
-                "pass": solved == expected == built,
-            }
-        )
-    for n in range(3, 13):
-        # C3 is a clique, so one class suffices there
-        expected = 1 if n == 3 else -(-n // 2)
-        solved = chromatic_position_number(
-            generate(parse_family(f"cycle:{n}")), PositionKind.MONO, limits
-        ).k
-        built = construct_colouring(parse_family(f"cycle:{n}"), PositionKind.MONO, limits).k
-        items.append(
-            {
-                "input": f"cycle:{n} mono",
-                "expected": expected,
-                "computed": solved,
-                "construction": built,
-                "pass": solved == expected == built,
-            }
-        )
+    for kind, orders in ((PositionKind.GP, range(5, 16)), (PositionKind.MONO, range(3, 13))):
+        for n in orders:
+            spec = parse_family(f"cycle:{n}")
+            expected = predicted_chi(spec, kind).value
+            solved = chromatic_position_number(generate(spec), kind, limits).k
+            built = construct_colouring(spec, kind, limits).k
+            items.append(
+                {
+                    "input": f"cycle:{n} {kind.value}",
+                    "expected": expected,
+                    "computed": solved,
+                    "construction": built,
+                    "pass": solved == expected == built,
+                }
+            )
     return items
 
 
 def _suite_ng_check(args, limits) -> list[dict]:
     kinds = [parse_kind(k) for k in args.kinds.split(",")]
     if args.input:
-        lines = [(0, line) for line in _read_text(args.input).split() if line]
+        lines = _read_text(args.input).split()
     else:
-        lines = [
-            (n, line)
-            for n in range(1, args.max_n + 1)
-            for line in catalogue_lines(n)
-        ]
+        lines = [line for n in range(1, args.max_n + 1) for line in catalogue_lines(n)]
     items = []
-    for idx, (_, line) in enumerate(lines):
+    for idx, line in enumerate(lines):
         g = graph6_decode(line)
         gbar = complement(g)
         for kind in kinds:
@@ -255,6 +226,8 @@ def _suite_reduction(args, limits) -> list[dict]:
 def _suite_inequalities(args, limits) -> list[dict]:
     from .families import random_connected_graph
 
+    if args.max_n < 2:
+        raise GraphInputError("--max-n must be at least 2 for the inequalities suite")
     items = []
     for i in range(args.count):
         n = 2 + (args.seed + i) % (args.max_n - 1)

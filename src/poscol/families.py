@@ -25,6 +25,9 @@ from .errors import GraphInputError
 from .graphs import Graph, build_graph, complement, disjoint_union, join, product
 
 
+_COMPOSITES = ("cartesian", "strong", "complementary_prism")
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A named family instance, e.g. ``FamilySpec("cycle", (9,))``.
@@ -37,7 +40,7 @@ class FamilySpec:
     args: tuple = ()
 
     def __str__(self) -> str:
-        if self.name in ("cartesian", "strong", "complementary_prism"):
+        if self.name in _COMPOSITES:
             return f"{self.name}({','.join(str(a) for a in self.args)})"
         if not self.args:
             return self.name
@@ -71,6 +74,8 @@ def parse_family(text: str) -> FamilySpec:
         raise GraphInputError(f"unknown composite family {name!r}")
     name, _, argtext = text.partition(":")
     name = name.strip().lower()
+    if name in _COMPOSITES:
+        raise GraphInputError(f"{name} takes its family specs in parentheses")
     args: list = []
     if argtext:
         for tok in argtext.split(","):
@@ -470,6 +475,8 @@ def generate(spec: FamilySpec) -> Graph:
             return complementary_prism(generate(args[0]))
         if name in ("cartesian", "strong"):
             return product(name, generate(args[0]), generate(args[1]))
-    except TypeError as exc:
+    except GraphInputError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise GraphInputError(f"bad arguments for family {name!r}: {exc}") from None
     raise GraphInputError(f"unknown family {name!r}")

@@ -196,7 +196,7 @@ def monophonic_diameter(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS
     left = TICK_BLOCK
     adj = g.adj
     for start in range(g.n):
-        # path as list; forbidden = vertices adjacent to interior (chord risk)
+        # banned: the neighbours of each path vertex but the last, bar its successor
         stack: list[tuple[list[int], set[int]]] = [([start], set())]
         while stack:
             path, banned = stack.pop()
@@ -207,9 +207,8 @@ def monophonic_diameter(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS
             if len(path) - 1 > best:
                 best = len(path) - 1
             last = path[-1]
-            prev_adj = adj[path[-2]] if len(path) >= 2 else frozenset()
             for w in adj[last]:
-                if w in banned or w in prev_adj or w in path:
+                if w in banned or w in path:
                     continue
                 stack.append((path + [w], banned | (adj[last] - {w})))
     g._memo[key] = best

@@ -277,6 +277,13 @@ def check_equivalence(
 # -- text formats --------------------------------------------------------------------
 
 
+def _ints(tokens: list[str], line: str) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise GraphInputError(f"non-integer token in {line!r}") from None
+
+
 def parse_cnf(text: str) -> NaeInstance:
     """DIMACS-like input: header ``p nae3 <vars> <clauses>``, one clause per line."""
     p = None
@@ -290,9 +297,9 @@ def parse_cnf(text: str) -> NaeInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "nae3":
                 raise GraphInputError(f"bad header {line!r}")
-            p, q = int(parts[2]), int(parts[3])
+            p, q = _ints(parts[2:], line)
             continue
-        tokens = [int(t) for t in line.split()]
+        tokens = _ints(line.split(), line)
         if tokens and tokens[-1] == 0:
             tokens.pop()
         if len(tokens) != 3:

@@ -115,21 +115,20 @@ def verify_colouring(
 
 
 def _feasible_partition(
-    g: Graph, kind: PositionKind, k: int, budget: BudgetTicker, cap: int | None
+    g: Graph, kind: PositionKind, k: int, budget: BudgetTicker
 ) -> Colouring | None:
     """One colouring with at most ``k`` classes, or None if impossible.
 
     Branches on the unassigned vertex with the fewest feasible classes
     (deterministic tie-break: descending degree then id).  Scanning the
     options doubles as forward checking: a vertex with no feasible class
-    fails the node immediately.
+    fails the node immediately.  No capacity prune: with every class a
+    position set it could only test k*pi < n, which ``_level`` decides first.
     """
     if g.n == 0:
         return Colouring((), 0)
     if k <= 0:
         return None
-    if cap is not None and k * cap == g.n:
-        return _perfect_packing(g, kind, k, cap, budget)
     order = degree_order(g)
     states = [SetState(g, kind, budget) for _ in range(k)]
     mu = states[0].core.mu
@@ -139,10 +138,6 @@ def _feasible_partition(
         budget.tick()
         if assigned == g.n:
             return True
-        if cap is not None:
-            free = sum(cap - len(s.members) for s in states[:opened])
-            if free + (k - opened) * cap < g.n - assigned:
-                return False
         limit = min(opened + 1, k)
         best_v = -1
         best_opts: list[int] | None = None
@@ -185,9 +180,9 @@ def _feasible_partition(
 
 
 def _perfect_packing(
-    g: Graph, kind: PositionKind, k: int, cap: int, budget: BudgetTicker
+    g: Graph, kind: PositionKind, k: int, pi: int, budget: BudgetTicker
 ) -> Colouring | None:
-    """k classes of exactly ``cap`` vertices each (the tight case k*cap == n).
+    """k classes of exactly ``pi`` vertices each (the tight case k*pi == n).
 
     Exact-cover style search: the lowest unassigned vertex anchors the next
     class, whose remaining members are chosen in increasing id order, so
@@ -217,7 +212,7 @@ def _perfect_packing(
 
     def extend(colour: int, state: SetState, start: int) -> bool:
         budget.tick()
-        if len(state.members) == cap:
+        if len(state.members) == pi:
             return fill(colour + 1)
         v = start
         while v < n:
@@ -324,15 +319,15 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
 
     A cached pi with k*pi < n refutes the level outright.  Without pi, a
     search of at most ``_QUICK_NODES`` nodes usually settles it; only when
-    that stalls is pi computed, in at most 200k nodes, and cached.
-    Then either k*pi < n refutes the level, or it is searched again with the
-    capacity prune (a perfect packing when k*pi == n) on the rest of the budget.
+    that stalls is pi computed, in at most 200k nodes, and cached.  Then
+    k*pi < n refutes the level, k*pi == n calls ``_perfect_packing``, and
+    otherwise the level is searched again on the rest of the budget.
     """
     pi = _known_position_number(g, kind)
     if pi is None:
         try:
             with budget.capped(_QUICK_NODES):
-                return _feasible_partition(g, kind, k, budget, None)
+                return _feasible_partition(g, kind, k, budget)
         except BudgetExceededError:
             try:
                 with budget.capped(200_000):
@@ -341,7 +336,9 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
                 pass
     if pi is not None and k * pi < g.n:
         return None
-    return _feasible_partition(g, kind, k, budget, pi)
+    if pi and k * pi == g.n:  # pi is 0 only on the empty graph
+        return _perfect_packing(g, kind, k, pi, budget)
+    return _feasible_partition(g, kind, k, budget)
 
 
 def feasible_position_colouring(
@@ -349,8 +346,8 @@ def feasible_position_colouring(
 ) -> Colouring | None:
     """A verified colouring with at most ``k`` classes, or None if none exists.
 
-    One deepening level (``_level``): a quick search, and pi with the
-    capacity prune only if that stalls, all drawn from one budget.
+    One deepening level (``_level``): a quick search, and only if that
+    stalls pi and a second search, all drawn from one budget.
     """
     found = _level(g, kind, k, limits.ticker())
     if found is not None and not verify_colouring(g, found, kind, UNLIMITED):
@@ -451,8 +448,7 @@ def chromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -
 
 def clique_cover(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> tuple[int, Colouring]:
     """Minimum partition into cliques: a proper colouring of the complement."""
-    k, col = chromatic_number_with_colouring(complement(g), limits)
-    return k, col
+    return chromatic_number_with_colouring(complement(g), limits)
 
 
 def clique_cover_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
@@ -572,7 +568,9 @@ def total_domination_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LI
 # -- bounds -------------------------------------------------------------------
 
 
-def bounds(g: Graph, kind: PositionKind, limits: Limits = DEFAULT_LIMITS) -> BoundPair:
+def bounds(
+    g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
+) -> BoundPair:
     """Best applicable lower and upper bounds on chi_kind, each annotated.
 
     Lower bounds: ceil(n/pi); the (monophonic) diameter bound for gp and
@@ -631,17 +629,19 @@ class InequalityReport:
 
 
 def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> InequalityReport:
-    """Evaluate every applicable inequality between the colouring parameters."""
+    """Evaluate every applicable inequality between the colouring parameters.
+
+    Each kind's bounds in pi, diameters, order and classic parameters are one
+    ``bounds (<kind>)`` record that checks chi against ``bounds()``.
+    """
     rep = InequalityReport()
     n = g.n
     budget = limits.ticker()
     chi = {kind: chromatic_position_number(g, kind, budget).k for kind in ALL_KINDS}
-    pi = {kind: position_number(g, kind, budget).value for kind in ALL_KINDS}
     K = PositionKind
     chrom = chromatic_number(g, budget)
     theta = clique_cover_number(g, budget)
     comp = diameter(g)
-    mdiam = monophonic_diameter(g, budget)
 
     rep.check(
         "chain mu<=gp<=mono",
@@ -658,34 +658,13 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
         chi[K.MONO] <= chi[K.MONO_I],
         f"{chi[K.MONO]} <= {chi[K.MONO_I]}",
     )
-    for kind in (K.MU, K.GP, K.MONO):
-        lo = -(-n // pi[kind])
-        up = min(n - pi[kind] + 1, -(-(n - pi[kind] + 2) // 2), theta)
+    for kind in ALL_KINDS:
+        b = bounds(g, kind, budget)
         rep.check(
-            f"n/pi and size bounds ({kind.value})",
-            lo <= chi[kind] <= up,
-            f"{lo} <= {chi[kind]} <= {up}",
+            f"bounds ({kind.value})",
+            b.lower <= chi[kind] <= b.upper,
+            f"{b.lower} ({b.lower_reason}) <= {chi[kind]} <= {b.upper} ({b.upper_reason})",
         )
-    for kind in (K.GP_I, K.MONO_I, K.MU_I):
-        lo = max(-(-n // pi[kind]), chrom)
-        up = n - pi[kind] + 1
-        if comp.diam_star >= 2:
-            up = min(up, n - (comp.diam_star + 1) // 2)
-        rep.check(
-            f"independent bounds ({kind.value})",
-            lo <= chi[kind] <= up,
-            f"{lo} <= {chi[kind]} <= {up}",
-        )
-    rep.check(
-        "gp diameter bound",
-        chi[K.GP] >= -(-(comp.diam_star + 1) // 2),
-        f"{chi[K.GP]} >= ceil(({comp.diam_star}+1)/2)",
-    )
-    rep.check(
-        "mono monophonic-diameter bound",
-        chi[K.MONO] >= -(-(mdiam + 1) // 2),
-        f"{chi[K.MONO]} >= ceil(({mdiam}+1)/2)",
-    )
     if comp.diam_star <= 3:
         zeta = cochromatic_number(g, budget)
         rep.check(
@@ -710,12 +689,6 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
             chi[K.MU] <= gamma_t,
             f"{chi[K.MU]} <= {gamma_t}",
         )
-        if is_diamond_free(g):
-            rep.check(
-                "diamond-free: gp below total domination",
-                chi[K.GP] <= gamma_t,
-                f"{chi[K.GP]} <= {gamma_t}",
-            )
     gbar = complement(g)
     theta_bar = clique_cover_number(gbar, budget)
     chrom_bar = chromatic_number(gbar, budget)
@@ -756,10 +729,12 @@ def colouring_to_dict(c: Colouring, kind: PositionKind | None = None) -> dict:
 
 def colouring_from_dict(obj: dict) -> tuple[Colouring, PositionKind | None]:
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         classes = [[int(v) for v in cls] for cls in obj["classes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphInputError(f"bad colouring JSON: {exc}") from exc
+    if not isinstance(n, int) or n != sum(map(len, classes)):
+        raise GraphInputError("colouring JSON field 'n' must be the number of listed vertices")
     kind = None
     if "kind" in obj:
         from .position import parse_kind

@@ -97,6 +97,37 @@ class TestCompute:
         assert proc.stderr.startswith("input error") and name in proc.stderr
 
 
+class TestMalformedInputExits2:
+    """Each case prints one ``input error:`` line and exits 2, never a traceback."""
+
+    @staticmethod
+    def assert_input_error(result):
+        code, _, err = result
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("input error:")
+
+    @pytest.mark.parametrize("cnf", ["p nae3 three 1\n1 2 3\n", "p nae3 3 1\n1 x 3\n"])
+    def test_non_integer_cnf_token(self, capsys, monkeypatch, cnf):
+        self.assert_input_error(run(capsys, ["reduce", "-"], cnf, monkeypatch))
+
+    def test_non_integer_seeded_family_count(self, capsys):
+        self.assert_input_error(run(capsys, ["family", "block_random:3.5,1"]))
+
+    @pytest.mark.parametrize("n", ["1e300", "Infinity"])
+    def test_colouring_size_not_an_integer(self, capsys, tmp_path, petersen_g6, n):
+        gfile = tmp_path / "g.g6"
+        gfile.write_text(petersen_g6 + "\n")
+        cfile = tmp_path / "c.json"
+        cfile.write_text(f'{{"n": {n}, "k": 1, "classes": [[0, 1]]}}')
+        argv = ["verify", str(gfile), str(cfile), "--kind", "gp"]
+        self.assert_input_error(run(capsys, argv))
+
+    @pytest.mark.parametrize("max_n", ["1", "0"])
+    def test_inequalities_suite_needs_order_two(self, capsys, max_n):
+        argv = ["suite", "inequalities", "--count", "2", "--max-n", max_n]
+        self.assert_input_error(run(capsys, argv))
+
+
 class TestVerify:
     def test_verified_and_rejected(self, capsys, tmp_path, petersen_g6):
         from conftest import PETERSEN_GP_CLASSES, PETERSEN_EDGES

@@ -236,8 +236,22 @@ class TestInequalitySuite:
         chain = next(r for r in rep.records if r.name == "chain mu<=gp<=mono")
         assert chain.detail == "2 <= 2 <= 4"
 
+    def test_petersen_bounds_records_read_bounds(self, petersen):
+        rep = check_inequality_suite(petersen)
+        records = {r.name: r for r in rep.records if r.name.startswith("bounds (")}
+        assert set(records) == {f"bounds ({kind.value})" for kind in ALL_KINDS}
+        for kind in ALL_KINDS:
+            b = bounds(petersen, kind)
+            chi = chromatic_position_number(petersen, kind).k
+            assert records[f"bounds ({kind.value})"].detail == (
+                f"{b.lower} ({b.lower_reason}) <= {chi} <= {b.upper} ({b.upper_reason})"
+            )
+
     def test_clique(self):
         assert check_inequality_suite(complete(5)).all_hold
+
+    def test_empty_graph(self):
+        assert check_inequality_suite(build_graph(0, [])).all_hold
 
     def test_random_connected(self):
         rng = random.Random(7)
