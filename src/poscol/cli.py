@@ -1,14 +1,17 @@
 """Command-line surface: compute, verify, family, construct, reduce, suite.
 
 Exit codes are a stable contract: 0 success, 1 verification or suite
-failure, 2 malformed input, 3 resource limit exceeded.  All output on
-stdout is deterministic for fixed flags and seeds; timing goes to stderr.
+failure, 2 malformed input, 3 resource limit exceeded.  A reader that closes
+stdout early (``pos family ... | head``) does not change the exit code: the
+rest of the output is dropped.  All output on stdout is deterministic for
+fixed flags and seeds; timing goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -66,8 +69,23 @@ def _limits(args) -> Limits:
     return Limits(**{name: value for name, value in flags.items() if value is not None})
 
 
+def _print(line: str) -> None:
+    """Write one line to stdout, the only way the commands do.
+
+    If the reader has closed the pipe, stdout is pointed at ``os.devnull``
+    (as the Python docs advise for SIGPIPE), so later writes and the flush
+    at exit are dropped and the command keeps its own exit code.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    _print(json.dumps(obj, sort_keys=True))
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -96,13 +114,13 @@ def cmd_verify(args) -> int:
     if kind is None:
         raise GraphInputError("no position kind given (flag or colouring file)")
     ok = verify_colouring(graph, colouring, kind, _limits(args))
-    print("verified" if ok else "NOT a valid colouring")
+    _print("verified" if ok else "NOT a valid colouring")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_family(args) -> int:
     graph = generate(parse_family(args.spec))
-    print(graph6_encode(graph))
+    _print(graph6_encode(graph))
     return EXIT_OK
 
 

@@ -84,6 +84,14 @@ class Graph:
         return self._dist
 
 
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Neighbourhoods as int bitmasks, bit u of entry v set iff uv is an edge (cached)."""
+    masks = g._memo.get("adjacency_masks")
+    if masks is None:
+        masks = g._memo["adjacency_masks"] = tuple(sum(1 << u for u in nb) for nb in g.adj)
+    return masks
+
+
 def _bfs_all_pairs(g: Graph) -> list[list[float]]:
     dist = [[INF] * g.n for _ in range(g.n)]
     for s in range(g.n):

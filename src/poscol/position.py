@@ -15,7 +15,7 @@ exploit for pruning.
 The properties are decided twice here, on purpose.  The searches
 (:class:`SetState`, ``position_number``, ``position_sets_of_size`` and the
 solver's greedy and partition searches) run on :class:`Constraints`, the
-bitmask form of one (graph, kind) pair, compiled once and cached on the
+bitmask form of one graph and base kind, compiled once and cached on the
 graph.  ``is_position_set`` works from the distance matrix and the
 induced-path oracle alone and never touches the compiled form, so it
 re-verifies every search result independently.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
-from .graphs import Graph, INF, degree_order
+from .graphs import Graph, INF, adjacency_masks, degree_order
 
 
 class PositionKind(enum.Enum):
@@ -241,7 +241,8 @@ def is_position_set(
 
 
 class Constraints:
-    """One (graph, kind) pair compiled into int bitmasks; bit v is vertex v.
+    """One graph and base kind (gp, mono or mu) compiled into int bitmasks;
+    bit v is vertex v.  A kind and its ``_i`` variant share it.
 
     ``adj[v]`` is the neighbourhood of v and ``layers[v][d]`` the set of
     vertices at distance d from v.  For gp and mono three vertices are in
@@ -253,22 +254,22 @@ class Constraints:
     distance layers of one vertex with mask ANDs, so one walk decides the
     visibility of many targets.
 
-    Built once per pair by :func:`compiled` and cached in the graph's memo.
+    Built once per graph and base kind by :func:`compiled` and cached in the
+    graph's memo.
     It keeps no reference to the graph, so the memo forms no reference cycle.
     """
 
     __slots__ = (
-        "kind", "independent", "mu", "n", "dist", "adj", "layers", "component",
+        "kind", "mu", "n", "dist", "adj", "layers", "component",
         "_lines", "_behind_masks",
     )
 
     def __init__(self, g: Graph, kind: PositionKind):
-        self.kind = kind
-        self.independent = kind.independent
-        self.mu = kind.base is PositionKind.MU
+        self.kind = kind.base
+        self.mu = self.kind is PositionKind.MU
         self.n = g.n
         self.dist = dist = g.distance_matrix()
-        self.adj = tuple(sum(1 << u for u in nb) for nb in g.adj)
+        self.adj = adjacency_masks(g)
         layers = []
         for row in dist:
             by_dist = [0] * (1 + max(d for d in row if d is not INF))
@@ -300,7 +301,7 @@ class Constraints:
         out = self._beyond(a, b) | self._beyond(b, a)
         for t in range(1, d):  # w between a and b
             out |= la[t] & lb[d - t]
-        if self.kind.base is PositionKind.MONO:
+        if self.kind is PositionKind.MONO:
             # shortest paths are induced; the oracle decides the other vertices
             rest = self.component[a] & ~(out | 1 << a | 1 << b)
             while rest:
@@ -378,17 +379,18 @@ class Constraints:
 
 
 def compiled(g: Graph, kind: PositionKind) -> Constraints:
-    """The :class:`Constraints` of ``g`` and ``kind``, built on first use."""
-    core = g._memo.get(("constraints", kind))
+    """The :class:`Constraints` of ``g`` and the base of ``kind``, built on first use."""
+    key = ("constraints", kind.base)
+    core = g._memo.get(key)
     if core is None:
-        core = g._memo[("constraints", kind)] = Constraints(g, kind)
+        core = g._memo[key] = Constraints(g, kind)
     return core
 
 
 class SetState:
     """A growing candidate position set with incremental feasibility checks.
 
-    Runs on the compiled :class:`Constraints` of its graph and kind.  For
+    Runs on the compiled :class:`Constraints` of its graph and base kind.  For
     gp and mono, and for the independence of the ``_i`` kinds, the set keeps
     one ``forbidden`` mask: ``v`` may join exactly when its bit is clear, and
     on joining it adds its lines through every member (and, for ``_i``
@@ -397,7 +399,7 @@ class SetState:
     extension checks sound.
     """
 
-    __slots__ = ("g", "budget", "core", "members", "mask", "forbidden", "_saved")
+    __slots__ = ("g", "budget", "core", "independent", "members", "mask", "forbidden", "_saved")
 
     def __init__(
         self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
@@ -405,6 +407,7 @@ class SetState:
         self.g = g
         self.budget = limits.ticker()
         self.core = compiled(g, kind)
+        self.independent = kind.independent
         self.members: list[int] = []
         self.mask = 0
         self.forbidden = 0
@@ -412,6 +415,11 @@ class SetState:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def mask_decides(self) -> bool:
+        """Whether a clear ``forbidden`` bit alone admits a vertex: all kinds but mu."""
+        return not self.core.mu
 
     def admits(self, v: int) -> bool:
         """Whether ``try_add(v)`` would succeed; the set is left unchanged."""
@@ -432,7 +440,7 @@ class SetState:
             g, budget = self.g, self.budget
             for b in self.members:
                 grown |= core.line(v, b, g, budget)
-        if core.independent:
+        if self.independent:
             grown |= core.adj[v]
         self._saved.append(self.forbidden)
         self.forbidden = grown

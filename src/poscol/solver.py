@@ -1,14 +1,20 @@
 """Exact position chromatic numbers and the auxiliary colouring parameters.
 
-The position chromatic number solver iteratively deepens over the colour
-count k, running a backtracking partition search at each k.  Classes grow
-through :class:`poscol.position.SetState`, whose extension checks are sound
-because every position property is closed under subsets.  The greedy bound,
-``position_number`` and both partition searches run on the compiled bitmask
-constraints of :mod:`poscol.position`; for gp and mono, whether a vertex fits
-a class is one bit test.  Every colouring is re-verified by
-``verify_colouring``, which uses the independent membership oracles and not
-the compiled constraints, before it is reported.  Symmetry between colour
+Every colouring number here is the fewest classes in a partition of V(G)
+into sets from a subset-closed family, and one backtracking partition
+search, ``_feasible_partition``, decides each k for all of them.  The
+position chromatic number solver iteratively deepens over k; its classes
+grow through :class:`poscol.position.SetState`, whose extension checks are
+sound because every position property is closed under subsets.  The
+chromatic number, the clique cover number (the chromatic number of the
+complement) and the cochromatic number deepen the same search over classes
+that must be independent sets, or for the cochromatic number independent
+sets or cliques.  The greedy bound, ``position_number``, the partition search
+and the exact-cover packing run on the compiled bitmask constraints of
+:mod:`poscol.position`; for gp and mono, whether a vertex fits a class is one
+bit test.  Every position colouring is re-verified by ``verify_colouring``,
+which uses the independent membership oracles and not the compiled
+constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
 tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
@@ -21,13 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_LIMITS, UNLIMITED, BudgetExceededError, BudgetTicker, GraphInputError, Limits,
 )
 from .graphs import (
     Graph,
+    adjacency_masks,
     complement,
     degree_order,
     diameter,
@@ -115,23 +123,31 @@ def verify_colouring(
 
 
 def _feasible_partition(
-    g: Graph, kind: PositionKind, k: int, budget: BudgetTicker
+    g: Graph,
+    new_class: Callable[[], SetState | _CliqueOrIndependent],
+    k: int,
+    budget: BudgetTicker,
 ) -> Colouring | None:
-    """One colouring with at most ``k`` classes, or None if impossible.
+    """A partition of V(g) into at most ``k`` classes, or None if none exists.
 
-    Branches on the unassigned vertex with the fewest feasible classes
-    (deterministic tie-break: descending degree then id).  Scanning the
-    options doubles as forward checking: a vertex with no feasible class
-    fails the node immediately.  No capacity prune: with every class a
-    position set it could only test k*pi < n, which ``_level`` decides first.
+    ``new_class()`` makes an empty class of the family: a :class:`SetState`
+    for a position kind, a :class:`_CliqueOrIndependent` for the classic
+    parameters.  Every such family is closed under subsets, so a class only
+    ever has to check the vertex that joins it.  Branches on the unassigned
+    vertex with the fewest feasible classes (deterministic tie-break:
+    descending degree then id).  Scanning the options doubles as forward
+    checking: a vertex with no feasible class fails the node immediately.
+    Each node charges ``budget`` one tick.  No capacity prune: with every
+    class a position set it could only test k*pi < n, which ``_level``
+    decides first.
     """
     if g.n == 0:
         return Colouring((), 0)
     if k <= 0:
         return None
     order = degree_order(g)
-    states = [SetState(g, kind, budget) for _ in range(k)]
-    mu = states[0].core.mu
+    states = [new_class() for _ in range(k)]
+    mask_decides = states[0].mask_decides
     assignment = [-1] * g.n
 
     def bt(assigned: int, opened: int) -> bool:
@@ -147,8 +163,7 @@ def _feasible_partition(
             opts = []
             for c in range(limit):
                 st = states[c]
-                # for gp and mono the forbidden mask alone decides
-                if not st.forbidden >> v & 1 and (not mu or st.admits(v)):
+                if not st.forbidden >> v & 1 and (mask_decides or st.admits(v)):
                     opts.append(c)
                     if best_opts is not None and len(opts) >= len(best_opts):
                         break
@@ -323,11 +338,12 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
     k*pi < n refutes the level, k*pi == n calls ``_perfect_packing``, and
     otherwise the level is searched again on the rest of the budget.
     """
+    new_class = partial(SetState, g, kind, budget)
     pi = _known_position_number(g, kind)
     if pi is None:
         try:
             with budget.capped(_QUICK_NODES):
-                return _feasible_partition(g, kind, k, budget)
+                return _feasible_partition(g, new_class, k, budget)
         except BudgetExceededError:
             try:
                 with budget.capped(200_000):
@@ -338,7 +354,7 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
         return None
     if pi and k * pi == g.n:  # pi is 0 only on the empty graph
         return _perfect_packing(g, kind, k, pi, budget)
-    return _feasible_partition(g, kind, k, budget)
+    return _feasible_partition(g, new_class, k, budget)
 
 
 def feasible_position_colouring(
@@ -358,6 +374,58 @@ def feasible_position_colouring(
 # -- classic parameters ------------------------------------------------------
 
 
+class _CliqueOrIndependent:
+    """A growing class that must stay an independent set or stay a clique.
+
+    ``_apart`` holds the vertices whose joining would break independence
+    (the members and their neighbours), ``_close`` those whose joining would
+    break being a clique (the non-neighbours of some member, the members
+    among them).  A join that breaks a mode sets its mask to all ones, so a
+    vertex may join exactly when its bit of ``forbidden``, the AND of the
+    two, is clear.  A class that may only be independent starts with
+    ``_close`` all ones.
+    """
+
+    __slots__ = ("adj", "full", "_apart", "_close", "forbidden", "_saved")
+    mask_decides = True
+
+    def __init__(self, adj: tuple[int, ...], clique_allowed: bool):
+        self.adj = adj
+        self.full = (1 << len(adj)) - 1
+        self._apart = 0
+        self._close = 0 if clique_allowed else self.full
+        self.forbidden = 0
+        self._saved: list[tuple[int, int]] = []  # both masks before each addition
+
+    def try_add(self, v: int) -> bool:
+        """Add ``v`` if the class stays a clique or an independent set."""
+        if self.forbidden >> v & 1:
+            return False
+        apart, close, full, nb = self._apart, self._close, self.full, self.adj[v]
+        self._saved.append((apart, close))
+        self._apart = full if apart >> v & 1 else apart | nb | 1 << v
+        self._close = full if close >> v & 1 else close | full & ~nb
+        self.forbidden = self._apart & self._close
+        return True
+
+    def pop(self) -> None:
+        """Undo the last successful ``try_add``."""
+        self._apart, self._close = self._saved.pop()
+        self.forbidden = self._apart & self._close
+
+
+def _fewest_classes(
+    g: Graph, clique_allowed: bool, lower: int, limits: Limits | BudgetTicker
+) -> Colouring:
+    """Fewest independent (or, if allowed, clique) classes, deepening from ``lower``."""
+    budget = limits.ticker()
+    new_class = partial(_CliqueOrIndependent, adjacency_masks(g), clique_allowed)
+    k = lower
+    while (found := _feasible_partition(g, new_class, k, budget)) is None:
+        k += 1
+    return found
+
+
 def _greedy_clique(g: Graph) -> list[int]:
     clique: list[int] = []
     for v in degree_order(g):
@@ -369,74 +437,13 @@ def _greedy_clique(g: Graph) -> list[int]:
 def chromatic_number_with_colouring(
     g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> tuple[int, Colouring]:
-    """Exact chromatic number via DSATUR-ordered branch and bound."""
-    n = g.n
-    if n == 0:
-        return 0, Colouring((), 0)
-    ticker = limits.ticker()
-    adj = g.adj
+    """Exact chromatic number and a proper colouring.
 
-    # greedy DSATUR upper bound
-    assign = [-1] * n
-    order_key = lambda v: (len({assign[u] for u in adj[v] if assign[u] != -1}), len(adj[v]), -v)
-    for _ in range(n):
-        v = max((u for u in range(n) if assign[u] == -1), key=order_key)
-        used = {assign[u] for u in adj[v]}
-        c = 0
-        while c in used:
-            c += 1
-        assign[v] = c
-    ub = max(assign) + 1
-    best_assign = list(assign)
-
-    clique = _greedy_clique(g)
-    lb = len(clique)
-    if lb == ub:
-        return ub, _normalise_colouring(best_assign)
-
-    # branch and bound with the clique pre-coloured (sound: colours permute)
-    assign = [-1] * n
-    for c, v in enumerate(clique):
-        assign[v] = c
-    best = [ub, best_assign]
-
-    def bt(coloured: int, used: int) -> None:
-        ticker.tick()
-        if used >= best[0]:
-            return
-        if coloured == n:
-            best[0] = used
-            best[1] = list(assign)
-            return
-        v = max(
-            (u for u in range(n) if assign[u] == -1),
-            key=lambda u: (len({assign[w] for w in adj[u] if assign[w] != -1}), len(adj[u]), -u),
-        )
-        nb_colours = {assign[w] for w in adj[v] if assign[w] != -1}
-        for c in range(min(used + 1, best[0] - 1)):
-            if c in nb_colours:
-                continue
-            assign[v] = c
-            bt(coloured + 1, max(used, c + 1))
-            assign[v] = -1
-            if best[0] == lb:
-                return
-
-    try:
-        bt(len(clique), len(clique))
-    finally:
-        del bt  # a recursive closure is a reference cycle; free it now
-    return best[0], _normalise_colouring(best[1])
-
-
-def _normalise_colouring(assign: list[int]) -> Colouring:
-    remap: dict[int, int] = {}
-    out = []
-    for c in assign:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return Colouring(tuple(out), len(remap))
+    The partition search into independent classes, deepening from the size
+    of a greedy clique.
+    """
+    found = _fewest_classes(g, False, len(_greedy_clique(g)), limits)
+    return found.k, found
 
 
 def chromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
@@ -447,66 +454,23 @@ def chromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -
 
 
 def clique_cover(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> tuple[int, Colouring]:
-    """Minimum partition into cliques: a proper colouring of the complement."""
-    return chromatic_number_with_colouring(complement(g), limits)
+    """Minimum partition into cliques: a proper colouring of the complement (cached)."""
+    key = "clique_cover"
+    if key not in g._memo:
+        g._memo[key] = chromatic_number_with_colouring(complement(g), limits)
+    return g._memo[key]
 
 
 def clique_cover_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     return clique_cover(g, limits)[0]
 
 
-class _CliqueOrIndependentState:
-    """Incremental class that must stay a clique or an independent set."""
-
-    __slots__ = ("g", "members", "_flags")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.members: list[int] = []
-        self._flags: list[tuple[bool, bool]] = [(True, True)]
-
-    def try_add(self, v: int) -> bool:
-        cl, ind = self._flags[-1]
-        nb = self.g.adj[v]
-        cl = cl and all(u in nb for u in self.members)
-        ind = ind and all(u not in nb for u in self.members)
-        if not (cl or ind):
-            return False
-        self.members.append(v)
-        self._flags.append((cl, ind))
-        return True
-
-    def pop(self) -> None:
-        self.members.pop()
-        self._flags.pop()
-
-
 def cochromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
-    """Smallest k partitioning V into classes each a clique or independent set."""
-    if g.n == 0:
-        return 0
-    order = degree_order(g)
-    ticker = limits.ticker()
-    for k in range(1, g.n + 1):
-        states = [_CliqueOrIndependentState(g) for _ in range(k)]
+    """Fewest classes in a partition of V into cliques and independent sets.
 
-        def bt(i: int, opened: int) -> bool:
-            ticker.tick()
-            if i == g.n:
-                return True
-            for c in range(min(opened + 1, k)):
-                if states[c].try_add(order[i]):
-                    if bt(i + 1, max(opened, c + 1)):
-                        return True
-                    states[c].pop()
-            return False
-
-        try:
-            if bt(0, 0):
-                return k
-        finally:
-            del bt  # a recursive closure is a reference cycle; free it now
-    raise AssertionError("unreachable: singletons always work")
+    The partition search with both modes open, deepening from 1.
+    """
+    return _fewest_classes(g, True, 1, limits).k
 
 
 def total_dominating_set(

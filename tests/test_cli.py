@@ -226,3 +226,35 @@ class TestSuites:
         _, out1, _ = run(capsys, ["family", "random:8,0.5,7"])
         _, out2, _ = run(capsys, ["family", "random:8,0.5,7"])
         assert out1 == out2
+
+
+class TestClosedStdout:
+    """A reader that has gone away leaves the command's own exit code."""
+
+    @staticmethod
+    def run_into_closed_pipe(argv):
+        src = str(Path(poscol.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts: every write fails
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "poscol.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+        finally:
+            os.close(write_end)
+
+    def test_family_exits_0(self):
+        proc = self.run_into_closed_pipe(["family", "petersen"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_verify_of_a_bad_colouring_exits_1(self, tmp_path, petersen_g6):
+        from conftest import PETERSEN_GP_CLASSES
+
+        gfile = tmp_path / "g.g6"
+        gfile.write_text(petersen_g6 + "\n")
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"n": 10, "k": 2, "classes": PETERSEN_GP_CLASSES}))
+        proc = self.run_into_closed_pipe(["verify", str(gfile), str(cfile), "--kind", "mono"])
+        assert (proc.returncode, proc.stderr) == (1, "")

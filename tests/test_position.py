@@ -203,6 +203,10 @@ class TestSetStateAgainstOracles:
                 )
                 assert core.line(a, b, g) == core.line(b, a, g) == expect, (kind, a, b)
 
+    @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
+    def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):
+        assert compiled(petersen, independent) is compiled(petersen, kind)
+
 
 class TestPositionNumber:
     def test_petersen_gp_six(self, petersen):

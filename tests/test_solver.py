@@ -16,6 +16,7 @@ from oracles import (
     oracle_cochromatic,
     oracle_total_domination,
 )
+from poscol import solver
 from poscol.catalogue import graphs_of_order
 from poscol.errors import TICK_BLOCK, BudgetExceededError, BudgetTicker, GraphInputError, Limits
 from poscol.families import generate, parse_family, random_connected_graph
@@ -37,7 +38,9 @@ from poscol.solver import (
     bounds,
     check_inequality_suite,
     chromatic_number,
+    chromatic_number_with_colouring,
     chromatic_position_number,
+    clique_cover,
     clique_cover_number,
     cochromatic_number,
     colouring_from_dict,
@@ -180,15 +183,46 @@ class TestClassicParameters:
 
     def test_against_oracles(self):
         rng = random.Random(29)
-        for _ in range(25):
-            g = random_connected_graph(rng.randint(2, 7), 0.45, rng.randrange(10**6))
-            assert chromatic_number(g) == oracle_chromatic_position(
-                g, K.GP, membership=lambda cls: all(
-                    b not in g.adj[a] for i, a in enumerate(cls) for b in cls[i + 1:]
-                ),
+        graphs = [
+            random_connected_graph(rng.randint(2, 7), 0.45, rng.randrange(10**6)) for _ in range(25)
+        ]
+        graphs += [
+            disjoint_union(
+                random_connected_graph(3 + seed % 2, 0.5, seed), random_connected_graph(3, 0.7, seed)
             )
+            for seed in range(6)
+        ]
+        graphs.append(build_graph(5, [(0, 1), (1, 2)]))  # two isolated vertices
+        for g in graphs:
+            def pairs(cls):
+                return [(a, b) for i, a in enumerate(cls) for b in cls[i + 1:]]
+
+            def independent(cls):
+                return all(b not in g.adj[a] for a, b in pairs(cls))
+
+            def clique(cls):
+                return all(b in g.adj[a] for a, b in pairs(cls))
+
+            chi, colouring = chromatic_number_with_colouring(g)
+            assert chi == colouring.k == oracle_chromatic_position(g, K.GP, membership=independent)
+            assert all(independent(cls) for cls in colouring.classes())
+            assert chromatic_number(g) == chi
+            theta, cover = clique_cover(g)
+            assert theta == cover.k == oracle_chromatic_position(g, K.GP, membership=clique)
+            assert all(clique(cls) for cls in cover.classes())
+            assert clique_cover_number(g) == theta
             assert cochromatic_number(g) == oracle_cochromatic(g)
-            assert total_domination_number(g) == oracle_total_domination(g)
+            if all(g.adj[v] for v in range(g.n)):
+                assert total_domination_number(g) == oracle_total_domination(g)
+
+    @pytest.mark.parametrize("parameter", [chromatic_number, cochromatic_number])
+    def test_partition_search_stops_at_the_node_limit(self, monkeypatch, parameter):
+        charged = _charged_nodes(monkeypatch)
+        # unbudgeted, chi takes 314 search nodes here and zeta 39951
+        g = generate(parse_family("random:30,0.5,1"))
+        with pytest.raises(BudgetExceededError):
+            parameter(g, Limits(node_limit=200))
+        assert sum(charged) <= 200 + TICK_BLOCK
 
 
 class TestStructuralInvariants:
@@ -246,6 +280,19 @@ class TestInequalitySuite:
             assert records[f"bounds ({kind.value})"].detail == (
                 f"{b.lower} ({b.lower_reason}) <= {chi} <= {b.upper} ({b.upper_reason})"
             )
+
+    def test_each_chromatic_number_solved_once(self, monkeypatch, petersen):
+        """chi and theta of the graph and of its complement: four solves in all."""
+        calls = []
+        solve = solver.chromatic_number_with_colouring
+
+        def counting_solve(g, limits):
+            calls.append(g)
+            return solve(g, limits)
+
+        monkeypatch.setattr(solver, "chromatic_number_with_colouring", counting_solve)
+        check_inequality_suite(petersen)
+        assert len(calls) == 4
 
     def test_clique(self):
         assert check_inequality_suite(complete(5)).all_hold
