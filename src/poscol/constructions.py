@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DEFAULT_LIMITS, GraphInputError, Limits
-from .families import FamilySpec, generate
+from .families import FamilySpec, generate, pair_ids, part_ranges, resolve, turan_parts
 from .formulas import multipartite_chi_gp
 from .graphs import Graph, diameter, extreme_vertices, induced_subgraph, is_block_graph, is_diamond_free
 from .kirkman import kirkman_triple_system
@@ -83,13 +83,8 @@ def _cycle_mono_classes(n: int) -> tuple[list[list[int]], bool]:
 # -- Kneser and line graphs ----------------------------------------------------
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    return {p: i for i, p in enumerate(pairs)}
-
-
 def _kneser_gp_classes(n: int) -> tuple[list[list[int]], bool]:
-    idx = _pair_index(n)
+    idx = pair_ids(n)
     first = [idx[p] for p in itertools.combinations(range(1, 5), 2)]
     classes = [first]
     for m in range(5, n + 1):
@@ -116,7 +111,7 @@ def _restrict_class(idx, cls, dropped: set[int]) -> list[int]:
 
 
 def _line_complete_gp_classes(n: int) -> tuple[list[list[int]], bool]:
-    idx = _pair_index(n)
+    idx = pair_ids(n)
     r = n % 6
     if r == 3:
         ts = kirkman_triple_system(n)
@@ -154,13 +149,10 @@ def _line_complete_gp_classes(n: int) -> tuple[list[list[int]], bool]:
 
 def _multipartite_gp_classes(parts: tuple[int, ...]) -> tuple[list[list[int]], bool]:
     r = len(parts)
-    bounds = [0]
-    for p in parts:
-        bounds.append(bounds[-1] + p)
-    part_vertices = [list(range(bounds[i], bounds[i + 1])) for i in range(r)]
+    part_vertices = [list(part) for part in part_ranges(parts)]
     value = multipartite_chi_gp(parts)
     if value == r:
-        return list(part_vertices), True
+        return part_vertices, True
     i = next(i for i in range(r) if parts[i] + i == value)  # 0-based split
     classes = [part_vertices[j] for j in range(i)]
     for t in range(parts[i]):
@@ -393,11 +385,8 @@ def construct_colouring(
     spec: FamilySpec, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
 ) -> CertifiedColouring:
     """The paper construction for (family, kind); verified before returning."""
+    spec = resolve(spec)
     name = spec.name
-    if name == "petersen":
-        spec = FamilySpec("kneser2", (5,))
-        name = "kneser2"
-
     if name == "path" and kind in (PositionKind.GP, PositionKind.MONO):
         n = spec.args[0]
         classes = _pack_pairs(list(range(n)))
@@ -428,12 +417,8 @@ def construct_colouring(
     if name == "turan":
         a, n = spec.args
         if kind in (PositionKind.GP_I, PositionKind.MONO_I, PositionKind.GP, PositionKind.MONO):
-            q, rem = divmod(n, a)
-            parts = tuple([q + 1] * rem + [q] * (a - rem))
-            bounds = [0]
-            for p in parts:
-                bounds.append(bounds[-1] + p)
-            classes = [list(range(bounds[i], bounds[i + 1])) for i in range(a)]
+            parts = turan_parts(a, n)
+            classes = [list(part) for part in part_ranges(parts)]
             exact = kind.independent or multipartite_chi_gp(parts) == a
             return _certify(generate(spec), classes, kind, "turan-partite-sets", exact, limits)
         raise UnsupportedConstruction(f"no turan construction for {kind.value}")

@@ -1,7 +1,17 @@
 """Deterministic generators for the named graph families.
 
+This module is the one owner of what a family name means.  ``generate``
+looks each leaf name up in one name -> generator table; the composites
+(``cartesian``, ``strong``, ``complementary_prism``) nest child specs.
+``resolve`` expands the one alias, ``petersen`` (which takes no arguments)
+to ``kneser2:5``, and applies the argument rule: every argument is an
+integer, except the edge probability of ``random``.  ``generate``,
+``predicted_chi``, ``predicted_position_number`` and ``construct_colouring``
+all read a spec through ``resolve``.
+
 Every generator fixes a documented vertex numbering so that the pattern
-colourings built elsewhere are reproducible bit-exactly:
+colourings built elsewhere are reproducible bit-exactly, and the numberings
+other modules rely on come from one helper each here:
 
 * paths carry 1-based coordinate labels ``1..n``; cycles carry ``0..n-1``
   (integers mod n);
@@ -9,7 +19,10 @@ colourings built elsewhere are reproducible bit-exactly:
   vertex with paper coordinates ``(i, j)`` (1-based) has id
   ``(i-1) * n2 + (j-1)`` and label ``(i, j)``;
 * Kneser-type vertices are the 2-subsets ``{a, b}`` of ``{1..n}`` with
-  ``a < b`` in lexicographic order.
+  ``a < b`` in lexicographic order (``pair_ids``);
+* a complete multipartite graph numbers its parts consecutively
+  (``part_ranges``), and a Turán graph is the multipartite graph on
+  ``turan_parts``.
 
 Seeded generators use Python's ``random.Random`` (Mersenne Twister), whose
 output for a fixed seed is stable across platforms and versions.
@@ -17,6 +30,7 @@ output for a fixed seed is stable across platforms and versions.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 from dataclasses import dataclass
@@ -44,11 +58,7 @@ class FamilySpec:
             return f"{self.name}({','.join(str(a) for a in self.args)})"
         if not self.args:
             return self.name
-        return f"{self.name}:{','.join(_fmt(a) for a in self.args)}"
-
-
-def _fmt(a) -> str:
-    return str(a)
+        return f"{self.name}:{','.join(str(a) for a in self.args)}"
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -140,65 +150,71 @@ def complete_graph(n: int) -> Graph:
     return build_graph(n, itertools.combinations(range(n), 2), labels=range(1, n + 1))
 
 
+def part_ranges(parts: tuple[int, ...]) -> list[range]:
+    """The vertex ids of each part of a complete multipartite graph, in order."""
+    ranges, start = [], 0
+    for p in parts:
+        ranges.append(range(start, start + p))
+        start += p
+    return ranges
+
+
 def multipartite_graph(parts: tuple[int, ...]) -> Graph:
     if not parts or any(p < 1 for p in parts):
         raise GraphInputError("multipartite parts must be positive")
     if list(parts) != sorted(parts, reverse=True):
         raise GraphInputError("multipartite parts must be in descending order")
-    bounds = [0]
-    for p in parts:
-        bounds.append(bounds[-1] + p)
-    labels = []
-    for idx, p in enumerate(parts):
-        labels.extend([idx] * p)
+    ranges = part_ranges(parts)
+    labels = [idx for idx, part in enumerate(ranges) for _ in part]
     edges = [
         (u, v)
-        for i in range(len(parts))
-        for j in range(i + 1, len(parts))
-        for u in range(bounds[i], bounds[i + 1])
-        for v in range(bounds[j], bounds[j + 1])
+        for i, j in itertools.combinations(ranges, 2)
+        for u in i
+        for v in j
     ]
-    return build_graph(bounds[-1], edges, labels=labels)
+    return build_graph(len(labels), edges, labels=labels)
 
 
-def turan_graph(a: int, n: int) -> Graph:
+def turan_parts(a: int, n: int) -> tuple[int, ...]:
+    """Part sizes of the Turán graph T(n, a): a parts as equal as possible, descending."""
     if not 1 <= a <= n:
         raise GraphInputError("turan needs 1 <= a <= n")
     q, r = divmod(n, a)
-    parts = tuple([q + 1] * r + [q] * (a - r))
-    return multipartite_graph(parts)
+    return tuple([q + 1] * r + [q] * (a - r))
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+def turan_graph(a: int, n: int) -> Graph:
+    return multipartite_graph(turan_parts(a, n))
+
+
+def pair_ids(n: int) -> dict[tuple[int, int], int]:
+    """The vertex id of each 2-subset ``(a, b)``, ``a < b``, of [n] in K(n,2) and L(K_n)."""
+    return {p: i for i, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
+
+
+def _pair_graph(n: int, adjacent) -> Graph:
+    pairs = list(pair_ids(n))
+    edges = [
+        (i, j)
+        for i in range(len(pairs))
+        for j in range(i + 1, len(pairs))
+        if adjacent(set(pairs[i]) & set(pairs[j]))
+    ]
+    return build_graph(len(pairs), edges, labels=pairs)
 
 
 def kneser2_graph(n: int) -> Graph:
     """K(n, 2): 2-subsets of [n], adjacent when disjoint."""
     if n < 5:
         raise GraphInputError("kneser2 needs n >= 5")
-    pairs = _pairs(n)
-    edges = [
-        (i, j)
-        for i in range(len(pairs))
-        for j in range(i + 1, len(pairs))
-        if not set(pairs[i]) & set(pairs[j])
-    ]
-    return build_graph(len(pairs), edges, labels=pairs)
+    return _pair_graph(n, lambda common: not common)
 
 
 def line_complete_graph(n: int) -> Graph:
     """L(K_n): 2-subsets of [n], adjacent when they share an element."""
     if n < 2:
         raise GraphInputError("line_complete needs n >= 2")
-    pairs = _pairs(n)
-    edges = [
-        (i, j)
-        for i in range(len(pairs))
-        for j in range(i + 1, len(pairs))
-        if set(pairs[i]) & set(pairs[j])
-    ]
-    return build_graph(len(pairs), edges, labels=pairs)
+    return _pair_graph(n, bool)
 
 
 def tree_leaves_graph(a: int, leaves: int) -> Graph:
@@ -423,60 +439,71 @@ def random_split_graph(n: int, seed: int) -> Graph:
 # -- dispatch -------------------------------------------------------------------
 
 
+# leaf family name -> generator over the spec's arguments
+_GENERATORS = {
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "complete": complete_graph,
+    "multipartite": lambda *parts: multipartite_graph(parts),
+    "turan": turan_graph,
+    "kneser2": kneser2_graph,
+    "line_complete": line_complete_graph,
+    "tree_leaves": tree_leaves_graph,
+    "t": t_tree_graph,
+    "h": h_graph,
+    "j": j_graph,
+    "g_star": g_star_graph,
+    "g": g_graph,
+    "s": s_tree_graph,
+    "q": q_graph,
+    "k_gadget": k_gadget_graph,
+    "complete_minus_cliques": complete_minus_cliques_graph,
+    "cycle_join_clique": cycle_join_clique_graph,
+    "split_random": random_split_graph,
+    "block_random": random_block_graph,
+    "random": random_graph,
+}
+
+_SIGNATURES = {name: inspect.signature(make) for name, make in _GENERATORS.items()}
+
+_ALIASES = {"petersen": FamilySpec("kneser2", (5,))}
+
+
+def _allowed(name: str, position: int, arg) -> bool:
+    """The argument rule: integers only, but ``random`` takes a real edge probability."""
+    if name == "random" and position == 1:
+        return isinstance(arg, (int, float))
+    return isinstance(arg, int)
+
+
+def resolve(spec: FamilySpec) -> FamilySpec:
+    """``spec`` with the alias expanded, its name known and its arguments
+    checked: their count against the generator, each against the rule."""
+    name, args = spec.name, spec.args
+    if name in _COMPOSITES:
+        return FamilySpec(name, tuple(resolve(a) for a in args))
+    if name in _ALIASES:
+        if args:
+            raise GraphInputError(f"{name} takes no arguments")
+        return _ALIASES[name]
+    if name not in _SIGNATURES:
+        raise GraphInputError(f"unknown family {name!r}")
+    try:
+        _SIGNATURES[name].bind(*args)
+    except TypeError:
+        raise GraphInputError(f"wrong number of arguments for family {name!r}") from None
+    for position, arg in enumerate(args):
+        if not _allowed(name, position, arg):
+            raise GraphInputError(f"bad argument {arg!r} for family {name!r}")
+    return spec
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Deterministic labelled graph for a family spec."""
+    spec = resolve(spec)
     name, args = spec.name, spec.args
-    try:
-        if name == "path":
-            return path_graph(*args)
-        if name == "cycle":
-            return cycle_graph(*args)
-        if name == "complete":
-            return complete_graph(*args)
-        if name == "multipartite":
-            return multipartite_graph(tuple(args))
-        if name == "kneser2":
-            return kneser2_graph(*args)
-        if name == "line_complete":
-            return line_complete_graph(*args)
-        if name == "petersen":
-            return kneser2_graph(5)
-        if name == "turan":
-            return turan_graph(*args)
-        if name == "tree_leaves":
-            return tree_leaves_graph(*args)
-        if name == "t":
-            return t_tree_graph(*args)
-        if name == "h":
-            return h_graph(*args)
-        if name == "j":
-            return j_graph(*args)
-        if name == "g_star":
-            return g_star_graph(*args)
-        if name == "g":
-            return g_graph(*args)
-        if name == "s":
-            return s_tree_graph(*args)
-        if name == "q":
-            return q_graph(*args)
-        if name == "k_gadget":
-            return k_gadget_graph(*args)
-        if name == "complete_minus_cliques":
-            return complete_minus_cliques_graph(*args)
-        if name == "cycle_join_clique":
-            return cycle_join_clique_graph(*args)
-        if name == "split_random":
-            return random_split_graph(*args)
-        if name == "block_random":
-            return random_block_graph(*args)
-        if name == "random":
-            return random_graph(*args)
-        if name == "complementary_prism":
-            return complementary_prism(generate(args[0]))
-        if name in ("cartesian", "strong"):
-            return product(name, generate(args[0]), generate(args[1]))
-    except GraphInputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise GraphInputError(f"bad arguments for family {name!r}: {exc}") from None
-    raise GraphInputError(f"unknown family {name!r}")
+    if name == "complementary_prism":
+        return complementary_prism(generate(args[0]))
+    if name in ("cartesian", "strong"):
+        return product(name, generate(args[0]), generate(args[1]))
+    return _GENERATORS[name](*args)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .catalogue import graphs_of_order
 from .errors import DEFAULT_LIMITS, GraphInputError, Limits
-from .families import FamilySpec, generate
+from .families import FamilySpec, generate, resolve, turan_parts
 from .graphs import (
     Graph,
     build_graph,
@@ -122,10 +122,9 @@ def _strong_mu(m: int, n: int) -> Prediction:
 
 def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
     """What the theory predicts for chi_kind of this family instance."""
+    spec = resolve(spec)
     name, args = spec.name, spec.args
     K = PositionKind
-    if name == "petersen":
-        return predicted_chi(FamilySpec("kneser2", (5,)), kind)
     if name == "complete":
         n = args[0]
         if kind.independent:
@@ -155,10 +154,7 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
         if kind in (K.GP_I, K.MU_I):
             return Prediction.exact(len(parts), "diameter <= 2: equals chromatic number")
     if name == "turan":
-        a, n = args
-        q, rem = divmod(n, a)
-        parts = tuple([q + 1] * rem + [q] * (a - rem))
-        return predicted_chi(FamilySpec("multipartite", parts), kind)
+        return predicted_chi(FamilySpec("multipartite", turan_parts(*args)), kind)
     if name == "kneser2":
         n = args[0]
         if kind is K.GP:
@@ -238,10 +234,9 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
 
 def predicted_position_number(spec: FamilySpec, kind: PositionKind) -> Prediction:
     """Stated position numbers for the families the theory covers."""
+    spec = resolve(spec)
     name, args = spec.name, spec.args
     K = PositionKind
-    if name == "petersen":
-        return predicted_position_number(FamilySpec("kneser2", (5,)), kind)
     if kind is K.GP:
         if name == "path":
             return Prediction.exact(2 if args[0] >= 2 else 1, "paths have gp number two")

@@ -225,13 +225,21 @@ def monophonic_diameter(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 
 
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g.adj[u]
-    ]
-    return Graph(g.n, edges, g.labels)
+    """The complement of ``g``, built once and cached on ``g``.
+
+    The complement keeps no link back to ``g``, so no reference cycle forms
+    and ``complement(complement(g))`` is a new graph.
+    """
+    gbar = g._memo.get("complement")
+    if gbar is None:
+        edges = [
+            (u, v)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            if v not in g.adj[u]
+        ]
+        gbar = g._memo["complement"] = Graph(g.n, edges, g.labels)
+    return gbar
 
 
 def product(kind: str, g: Graph, h: Graph) -> Graph:

@@ -189,6 +189,11 @@ def colouring_to_assignment(
         raise GraphInputError("certificate translation needs at most three classes")
     if not verify_colouring(rg.graph, c, PositionKind.GP, limits):
         raise GraphInputError("colouring_to_assignment requires a verified gp-colouring")
+    return _read_assignment(rg, c)
+
+
+def _read_assignment(rg: ReductionGraph, c: Colouring) -> Assignment:
+    """The assignment a verified gp-colouring with at most three classes encodes."""
     inst, q = rg.instance, rg.instance.q
     hub = c.assignment[rg.y]
     if c.assignment[rg.z] != hub or any(
@@ -267,7 +272,8 @@ def check_equivalence(
         if not verify_colouring(rg.graph, forward, PositionKind.GP, limits):
             raise AssertionError("recipe colouring failed verification")
     if colouring is not None:
-        backward = colouring_to_assignment(rg, colouring, limits)
+        # feasible_position_colouring returns only verified colourings
+        backward = _read_assignment(rg, colouring)
     return EquivalenceReport(
         False, assignment is not None, colouring is not None, agree,
         assignment, forward, backward,

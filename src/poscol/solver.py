@@ -446,19 +446,26 @@ def chromatic_number_with_colouring(
     return found.k, found
 
 
-def chromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
-    key = "chromatic_number"
+def _chromatic(g: Graph, limits: Limits | BudgetTicker) -> tuple[int, Colouring]:
+    """``chromatic_number_with_colouring``, solved once per graph object."""
+    key = "chromatic"
     if key not in g._memo:
-        g._memo[key] = chromatic_number_with_colouring(g, limits)[0]
+        g._memo[key] = chromatic_number_with_colouring(g, limits)
     return g._memo[key]
+
+
+def chromatic_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
+    return _chromatic(g, limits)[0]
 
 
 def clique_cover(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> tuple[int, Colouring]:
-    """Minimum partition into cliques: a proper colouring of the complement (cached)."""
-    key = "clique_cover"
-    if key not in g._memo:
-        g._memo[key] = chromatic_number_with_colouring(complement(g), limits)
-    return g._memo[key]
+    """Minimum partition into cliques: a proper colouring of the complement.
+
+    It is solved on the complement that ``complement(g)`` caches on ``g``, so
+    the clique cover of G and the chromatic number of its complement are one
+    solve.
+    """
+    return _chromatic(complement(g), limits)
 
 
 def clique_cover_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
@@ -654,8 +661,7 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
             f"{chi[K.MU]} <= {gamma_t}",
         )
     gbar = complement(g)
-    theta_bar = clique_cover_number(gbar, budget)
-    chrom_bar = chromatic_number(gbar, budget)
+    theta_bar, chrom_bar = chrom, theta  # θ(Ḡ) = χ(G) and χ(Ḡ) = θ(G)
     for kind in (K.GP, K.MONO):
         chi_bar = chromatic_position_number(gbar, kind, budget).k
         rep.check(

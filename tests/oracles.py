@@ -100,6 +100,19 @@ def induced_path_through_arrangements(g: Graph) -> set[tuple[int, int, int]]:
     return out
 
 
+# (base kind, n, edges) -> betweenness triples; keyed by the edge list
+# rather than the graph object so that no library cache is involved
+_TRIPLES: dict[tuple, set[tuple[int, int, int]]] = {}
+
+
+def _triples(g: Graph, base: PositionKind) -> set[tuple[int, int, int]]:
+    key = (base, g.n, tuple(sorted(g.edges())))
+    if key not in _TRIPLES:
+        scan = geodesic_betweenness_triples if base is PositionKind.GP else induced_path_triples
+        _TRIPLES[key] = scan(g)
+    return _TRIPLES[key]
+
+
 def oracle_is_position_set(g: Graph, s, kind: PositionKind) -> bool:
     s = sorted(set(s))
     if kind.independent:
@@ -107,15 +120,8 @@ def oracle_is_position_set(g: Graph, s, kind: PositionKind) -> bool:
             if b in g.adj[a]:
                 return False
     base = kind.base
-    if base is PositionKind.GP:
-        triples = geodesic_betweenness_triples(g)
-        return not any(
-            (a, w, b) in triples
-            for a, w, b in itertools.permutations(s, 3)
-            if a < b
-        )
-    if base is PositionKind.MONO:
-        triples = induced_path_triples(g)
+    if base in (PositionKind.GP, PositionKind.MONO):
+        triples = _triples(g, base)
         return not any(
             (a, w, b) in triples
             for a, w, b in itertools.permutations(s, 3)

@@ -110,8 +110,24 @@ class TestMalformedInputExits2:
     def test_non_integer_cnf_token(self, capsys, monkeypatch, cnf):
         self.assert_input_error(run(capsys, ["reduce", "-"], cnf, monkeypatch))
 
+    @pytest.mark.filterwarnings("error")
     def test_non_integer_seeded_family_count(self, capsys):
         self.assert_input_error(run(capsys, ["family", "block_random:3.5,1"]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec",
+        ["petersen:3", "split_random:6.5,1", "random:5,0.5,2.5",
+         "block_random:4,1.5", "cartesian(path:3,path:2.5)"],
+    )
+    def test_family_argument_rule(self, capsys, spec):
+        """Arguments are integers, bar the edge probability of random; petersen takes none."""
+        self.assert_input_error(run(capsys, ["family", spec]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", ["petersen:3", "turan:3", "h:5", "turan:0,5"])
+    def test_construct_rejects_a_bad_spec(self, capsys, spec):
+        self.assert_input_error(run(capsys, ["construct", spec, "gp"]))
 
     @pytest.mark.parametrize("n", ["1e300", "Infinity"])
     def test_colouring_size_not_an_integer(self, capsys, tmp_path, petersen_g6, n):

@@ -2,17 +2,22 @@ import math
 
 import pytest
 
-from oracles import canonical_key
 from poscol.errors import GraphInputError
 from poscol.families import (
     FamilySpec,
     complementary_prism,
     generate,
+    kneser2_graph,
+    line_complete_graph,
+    pair_ids,
     parse_family,
+    part_ranges,
     random_block_graph,
     random_connected_graph,
     random_graph,
     random_split_graph,
+    resolve,
+    turan_parts,
 )
 from poscol.graph6 import graph6_encode
 from poscol.graphs import diameter, is_block_graph, is_connected
@@ -51,6 +56,22 @@ class TestElementaryFamilies:
         g = generate(parse_family("petersen"))
         assert g.n == 10 and all(g.degree(v) == 3 for v in range(10))
         assert diameter(g).diam_star == 2
+        assert resolve(parse_family("petersen")) == FamilySpec("kneser2", (5,))
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_pair_ids_number_the_pair_graphs(self, n):
+        ids = pair_ids(n)
+        assert list(ids.values()) == list(range(math.comb(n, 2)))
+        for make in (line_complete_graph, kneser2_graph) if n >= 5 else (line_complete_graph,):
+            assert list(make(n).labels) == list(ids)
+
+    @pytest.mark.parametrize("a, n", [(1, 1), (3, 8), (4, 4), (5, 7)])
+    def test_turan_parts_and_ranges_number_the_turan_graph(self, a, n):
+        parts = turan_parts(a, n)
+        assert sum(parts) == n and max(parts) - min(parts) <= 1
+        labels = generate(parse_family(f"turan:{a},{n}")).labels
+        for idx, part in enumerate(part_ranges(parts)):
+            assert all(labels[v] == idx for v in part)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_kneser_regularity(self, n):
@@ -146,4 +167,4 @@ class TestSeededGenerators:
     def test_generate_is_deterministic(self):
         a = generate(parse_family("split_random:9,3"))
         b = generate(parse_family("split_random:9,3"))
-        assert canonical_key(a) == canonical_key(b) and a.edges() == b.edges()
+        assert a.edges() == b.edges()
