@@ -1,9 +1,10 @@
 """Explicit position colourings from the constructive proofs.
 
-Every construction re-verifies its output through the position oracles
-before returning (the torus tessellation uses the closed-form cyclic metric
-instead of BFS; Cartesian distance additivity is checked separately in the
-graph tests).  A failed verification is a construction bug and raises.
+Every construction re-verifies its output through the position oracles,
+which need no all-pairs distance matrix, before returning (the torus
+tessellation feeds the closed-form cyclic metric to the same collinear-triple
+test instead of BFS; Cartesian distance additivity is checked separately in
+the graph tests).  A failed verification is a construction bug and raises.
 
 Colourings are tagged ``exact`` only for parameter ranges where a matching
 lower bound is proven; otherwise ``upper_bound_only``.
@@ -18,7 +19,7 @@ from .families import FamilySpec, generate, pair_ids, part_ranges, resolve, tura
 from .formulas import multipartite_chi_gp
 from .graphs import Graph, diameter, extreme_vertices, induced_subgraph, is_block_graph, is_diamond_free
 from .kirkman import kirkman_triple_system
-from .position import PositionKind
+from .position import PositionKind, has_collinear_triple
 from .solver import (
     CertifiedColouring,
     Colouring,
@@ -302,13 +303,9 @@ def _verify_torus_colouring(n1: int, n2: int, classes: list[list[int]]) -> None:
             raise AssertionError("torus class of wrong size")
         seen.update(cls)
         cells = [divmod(v, n2) for v in cls]
-        for (u, w, v) in itertools.permutations(cells, 3):
-            if u < v:
-                duw = _cyc(n1, u[0] - w[0]) + _cyc(n2, u[1] - w[1])
-                dwv = _cyc(n1, w[0] - v[0]) + _cyc(n2, w[1] - v[1])
-                duv = _cyc(n1, u[0] - v[0]) + _cyc(n2, u[1] - v[1])
-                if duw + dwv == duv:
-                    raise AssertionError("torus class is not in general position")
+        rows = [[_cyc(n1, r - q) + _cyc(n2, c - d) for q, d in cells] for r, c in cells]
+        if has_collinear_triple(rows, range(7)):
+            raise AssertionError("torus class is not in general position")
     if len(seen) != n1 * n2 or len(classes) * 7 != n1 * n2:
         raise AssertionError("torus classes do not partition the vertices")
 
@@ -335,6 +332,9 @@ def _strong_mu_classes(m: int, n: int) -> tuple[list[list[Cell]], bool]:
     def row(i: int) -> list[Cell]:
         return [(i, j) for j in range(1, n + 1)]
 
+    if m == 1:
+        # a path: its mu-sets have at most two vertices
+        return _pack_pairs(row(1)), True
     if m == 2:
         # two single-row classes; optimal unless the grid is K_4
         return [row(1), row(2)], n >= 3
@@ -401,8 +401,9 @@ def construct_colouring(
             raise UnsupportedConstruction(f"no cycle construction for {kind.value}")
         return _certify(generate(spec), classes, kind, "cycle-arcs", exact, limits)
     if name == "kneser2" and kind is PositionKind.GP:
+        g = generate(spec)  # rejects n < 5 before the pair ids are read
         classes, exact = _kneser_gp_classes(spec.args[0])
-        return _certify(generate(spec), classes, kind, "kneser-4set-and-stars", exact, limits)
+        return _certify(g, classes, kind, "kneser-4set-and-stars", exact, limits)
     if name == "line_complete" and kind is PositionKind.GP:
         classes, exact = _line_complete_gp_classes(spec.args[0])
         return _certify(

@@ -113,6 +113,8 @@ def _grid_chi_gp(m: int, n: int) -> Prediction:
 def _strong_mu(m: int, n: int) -> Prediction:
     if m > n:
         m, n = n, m
+    if m == 1:
+        return Prediction.exact(_ceil(n, 2), "path: mu-sets have at most two vertices")
     if (m, n) == (2, 2):
         return Prediction.exact(1, "clique")
     if m == 2:

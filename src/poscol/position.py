@@ -16,9 +16,9 @@ The properties are decided twice here, on purpose.  The searches
 (:class:`SetState`, ``position_number``, ``position_sets_of_size`` and the
 solver's greedy and partition searches) run on :class:`Constraints`, the
 bitmask form of one graph and base kind, compiled once and cached on the
-graph.  ``is_position_set`` works from the distance matrix and the
-induced-path oracle alone and never touches the compiled form, so it
-re-verifies every search result independently.
+graph.  ``is_position_set`` works from the distances among the set's own
+members and the induced-path oracle alone and never touches the compiled
+form, so it re-verifies every search result independently.
 """
 
 from __future__ import annotations
@@ -173,24 +173,84 @@ def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
     return u == v
 
 
-def _gp_triple_violation(dist, s: list[int]) -> bool:
-    for i, w in enumerate(s):
-        dw = dist[w]
-        for j, a in enumerate(s):
-            if a == w:
-                continue
-            daw = dw[a]
-            if daw is INF:
-                continue
-            da = dist[a]
-            for b in s[j + 1 :]:
-                if b == w:
-                    continue
-                dab = da[b]
-                if dab is INF:
-                    continue
-                if daw + dw[b] == dab:
-                    return True
+def _walk(adj: tuple[int, ...], a: int, targets: int, blocked: int) -> tuple[list[int], int]:
+    """Walk the distance layers of ``a`` until every vertex of ``targets`` is reached.
+
+    ``adj`` holds bitmask neighbourhoods.  Returns ``(found, hidden)``: the
+    masks of the targets at each distance from ``a``, and the mask of those
+    that no shortest path from ``a`` reaches with its interior outside
+    ``blocked``.  Targets in another component are in neither.
+    """
+    reached = frontier = clear = 1 << a
+    found = [0]
+    hidden = 0
+    while targets and frontier:
+        layer = near = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nb = adj[low.bit_length() - 1]
+            layer |= nb
+            if clear & low:
+                near |= nb
+        frontier = layer & ~reached
+        reached |= frontier
+        hit = frontier & targets
+        found.append(hit)
+        hidden |= hit & ~near
+        targets ^= hit
+        clear = near & frontier & ~blocked
+    return found, hidden
+
+
+def _member_distances(g: Graph, s: list[int]) -> list:
+    """Each member's distances to the later members of ``s``, by vertex.
+
+    Read from the distance matrix when ``g`` already has it; otherwise one
+    walk per member, which stops once the later members are all reached.
+    """
+    dist = g._dist
+    if dist is not None:
+        return [dist[a] for a in s]
+    adj = adjacency_masks(g)
+    later = sum(1 << v for v in s)
+    rows = []
+    for a in s:
+        later ^= 1 << a
+        row = dict.fromkeys(s, INF)
+        for t, hit in enumerate(_walk(adj, a, later, 0)[0]):
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                row[low.bit_length() - 1] = t
+        rows.append(row)
+    return rows
+
+
+def has_collinear_triple(rows: list, ids: list[int] | range) -> bool:
+    """True iff one of some points lies on a shortest path between two others.
+
+    ``rows[i][ids[j]]`` is the distance from point i to a later point j,
+    ``INF`` across components.  ``near[i]`` packs the buckets of point i: bit
+    t*k + j is set when point j is at distance t from it.  For a pair i, j at
+    distance d, bucket t of i meets bucket d + t of j exactly when i lies
+    between j and a point at distance t from i, so one shifted AND per
+    direction tests every t at once.
+    """
+    k = len(ids)
+    near = [0] * k
+    pairs = []
+    for i, row in enumerate(rows):
+        for j in range(i + 1, k):
+            d = row[ids[j]]
+            if d is not INF:
+                near[i] |= 1 << d * k + j
+                near[j] |= 1 << d * k + i
+                pairs.append((i, j, d * k))
+    for i, j, shift in pairs:
+        a, b = near[i], near[j]
+        if a & b >> shift or b & a >> shift:
+            return True
     return False
 
 
@@ -200,7 +260,13 @@ def is_position_set(
     kind: PositionKind,
     limits: Limits | BudgetTicker = DEFAULT_LIMITS,
 ) -> bool:
-    """Decide whether ``s`` has the position property ``kind`` in ``g``."""
+    """Decide whether ``s`` has the position property ``kind`` in ``g``.
+
+    A set of at most two vertices has no triple, and a pair sees itself.
+    Otherwise gp tests the members' distances for a collinear triple, mu
+    walks once from each member toward the later ones, and mono asks the
+    induced-path oracle about every triple.
+    """
     s = sorted(set(s))
     if s and not (0 <= s[0] and s[-1] < g.n):
         raise GraphInputError("set contains out-of-range vertex")
@@ -210,11 +276,10 @@ def is_position_set(
                 if b in g.adj[a]:
                     return False
     base = kind.base
-    if len(s) < 2:
+    if len(s) < 3:
         return True
-    dist = g.distance_matrix()
     if base is PositionKind.GP:
-        return not _gp_triple_violation(dist, s)
+        return not has_collinear_triple(_member_distances(g, s), s)
     if base is PositionKind.MONO:
         ticker = limits.ticker()
         for i, a in enumerate(s):
@@ -226,14 +291,13 @@ def is_position_set(
                     if exists_induced_path_through(g, a, w, b, ticker):
                         return False
         return True
-    # mutual visibility
-    for i, a in enumerate(s):
-        da = dist[a]
-        for b in s[i + 1 :]:
-            if da[b] is INF:
-                continue
-            if not geodesic_avoiding(g, a, b, [x for x in s if x != a and x != b]):
-                return False
+    # mutual visibility: each member must see the later ones past the set
+    adj = adjacency_masks(g)
+    members = later = sum(1 << v for v in s)
+    for a in s:
+        later ^= 1 << a
+        if _walk(adj, a, later, members)[1]:
+            return False
     return True
 
 

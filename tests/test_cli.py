@@ -125,7 +125,7 @@ class TestMalformedInputExits2:
         self.assert_input_error(run(capsys, ["family", spec]))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("spec", ["petersen:3", "turan:3", "h:5", "turan:0,5"])
+    @pytest.mark.parametrize("spec", ["petersen:3", "turan:3", "h:5", "turan:0,5", "kneser2:3"])
     def test_construct_rejects_a_bad_spec(self, capsys, spec):
         self.assert_input_error(run(capsys, ["construct", spec, "gp"]))
 

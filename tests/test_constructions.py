@@ -294,3 +294,67 @@ def test_constructions_match_exact_predictions():
         pred = predicted_chi(spec, kind)
         built = construct_colouring(spec, kind)
         assert pred.status == "exact" and built.k == pred.value, text
+
+
+def _sweep_specs() -> list[str]:
+    specs = [f"path:{n}" for n in range(1, 9)] + [f"cycle:{n}" for n in range(3, 13)]
+    specs += [f"kneser2:{n}" for n in range(1, 8)] + [f"line_complete:{n}" for n in range(2, 9)]
+    specs += [
+        "multipartite:" + ",".join(map(str, parts))
+        for parts in [(1,), (3,), (1, 1), (2, 1), (3, 1), (2, 2, 1), (4, 2, 1), (2, 1, 1, 1)]
+    ]
+    specs += [f"turan:{a},{n}" for n in range(1, 8) for a in range(1, n + 1)]
+    specs += [f"h:{r},{s}" for r in range(1, 5) for s in range(4)]
+    for product in ("cartesian", "strong"):
+        specs += [f"{product}(path:{a},path:{b})" for a in range(1, 6) for b in range(1, 6)]
+        specs += [f"{product}(path:{a},path:{b})" for a, b in [(3, 8), (4, 8), (5, 8), (6, 8), (1, 9)]]
+        specs += [f"{product}(path:{b},path:{a})" for a, b in [(3, 8), (4, 8), (5, 8), (6, 8), (1, 9)]]
+    specs += [f"cartesian(path:{a},cycle:{b})" for a in (1, 2, 5) for b in (3, 7, 9)]
+    specs += [f"cartesian(cycle:{b},path:{a})" for a in (1, 5) for b in (3, 7, 9)]
+    specs += [f"cartesian(cycle:{a},cycle:{b})" for a, b in [(7, 7), (7, 14), (14, 7), (3, 5)]]
+    return specs
+
+
+@pytest.mark.parametrize("text", _sweep_specs())
+def test_construction_sweep(text):
+    """Every construction either gives a verified colouring or an input error.
+
+    An ``exact`` colouring has as many classes as an exact prediction and,
+    up to 12 vertices, as the exact solver; any other has at least as many.
+    """
+    spec = parse_family(text)
+    for kind in PositionKind:
+        try:
+            built = construct_colouring(spec, kind)
+        except GraphInputError:
+            continue
+        g = generate(spec)
+        assert built.verified and verify_colouring(g, built.colouring, kind), kind
+        exact = built.optimality == "exact"
+        pred = predicted_chi(spec, kind)
+        if pred.status == "exact":
+            assert built.k == pred.value if exact else built.k >= pred.value, (kind, pred)
+        if g.n <= 12:
+            solved = chromatic_position_number(g, kind)
+            assert solved.optimality == "exact"
+            assert built.k == solved.k if exact else built.k >= solved.k, (kind, solved.k)
+
+
+def test_torus_verification_rejects_a_collinear_class():
+    from poscol.constructions import _verify_torus_colouring
+
+    _verify_torus_colouring(7, 7, [[r * 7 + (2 * r + c) % 7 for r in range(7)] for c in range(7)])
+    rows = [[r * 7 + c for c in range(7)] for r in range(7)]  # a row holds 0, 1, 2
+    with pytest.raises(AssertionError, match="general position"):
+        _verify_torus_colouring(7, 7, rows)
+
+
+def test_constructions_verify_without_the_distance_matrix(monkeypatch):
+    from poscol.graphs import Graph
+
+    computed = []
+    matrix = Graph.distance_matrix
+    monkeypatch.setattr(Graph, "distance_matrix", lambda g: computed.append(g.n) or matrix(g))
+    for text, kind in [("strong(path:30,path:30)", K.GP), ("strong(path:20,path:30)", K.MU)]:
+        assert construct_colouring(parse_family(text), kind).verified
+    assert computed == []

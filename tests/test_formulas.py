@@ -112,7 +112,8 @@ class TestPredictionsAgainstSolver:
         ("j:1,2", K.MU), ("j:2,2", K.GP), ("g_star:3,6", K.GP_I),
         ("g:2,4", K.GP_I), ("g:3,4", K.MONO_I), ("turan:2,5", K.GP_I),
         ("strong(path:3,path:4)", K.MU), ("strong(path:2,path:4)", K.MU),
-        ("strong(path:2,path:2)", K.MU), ("split_random:7,5", K.MONO),
+        ("strong(path:2,path:2)", K.MU), ("strong(path:1,path:5)", K.MU),
+        ("strong(path:4,path:1)", K.MU), ("split_random:7,5", K.MONO),
         ("complementary_prism(split_random:6,2)", K.GP),
         ("tree_leaves:4,3", K.GP), ("tree_leaves:4,3", K.MONO),
         ("t:3,6", K.GP), ("s:4,3", K.GP), ("g:3,5", K.GP),

@@ -101,6 +101,47 @@ class TestIsPositionSet:
                 ), (g.edges(), s, kind)
 
 
+class TestVerifierAgainstOracle:
+    """``is_position_set`` decides each set from its members' distances alone;
+    it must agree with the brute-force oracle whether or not the graph has
+    its distance matrix cached, and compute no matrix for gp or mu."""
+
+    @staticmethod
+    def graphs(rng, count):
+        for _ in range(count):
+            n = rng.randint(1, 9)
+            if n > 2 and rng.random() < 0.3:
+                a = rng.randint(1, n - 1)
+                yield disjoint_union(random_graph(a, rng.random(), rng), random_graph(n - a, rng.random(), rng))
+            else:
+                yield random_graph(n, rng.random(), rng)
+
+    def test_random_sets_and_solver_classes(self):
+        from poscol.solver import chromatic_position_number
+
+        rng = random.Random(2024)
+        accepted_sizes = []
+        for g in self.graphs(rng, 70):
+            for kind in ALL_KINDS:
+                sets = [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(4)]
+                sets += chromatic_position_number(g, kind).colouring.classes()
+                witness = sorted(position_number(g, kind).witness)
+                sets.append(witness)
+                sets += [witness + [v] for v in range(g.n) if v not in witness]
+                for s in sets:
+                    expected = oracle_is_position_set(g, s, kind)
+                    fresh = build_graph(g.n, g.edges())
+                    cached = build_graph(g.n, g.edges())
+                    cached.distance_matrix()
+                    assert is_position_set(fresh, s, kind) == expected, (g.edges(), s, kind)
+                    assert is_position_set(cached, s, kind) == expected, (g.edges(), s, kind)
+                    if kind.base is not K.MONO:
+                        assert fresh._dist is None
+                    if expected:
+                        accepted_sizes.append(len(set(s)))
+        assert max(accepted_sizes) >= 7
+
+
 class TestInducedPathThrough:
     def test_cycle_arc(self):
         assert exists_induced_path_through(cycle(5), 0, 1, 2)
