@@ -409,15 +409,15 @@ def construct_colouring(
         return _certify(
             generate(spec), classes, kind, "kirkman-triangle-classes", exact, limits
         )
-    if name == "multipartite" and kind is PositionKind.GP:
-        parts = tuple(spec.args)
+    if name in ("multipartite", "turan") and kind is PositionKind.GP:
+        parts = tuple(spec.args) if name == "multipartite" else turan_parts(*spec.args)
         classes, exact = _multipartite_gp_classes(parts)
         return _certify(
             generate(spec), classes, kind, "multipartite-cochromatic", exact, limits
         )
     if name == "turan":
         a, n = spec.args
-        if kind in (PositionKind.GP_I, PositionKind.MONO_I, PositionKind.GP, PositionKind.MONO):
+        if kind in (PositionKind.GP_I, PositionKind.MONO_I, PositionKind.MONO):
             parts = turan_parts(a, n)
             classes = [list(part) for part in part_ranges(parts)]
             exact = kind.independent or multipartite_chi_gp(parts) == a

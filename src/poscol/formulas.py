@@ -297,26 +297,6 @@ def _is_iuc(g: Graph, side: list[int]) -> bool:
     return True
 
 
-def _side_cliques(g: Graph, side: list[int]) -> dict[int, int]:
-    """Map each vertex of an IUC side to a clique id (component within side)."""
-    inside = set(side)
-    clique_of: dict[int, int] = {}
-    cid = 0
-    for v in side:
-        if v in clique_of:
-            continue
-        stack = [v]
-        clique_of[v] = cid
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in inside and w not in clique_of:
-                    clique_of[w] = cid
-                    stack.append(w)
-        cid += 1
-    return clique_of
-
-
 def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Structural test for chi_gp(G) = 2: a 2-partition into independent
     unions of cliques with diam* <= 3 and the cross-clique distance condition.
@@ -348,19 +328,17 @@ def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bo
 
 
 def _cross_condition(g, dist, side_w: list[int], side_c: list[int]) -> bool:
-    clique_of = _side_cliques(g, side_c)
-    members: dict[int, list[int]] = {}
-    for v, c in clique_of.items():
-        members.setdefault(c, []).append(v)
+    # side_c induces disjoint cliques, so the clique of v is its closed neighbourhood there
+    inside = set(side_c)
+    clique = {v: g.adj[v] & inside | {v} for v in side_c}
     for w in side_w:
-        nb = [u for u in g.adj[w] if u in clique_of]
+        nb = [u for u in g.adj[w] if u in inside]
         for i, u in enumerate(nb):
             for v in nb[i + 1 :]:
-                cu, cv = clique_of[u], clique_of[v]
-                if cu == cv:
+                if v in clique[u]:
                     continue
-                if any(dist[u][vp] != 2 for vp in members[cv]) or any(
-                    dist[up][v] != 2 for up in members[cu]
+                if any(dist[u][vp] != 2 for vp in clique[v]) or any(
+                    dist[up][v] != 2 for up in clique[u]
                 ):
                     return False
     return True

@@ -9,7 +9,6 @@ producing a plausible-looking bound.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -78,9 +77,14 @@ class Graph:
     # -- metric ------------------------------------------------------------
 
     def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        """All-pairs hop distances, ``INF`` across components (cached)."""
+        """All-pairs hop distances, ``INF`` across components (cached).
+
+        Row v is read off ``distance_layers(self)[v]``.
+        """
         if self._dist is None:
-            self._dist = tuple(tuple(row) for row in _bfs_all_pairs(self))
+            self._dist = tuple(
+                tuple(layer_distances(by_dist, [INF] * self.n)) for by_dist in distance_layers(self)
+            )
         return self._dist
 
 
@@ -92,20 +96,88 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     return masks
 
 
-def _bfs_all_pairs(g: Graph) -> list[list[float]]:
-    dist = [[INF] * g.n for _ in range(g.n)]
-    for s in range(g.n):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in g.adj[u]:
-                if row[w] is INF:
-                    row[w] = du + 1
-                    queue.append(w)
-    return dist
+def layer_walk(
+    adj: tuple[int, ...], a: int, targets: int, blocked: int = 0
+) -> tuple[list[int], int]:
+    """Breadth-first search from ``a`` on bitmasks, one distance layer at a time.
+
+    ``adj`` holds bitmask neighbourhoods.  The walk stops once every vertex of
+    ``targets`` is reached or the component of ``a`` runs out, and then its
+    last layer is empty.  Returns ``(found, hidden)``: ``found[d]`` is the
+    mask of the targets at distance d from ``a``, and ``hidden`` the mask of
+    those that no shortest path from ``a`` reaches with its interior outside
+    ``blocked``.  Targets in another component are in neither.
+    """
+    reached = frontier = clear = 1 << a
+    hit = targets & reached
+    found = [hit]
+    targets ^= hit
+    hidden = 0
+    while targets and frontier:
+        layer = near = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nb = adj[low.bit_length() - 1]
+            layer |= nb
+            if clear & low:
+                near |= nb
+        frontier = layer & ~reached
+        reached |= frontier
+        hit = frontier & targets
+        found.append(hit)
+        hidden |= hit & ~near
+        targets ^= hit
+        clear = near & frontier & ~blocked
+    return found, hidden
+
+
+def layer_distances(by_dist: Sequence[int], row):
+    """Set ``row[w] = d`` for every vertex w of the mask ``by_dist[d]``; return ``row``."""
+    for d, layer in enumerate(by_dist):
+        while layer:
+            low = layer & -layer
+            layer ^= low
+            row[low.bit_length() - 1] = d
+    return row
+
+
+def distance_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``layers[v][d]`` is the mask of the vertices at distance d from v (cached).
+
+    One :func:`layer_walk` per vertex; ``len(layers[v]) - 1`` is the
+    eccentricity of v within its component.
+    """
+    layers = g._memo.get("distance_layers")
+    if layers is None:
+        adj = adjacency_masks(g)
+        everyone = (1 << g.n) - 1
+        rows = []
+        for v in range(g.n):
+            found = layer_walk(adj, v, everyone)[0]
+            if not found[-1]:
+                found.pop()  # the component ran out before the targets did
+            rows.append(tuple(found))
+        layers = g._memo["distance_layers"] = tuple(rows)
+    return layers
+
+
+def component_masks(g: Graph) -> tuple[int, ...]:
+    """Entry v is the mask of the component of v (cached); one walk per component."""
+    masks = g._memo.get("component_masks")
+    if masks is None:
+        adj = adjacency_masks(g)
+        everyone = (1 << g.n) - 1
+        out = [0] * g.n
+        for v in range(g.n):
+            if not out[v]:
+                comp = rest = sum(layer_walk(adj, v, everyone)[0])
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    out[low.bit_length() - 1] = comp
+        masks = g._memo["component_masks"] = tuple(out)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -141,23 +213,13 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 
 def components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    out: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(comp)
-    return out
+    """The vertices of each component in increasing order, components by least vertex."""
+    masks = component_masks(g)
+    return [
+        [u for u in range(v, g.n) if masks[v] >> u & 1]
+        for v in range(g.n)
+        if masks[v] & -masks[v] == 1 << v
+    ]
 
 
 def is_connected(g: Graph) -> bool:
@@ -170,19 +232,13 @@ def diameter(g: Graph) -> ComponentStructure:
     cached = g._memo.get(key)
     if cached is not None:
         return cached
+    layers = distance_layers(g)
     comp_id = [0] * g.n
-    comps = components(g)
-    dist = g.distance_matrix()
     diams = []
-    for idx, comp in enumerate(comps):
-        best = 0
+    for idx, comp in enumerate(components(g)):
         for u in comp:
             comp_id[u] = idx
-            row = dist[u]
-            for v in comp:
-                if row[v] > best:
-                    best = row[v]
-        diams.append(int(best))
+        diams.append(max(len(layers[u]) for u in comp) - 1)
     result = ComponentStructure(tuple(comp_id), tuple(diams))
     g._memo[key] = result
     return result

@@ -19,6 +19,12 @@ bitmask form of one graph and base kind, compiled once and cached on the
 graph.  ``is_position_set`` works from the distances among the set's own
 members and the induced-path oracle alone and never touches the compiled
 form, so it re-verifies every search result independently.
+
+Both take the metric from :mod:`poscol.graphs`, whose one breadth-first
+search, ``layer_walk``, builds the cached distance layers and component
+masks.  The compiled form reads those; the verifier reads the layers when
+the graph already has them, and otherwise walks from each member only as
+far as the later members.
 """
 
 from __future__ import annotations
@@ -28,7 +34,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
-from .graphs import Graph, INF, adjacency_masks, degree_order
+from .graphs import (
+    INF, Graph, adjacency_masks, component_masks, degree_order, distance_layers, layer_distances,
+    layer_walk,
+)
 
 
 class PositionKind(enum.Enum):
@@ -106,8 +115,8 @@ def exists_induced_path_through(
     hit = memo.get(key)
     if hit is not None:
         return hit
-    dist = g.distance_matrix()
-    if dist[u][v] is INF or dist[u][w] is INF:
+    comp = component_masks(g)[u]
+    if not (comp >> v & 1 and comp >> w & 1):
         memo[key] = False
         return False
     ticker = limits.ticker()
@@ -148,82 +157,32 @@ def exists_induced_path_through(
 def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
     """True iff some shortest u-v path has its interior disjoint from ``blocked``.
 
-    Walks the geodesic-interval DAG: from ``u`` only distance-decreasing
-    steps toward ``v`` are taken, skipping blocked interior vertices.
+    One :func:`~poscol.graphs.layer_walk` from ``u`` toward ``v``.
     """
-    blocked = set(blocked) - {u, v}
-    dist = g.distance_matrix()
-    duv = dist[u][v]
-    if duv is INF:
+    blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
+    found, hidden = layer_walk(adjacency_masks(g), u, 1 << v, blocked_mask)
+    if not found[-1]:
         raise GraphInputError("geodesic_avoiding requires u, v in one component")
-    du, dv = dist[u], dist[v]
-    frontier = {u}
-    for step in range(int(duv)):
-        nxt = set()
-        for x in frontier:
-            for y in g.adj[x]:
-                if du[y] == step + 1 and dv[y] == duv - step - 1:
-                    if y == v:
-                        return True
-                    if y not in blocked:
-                        nxt.add(y)
-        frontier = nxt
-        if not frontier:
-            return False
-    return u == v
+    return not hidden
 
 
-def _walk(adj: tuple[int, ...], a: int, targets: int, blocked: int) -> tuple[list[int], int]:
-    """Walk the distance layers of ``a`` until every vertex of ``targets`` is reached.
-
-    ``adj`` holds bitmask neighbourhoods.  Returns ``(found, hidden)``: the
-    masks of the targets at each distance from ``a``, and the mask of those
-    that no shortest path from ``a`` reaches with its interior outside
-    ``blocked``.  Targets in another component are in neither.
-    """
-    reached = frontier = clear = 1 << a
-    found = [0]
-    hidden = 0
-    while targets and frontier:
-        layer = near = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nb = adj[low.bit_length() - 1]
-            layer |= nb
-            if clear & low:
-                near |= nb
-        frontier = layer & ~reached
-        reached |= frontier
-        hit = frontier & targets
-        found.append(hit)
-        hidden |= hit & ~near
-        targets ^= hit
-        clear = near & frontier & ~blocked
-    return found, hidden
-
-
-def _member_distances(g: Graph, s: list[int]) -> list:
+def _member_distances(g: Graph, s: list[int]) -> list[dict[int, float]]:
     """Each member's distances to the later members of ``s``, by vertex.
 
-    Read from the distance matrix when ``g`` already has it; otherwise one
+    Read from the distance layers when ``g`` already has them; otherwise one
     walk per member, which stops once the later members are all reached.
     """
-    dist = g._dist
-    if dist is not None:
-        return [dist[a] for a in s]
+    layers = g._memo.get("distance_layers")
     adj = adjacency_masks(g)
     later = sum(1 << v for v in s)
     rows = []
     for a in s:
         later ^= 1 << a
-        row = dict.fromkeys(s, INF)
-        for t, hit in enumerate(_walk(adj, a, later, 0)[0]):
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                row[low.bit_length() - 1] = t
-        rows.append(row)
+        if layers is None:
+            found = layer_walk(adj, a, later)[0]
+        else:
+            found = [layer & later for layer in layers[a]]
+        rows.append(layer_distances(found, dict.fromkeys(s, INF)))
     return rows
 
 
@@ -296,7 +255,7 @@ def is_position_set(
     members = later = sum(1 << v for v in s)
     for a in s:
         later ^= 1 << a
-        if _walk(adj, a, later, members)[1]:
+        if layer_walk(adj, a, later, members)[1]:
             return False
     return True
 
@@ -308,10 +267,12 @@ class Constraints:
     """One graph and base kind (gp, mono or mu) compiled into int bitmasks;
     bit v is vertex v.  A kind and its ``_i`` variant share it.
 
-    ``adj[v]`` is the neighbourhood of v and ``layers[v][d]`` the set of
-    vertices at distance d from v.  For gp and mono three vertices are in
-    conflict exactly when they are collinear: one of them lies between the
-    other two, on a shortest path for gp and on an induced path for mono.
+    ``adj[v]`` is the neighbourhood of v, ``layers[v][d]`` the set of
+    vertices at distance d from v and ``component[v]`` the component of v,
+    all three read from the graph's own caches in :mod:`poscol.graphs`, so
+    the base kinds of one graph share them.  For gp and mono three vertices
+    are in conflict exactly when they are collinear: one of them lies between
+    the other two, on a shortest path for gp and on an induced path for mono.
     Collinearity is a property of the unordered triple, so ``line(a, b)``,
     the mask of the vertices collinear with a and b, describes every
     conflict of the pair; it is filled lazily.  For mu, ``sees`` walks the
@@ -323,26 +284,15 @@ class Constraints:
     It keeps no reference to the graph, so the memo forms no reference cycle.
     """
 
-    __slots__ = (
-        "kind", "mu", "n", "dist", "adj", "layers", "component",
-        "_lines", "_behind_masks",
-    )
+    __slots__ = ("kind", "mu", "n", "adj", "layers", "component", "_lines", "_behind_masks")
 
     def __init__(self, g: Graph, kind: PositionKind):
         self.kind = kind.base
         self.mu = self.kind is PositionKind.MU
         self.n = g.n
-        self.dist = dist = g.distance_matrix()
         self.adj = adjacency_masks(g)
-        layers = []
-        for row in dist:
-            by_dist = [0] * (1 + max(d for d in row if d is not INF))
-            for w, d in enumerate(row):
-                if d is not INF:
-                    by_dist[d] |= 1 << w
-            layers.append(by_dist)
-        self.layers = tuple(layers)
-        self.component = tuple(sum(by_dist) for by_dist in layers)
+        self.layers = distance_layers(g)
+        self.component = component_masks(g)
         self._lines: dict[int, int] = {}
         self._behind_masks: dict[int, int] = {}
 
@@ -355,14 +305,14 @@ class Constraints:
         key = a * self.n + b if a < b else b * self.n + a
         found = self._lines.get(key)
         if found is None:
-            found = 0 if self.dist[a][b] is INF else self._collinear(a, b, g, limits)
+            found = self._collinear(a, b, g, limits) if self.component[a] >> b & 1 else 0
             self._lines[key] = found
         return found
 
     def _collinear(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker) -> int:
-        d = self.dist[a][b]
+        d = self._distance(a, b)
         la, lb = self.layers[a], self.layers[b]
-        out = self._beyond(a, b) | self._beyond(b, a)
+        out = self._beyond(a, b, d) | self._beyond(b, a, d)
         for t in range(1, d):  # w between a and b
             out |= la[t] & lb[d - t]
         if self.kind is PositionKind.MONO:
@@ -380,9 +330,16 @@ class Constraints:
                     out |= low
         return out
 
-    def _beyond(self, a: int, b: int) -> int:
-        """Mask of the vertices w other than b with b on some shortest a-w path."""
-        d = self.dist[a][b]
+    def _distance(self, a: int, b: int) -> int:
+        """The distance between a and b, two vertices of one component."""
+        bit = 1 << b
+        return next(d for d, layer in enumerate(self.layers[a]) if layer & bit)
+
+    def _beyond(self, a: int, b: int, d: int) -> int:
+        """Mask of the vertices w other than b with b on some shortest a-w path.
+
+        ``d`` is the distance between a and b.
+        """
         la, lb = self.layers[a], self.layers[b]
         out = 0
         for t in range(1, min(len(lb), len(la) - d)):
@@ -438,7 +395,7 @@ class Constraints:
         key = a * self.n + v
         found = self._behind_masks.get(key)
         if found is None:
-            found = self._behind_masks[key] = self._beyond(a, v) & -(2 << a)
+            found = self._behind_masks[key] = self._beyond(a, v, self._distance(a, v)) & -(2 << a)
         return found
 
 

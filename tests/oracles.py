@@ -28,9 +28,26 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
     return dist
 
 
+# (n, edges) -> Floyd-Warshall matrix; keyed by the edge list rather than
+# the graph object so that no library cache is involved
+_DISTANCES: dict[tuple, list[list[float]]] = {}
+
+
+def _edge_key(g: Graph) -> tuple:
+    return (g.n, tuple(sorted(g.edges())))
+
+
+def _distances(g: Graph) -> list[list[float]]:
+    """``floyd_warshall(g)``, computed once per edge list; the caller must not modify it."""
+    key = _edge_key(g)
+    if key not in _DISTANCES:
+        _DISTANCES[key] = floyd_warshall(g)
+    return _DISTANCES[key]
+
+
 def all_geodesics(g: Graph, u: int, v: int) -> list[list[int]]:
-    """Every shortest u-v path, by BFS layering plus backtracking."""
-    dist = floyd_warshall(g)
+    """Every shortest u-v path, by distance layering plus backtracking."""
+    dist = _distances(g)
     if dist[u][v] is INF:
         return []
     target = dist[u][v]
@@ -100,13 +117,12 @@ def induced_path_through_arrangements(g: Graph) -> set[tuple[int, int, int]]:
     return out
 
 
-# (base kind, n, edges) -> betweenness triples; keyed by the edge list
-# rather than the graph object so that no library cache is involved
+# (base kind, n, edges) -> betweenness triples, keyed like _DISTANCES
 _TRIPLES: dict[tuple, set[tuple[int, int, int]]] = {}
 
 
 def _triples(g: Graph, base: PositionKind) -> set[tuple[int, int, int]]:
-    key = (base, g.n, tuple(sorted(g.edges())))
+    key = (base, *_edge_key(g))
     if key not in _TRIPLES:
         scan = geodesic_betweenness_triples if base is PositionKind.GP else induced_path_triples
         _TRIPLES[key] = scan(g)
@@ -127,7 +143,7 @@ def oracle_is_position_set(g: Graph, s, kind: PositionKind) -> bool:
             for a, w, b in itertools.permutations(s, 3)
             if a < b
         )
-    dist = floyd_warshall(g)
+    dist = _distances(g)
     inside = set(s)
     for a, b in itertools.combinations(s, 2):
         if dist[a][b] is INF:

@@ -287,7 +287,7 @@ def test_constructions_match_exact_predictions():
         ("line_complete:9", K.GP), ("cartesian(path:2,path:10)", K.GP),
         ("cartesian(path:3,path:12)", K.GP), ("cartesian(path:4,path:8)", K.GP),
         ("multipartite:4,2,1", K.GP), ("h:4,6", K.GP), ("h:4,6", K.MONO),
-        ("strong(path:5,path:7)", K.MU),
+        ("strong(path:5,path:7)", K.MU), ("turan:3,5", K.GP), ("turan:7,7", K.GP),
     ]
     for text, kind in cases:
         spec = parse_family(text)
@@ -355,6 +355,7 @@ def test_constructions_verify_without_the_distance_matrix(monkeypatch):
     computed = []
     matrix = Graph.distance_matrix
     monkeypatch.setattr(Graph, "distance_matrix", lambda g: computed.append(g.n) or matrix(g))
-    for text, kind in [("strong(path:30,path:30)", K.GP), ("strong(path:20,path:30)", K.MU)]:
+    cases = [("strong(path:30,path:30)", K.GP), ("strong(path:20,path:30)", K.MU), ("h:20,20", K.MONO)]
+    for text, kind in cases:
         assert construct_colouring(parse_family(text), kind).verified
     assert computed == []

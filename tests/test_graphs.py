@@ -9,17 +9,21 @@ from oracles import (
     oracle_is_block_graph,
     oracle_monophonic_diameter,
 )
+from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graphs import (
     INF,
     build_graph,
     all_pairs_distances,
     complement,
+    components,
     diameter,
     disjoint_union,
+    distance_layers,
     extreme_vertices,
     is_block_graph,
     is_diamond_free,
+    is_connected,
     is_disjoint_union_of_cliques,
     join,
     monophonic_diameter,
@@ -70,11 +74,52 @@ class TestDistances:
         g = build_graph(2, [])
         assert g.distance_matrix()[0][1] is INF
 
-    def test_matches_floyd_warshall(self):
+    @staticmethod
+    def metric_graphs():
+        """n = 0, every catalogue graph of order 1 to 6, and seeded random graphs
+        on up to 12 vertices, a third of them disjoint unions."""
         rng = random.Random(11)
-        for _ in range(50):
+        out = [build_graph(0, [])]
+        for n in range(1, 7):
+            out += graphs_of_order(n)
+        for i in range(60):
             g = random_graph(rng.randint(1, 12), rng.random(), rng)
-            assert [list(r) for r in g.distance_matrix()] == floyd_warshall(g)
+            if i % 3 == 2:
+                g = disjoint_union(g, random_graph(rng.randint(1, 6), rng.random(), rng))
+            out.append(g)
+        return out
+
+    def test_matches_floyd_warshall(self):
+        """The matrix, the layers, the components and the diameters agree with
+        Floyd-Warshall, and so do those of a relabelled copy."""
+        rng = random.Random(12)
+        for g in self.metric_graphs():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            dist = floyd_warshall(g)
+            self.check_metric(g, range(g.n), dist)
+            self.check_metric(relabel(g, perm), perm, dist)
+
+    @staticmethod
+    def check_metric(h, name, dist):
+        """``h`` is a copy of the graph with matrix ``dist``, vertex v renamed ``name[v]``."""
+        n = len(dist)
+        reach = [{u for u in range(n) if dist[v][u] is not INF} for v in range(n)]
+        for v in range(n):
+            layers = [0] * (1 + max(dist[v][u] for u in reach[v]))
+            for u in reach[v]:
+                layers[dist[v][u]] |= 1 << name[u]
+            assert distance_layers(h)[name[v]] == tuple(layers)
+            assert [h.distance_matrix()[name[v]][name[u]] for u in range(n)] == dist[v]
+        comps = sorted(sorted(name[u] for u in r) for r in {frozenset(r) for r in reach})
+        assert components(h) == comps
+        assert is_connected(h) == (len(comps) <= 1)
+        structure = diameter(h)
+        assert structure.count == len(comps)
+        for v in range(n):
+            comp = structure.component[name[v]]
+            assert name[v] in comps[comp]
+            assert structure.diameters[comp] == max(dist[u][w] for u in reach[v] for w in reach[u])
 
     def test_infinity_is_not_an_integer(self):
         g = build_graph(3, [(0, 1)])

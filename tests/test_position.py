@@ -5,6 +5,7 @@ import pytest
 
 from conftest import PETERSEN_GP_CLASSES, complete, cycle, path
 from oracles import (
+    all_geodesics,
     geodesic_betweenness_triples,
     induced_path_through_arrangements,
     induced_path_triples,
@@ -135,8 +136,7 @@ class TestVerifierAgainstOracle:
                     cached.distance_matrix()
                     assert is_position_set(fresh, s, kind) == expected, (g.edges(), s, kind)
                     assert is_position_set(cached, s, kind) == expected, (g.edges(), s, kind)
-                    if kind.base is not K.MONO:
-                        assert fresh._dist is None
+                    assert fresh._dist is None
                     if expected:
                         accepted_sizes.append(len(set(s)))
         assert max(accepted_sizes) >= 7
@@ -183,10 +183,28 @@ class TestGeodesicAvoiding:
     def test_unique_geodesic_blocked(self):
         assert not geodesic_avoiding(path(4), 0, 3, {1})
 
+    def test_blocked_non_vertices_are_ignored(self):
+        assert geodesic_avoiding(path(4), 0, 3, {-1, 4, 9})
+
     def test_disconnected_pair_rejected(self):
         g = build_graph(2, [])
         with pytest.raises(GraphInputError):
             geodesic_avoiding(g, 0, 1, set())
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_matches_geodesic_enumeration(self, index):
+        g = _differential_graphs()[index]
+        rng = random.Random(index)
+        for u, v in itertools.product(range(g.n), repeat=2):
+            paths = all_geodesics(g, u, v)
+            for _ in range(4):
+                blocked = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+                if not paths:
+                    with pytest.raises(GraphInputError):
+                        geodesic_avoiding(g, u, v, blocked)
+                    continue
+                expect = any(not blocked & set(p[1:-1]) for p in paths)
+                assert geodesic_avoiding(g, u, v, blocked) == expect, (g.edges(), u, v, blocked)
 
 
 def _differential_graphs():
@@ -247,6 +265,12 @@ class TestSetStateAgainstOracles:
     @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
     def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):
         assert compiled(petersen, independent) is compiled(petersen, kind)
+
+    def test_the_base_kinds_share_the_graphs_metric(self, petersen):
+        gp, mono, mu = (compiled(petersen, kind) for kind in (K.GP, K.MONO, K.MU))
+        assert gp.layers is mono.layers is mu.layers
+        assert gp.component is mono.component is mu.component
+        assert gp.adj is mono.adj is mu.adj
 
 
 class TestPositionNumber:
