@@ -57,7 +57,8 @@ def _parse_graph_text(text: str) -> Graph:
     text = text.strip()
     if not text:
         raise GraphInputError("empty graph input")
-    if text.startswith("{"):
+    # a graph6 line of order 60 starts with '{' too, but never with '{' and a quote
+    if text.startswith("{") and text[1:].lstrip().startswith('"'):
         return graph_from_json(text)
     first_line = text.splitlines()[0]
     return graph6_decode(first_line)

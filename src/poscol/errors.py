@@ -38,8 +38,8 @@ class Limits:
     induced-path steps, and ``time_limit`` seconds; ``None`` means unlimited.
 
     ``ticker()`` starts it once, and every phase of the call draws from that
-    running budget, except the greedy upper bound and the final verification
-    of a found colouring: a budget stop still returns a verified colouring.
+    running budget, except the final verification of a found colouring: a
+    budget stop still returns a verified colouring.
     A running :class:`BudgetTicker` passed where a ``Limits`` is accepted is
     shared, not restarted.  POS_NODE_LIMIT and POS_TIME_LIMIT in the
     environment give process-wide defaults.
@@ -61,7 +61,9 @@ class BudgetTicker:
     """A running budget; ``tick(n)`` charges n search nodes.
 
     The clock is read at the first charge and then once per ``TICK_BLOCK``
-    charged nodes: a read on every node would dominate the searches.
+    charged nodes: a read on every node would dominate the searches.  A
+    spent budget stays spent: once a charge has raised, every later one
+    raises too, ``tick(0)`` included.
     """
 
     __slots__ = ("nodes_left", "deadline", "_until_check")
@@ -69,7 +71,7 @@ class BudgetTicker:
     def __init__(self, limits: Limits):
         self.nodes_left = limits.node_limit
         self.deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
-        self._until_check = 1
+        self._until_check = 0
 
     def ticker(self) -> BudgetTicker:
         return self
@@ -82,9 +84,10 @@ class BudgetTicker:
         if self.deadline is not None:
             self._until_check -= n
             if self._until_check <= 0:
-                self._until_check = TICK_BLOCK
+                # past the deadline the count stays due, so every later charge raises
                 if time.monotonic() >= self.deadline:
                     raise BudgetExceededError("time limit exceeded")
+                self._until_check = TICK_BLOCK
 
     @contextmanager
     def capped(self, nodes: int) -> Iterator[None]:

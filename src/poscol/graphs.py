@@ -244,40 +244,94 @@ def diameter(g: Graph) -> ComponentStructure:
     return result
 
 
+@dataclass(frozen=True)
+class InducedPaths:
+    """Every induced path of a graph, summarised per ordered vertex pair as bitmasks.
+
+    For a != b, ``between[a][b]`` is the union of the induced a-b paths (a
+    and b included, 0 when there is none), and ``beyond[a][b]`` the mask of
+    the vertices z for which some induced a-z path has b in its interior.
+    ``longest`` is the length of a longest induced path.
+    """
+
+    between: tuple[tuple[int, ...], ...]
+    beyond: tuple[tuple[int, ...], ...]
+    longest: int
+
+
+def induced_paths(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> InducedPaths:
+    """The :class:`InducedPaths` of ``g`` (cached), from one walk per start vertex.
+
+    The walk extends a path only by a neighbour of its last vertex that is
+    off the path and not adjacent to an earlier path vertex, so it meets
+    every induced path from its start exactly once.  ``between`` is filled
+    as a path is reached, ``beyond`` as the subtree below it finishes.  Each
+    path counts as a search node of ``limits``; a spent budget stops the
+    call before it walks, and a walk stopped midway caches nothing.  A walk
+    that finishes is cached even when its last charge spends the budget.
+    """
+    found = g._memo.get("induced_paths")
+    if found is not None:
+        return found
+    ticker = limits.ticker()
+    ticker.tick(0)
+    adj = adjacency_masks(g)
+    n = g.n
+    between, beyond = [], []
+    longest = steps = 0
+    # per depth d of the walk: the path's last vertex and mask, the neighbours
+    # of the whole path (its start included), the extensions left to try, and
+    # the last vertices of the paths found below it so far
+    last, path, near, ahead, below = ([0] * n for _ in range(5))
+    for s in range(n):
+        through, past = [0] * n, [0] * n
+        last[0], path[0], near[0], ahead[0], below[0] = s, 1 << s, adj[s] | 1 << s, adj[s], 0
+        d = 0
+        while d >= 0:
+            options = ahead[d]
+            if options:
+                low = options & -options
+                ahead[d] = options ^ low
+                w = low.bit_length() - 1
+                grown = path[d] | low
+                through[w] |= grown
+                banned = near[d]
+                nxt = adj[w] & ~banned
+                if nxt:
+                    d += 1
+                    last[d], path[d], near[d], ahead[d], below[d] = w, grown, banned | adj[w], nxt, 0
+                    if d > longest:
+                        longest = d
+                else:  # a path that cannot grow ends here, without a level of its own
+                    below[d] |= low
+                    if d >= longest:
+                        longest = d + 1
+                steps += 1
+                if steps == TICK_BLOCK:
+                    ticker.tick(TICK_BLOCK)
+                    steps = 0
+            else:
+                x, ends = last[d], below[d]
+                past[x] |= ends
+                d -= 1
+                if d >= 0:
+                    below[d] |= ends | 1 << x
+        past[s] = 0  # no path has its start in its interior
+        between.append(tuple(through))
+        beyond.append(tuple(past))
+    found = g._memo["induced_paths"] = InducedPaths(tuple(between), tuple(beyond), longest)
+    ticker.tick(steps)
+    return found
+
+
 def monophonic_diameter(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
     """Length of a longest induced path, maximised over components.
 
-    Exact, by backtracking over induced extensions, each of which counts as
-    a search node of ``limits``; aborts with :class:`BudgetExceededError`
-    rather than guessing once the budget runs out.
+    Read from :func:`induced_paths`, under ``limits``; aborts with
+    :class:`BudgetExceededError` rather than guessing once the budget runs
+    out.
     """
-    key = "monophonic_diameter"
-    cached = g._memo.get(key)
-    if cached is not None:
-        return cached
-    ticker = limits.ticker()
-    best = 0
-    left = TICK_BLOCK
-    adj = g.adj
-    for start in range(g.n):
-        # banned: the neighbours of each path vertex but the last, bar its successor
-        stack: list[tuple[list[int], set[int]]] = [([start], set())]
-        while stack:
-            path, banned = stack.pop()
-            left -= 1
-            if not left:
-                ticker.tick(TICK_BLOCK)
-                left = TICK_BLOCK
-            if len(path) - 1 > best:
-                best = len(path) - 1
-            last = path[-1]
-            for w in adj[last]:
-                if w in banned or w in path:
-                    continue
-                stack.append((path + [w], banned | (adj[last] - {w})))
-    g._memo[key] = best
-    ticker.tick(TICK_BLOCK - left)
-    return best
+    return induced_paths(g, limits).longest
 
 
 def complement(g: Graph) -> Graph:

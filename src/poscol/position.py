@@ -18,7 +18,11 @@ solver's greedy and partition searches) run on :class:`Constraints`, the
 bitmask form of one graph and base kind, compiled once and cached on the
 graph.  ``is_position_set`` works from the distances among the set's own
 members and the induced-path oracle alone and never touches the compiled
-form, so it re-verifies every search result independently.
+form, so it re-verifies every search result independently.  For mono the two
+sides do not share a search either: the compiled lines come from
+:func:`~poscol.graphs.induced_paths`, one walk over every induced path of the
+graph, while the verifier asks ``exists_induced_path_through`` about each
+triple of the set.
 
 Both take the metric from :mod:`poscol.graphs`, whose one breadth-first
 search, ``layer_walk``, builds the cached distance layers and component
@@ -35,8 +39,8 @@ from typing import Iterable, Iterator
 
 from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
 from .graphs import (
-    INF, Graph, adjacency_masks, component_masks, degree_order, distance_layers, layer_distances,
-    layer_walk,
+    INF, Graph, adjacency_masks, component_masks, degree_order, distance_layers, induced_paths,
+    layer_distances, layer_walk,
 )
 
 
@@ -275,7 +279,11 @@ class Constraints:
     the other two, on a shortest path for gp and on an induced path for mono.
     Collinearity is a property of the unordered triple, so ``line(a, b)``,
     the mask of the vertices collinear with a and b, describes every
-    conflict of the pair; it is filled lazily.  For mu, ``sees`` walks the
+    conflict of the pair; it is filled lazily.  It has one shape for both:
+    the vertices between a and b, those beyond b seen from a, and those
+    beyond a seen from b.  gp reads them off the distance layers, mono off
+    :func:`~poscol.graphs.induced_paths`, one walk over every induced path
+    of the graph.  For mu, ``sees`` walks the
     distance layers of one vertex with mask ANDs, so one walk decides the
     visibility of many targets.
 
@@ -299,8 +307,9 @@ class Constraints:
     def line(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
         """Mask of the vertices w for which one of a, b, w lies between the others.
 
-        ``g`` is the graph this was compiled from; the mono kinds ask its
-        induced-path oracle, under ``limits``.
+        ``g`` is the graph this was compiled from.  The mono kinds read its
+        :func:`~poscol.graphs.induced_paths`, whose one walk runs under
+        ``limits`` when the first line is asked for.
         """
         key = a * self.n + b if a < b else b * self.n + a
         found = self._lines.get(key)
@@ -310,24 +319,15 @@ class Constraints:
         return found
 
     def _collinear(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker) -> int:
+        if self.kind is PositionKind.MONO:
+            paths = induced_paths(g, limits)
+            out = paths.between[a][b] | paths.beyond[a][b] | paths.beyond[b][a]
+            return out & ~(1 << a | 1 << b)
         d = self._distance(a, b)
         la, lb = self.layers[a], self.layers[b]
         out = self._beyond(a, b, d) | self._beyond(b, a, d)
         for t in range(1, d):  # w between a and b
             out |= la[t] & lb[d - t]
-        if self.kind is PositionKind.MONO:
-            # shortest paths are induced; the oracle decides the other vertices
-            rest = self.component[a] & ~(out | 1 << a | 1 << b)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w = low.bit_length() - 1
-                if (
-                    exists_induced_path_through(g, a, w, b, limits)
-                    or exists_induced_path_through(g, w, a, b, limits)
-                    or exists_induced_path_through(g, a, b, w, limits)
-                ):
-                    out |= low
         return out
 
     def _distance(self, a: int, b: int) -> int:

@@ -20,7 +20,10 @@ are nonempty.  Budgets make the solver interruptible: partial results are
 tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
 greedy upper bound, the cheap lower bounds, then the deepening, which computes
 the position number pi only when a level stalls; each top-level call starts
-one budget, and every phase but the greedy bound draws from it.
+one budget, and every phase but the final verification draws from it.  For
+the mono kinds the greedy's first line pays for the walk over every induced
+path; a greedy stopped by the budget still returns a colouring, and no later
+phase runs.
 """
 
 from __future__ import annotations
@@ -248,22 +251,46 @@ def _perfect_packing(
     return Colouring(tuple(assignment), k)
 
 
-def greedy_position_colouring(g: Graph, kind: PositionKind) -> Colouring:
-    """First-fit colouring in descending-degree order; an unbudgeted upper bound witness."""
+def greedy_position_colouring(
+    g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
+) -> Colouring:
+    """First-fit colouring in descending-degree order, drawing on ``limits``.
+
+    If the budget runs out, the vertices placed so far keep their classes
+    and the rest go two to a class, or one to a class for an adjacent pair
+    of an ``_i`` kind: a set of at most two vertices has no three in line
+    and sees itself.  So a colouring is always returned.
+    """
+    budget = limits.ticker()
     order = degree_order(g)
     states: list[SetState] = []
     assignment = [-1] * g.n
+    try:
+        for v in order:
+            for c, st in enumerate(states):
+                if st.try_add(v):
+                    assignment[v] = c
+                    break
+            else:
+                st = SetState(g, kind, budget)
+                st.try_add(v)
+                states.append(st)
+                assignment[v] = len(states) - 1
+    except BudgetExceededError:
+        pass
+    k = len(states)
+    single = -1  # a leftover vertex alone in class k - 1
     for v in order:
-        for c, st in enumerate(states):
-            if st.try_add(v):
-                assignment[v] = c
-                break
+        if assignment[v] != -1:
+            continue
+        if single != -1 and not (kind.independent and v in g.adj[single]):
+            assignment[v] = k - 1
+            single = -1
         else:
-            st = SetState(g, kind, UNLIMITED)
-            st.try_add(v)
-            states.append(st)
-            assignment[v] = len(states) - 1
-    return Colouring(tuple(assignment), len(states))
+            assignment[v] = k
+            k += 1
+            single = v
+    return Colouring(tuple(assignment), k)
 
 
 def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterator[tuple[int, str]]:
@@ -288,7 +315,8 @@ def chromatic_position_number(
     """Exact chi_kind by iterative deepening from the cheap lower bounds.
 
     The greedy first-fit colouring supplies the initial upper bound, so a
-    feasible colouring always exists at the top of the deepening range.  Each
+    feasible colouring always exists at the top of the deepening range; it
+    draws from the same budget, and if it spends it, nothing else runs.  Each
     level runs ``_level``, which computes pi only if its quick search
     stalls.  If the budget runs out first, the best colouring found so far is
     returned, ``exact`` only when the bounds, the levels refuted and any
@@ -297,7 +325,7 @@ def chromatic_position_number(
     if g.n == 0:
         return CertifiedColouring(Colouring((), 0), kind, True, "solver", "exact")
     budget = limits.ticker()
-    best = greedy_position_colouring(g, kind)
+    best = greedy_position_colouring(g, kind, budget)
     lower = 1
     try:
         for value, _ in _lower_bounds(g, kind, budget):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from poscol.graphs import build_graph
+from poscol.catalogue import graphs_of_order
+from poscol.graphs import build_graph, disjoint_union
 
 # Outer 5-cycle 0..4, inner 5-cycle 5..9 (5-6-7-8-9-5), spokes 0-5, 1-8, 2-6, 3-9, 4-7.
 PETERSEN_EDGES = [
@@ -32,3 +35,24 @@ def cycle(n: int):
 
 def complete(n: int):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def random_graph(n: int, p: float, rng: random.Random):
+    return build_graph(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def metric_graphs():
+    """n = 0, every catalogue graph of order 1 to 6, and seeded random graphs
+    on up to 12 vertices, a third of them disjoint unions."""
+    rng = random.Random(11)
+    out = [build_graph(0, [])]
+    for n in range(1, 7):
+        out += graphs_of_order(n)
+    for i in range(60):
+        g = random_graph(rng.randint(1, 12), rng.random(), rng)
+        if i % 3 == 2:
+            g = disjoint_union(g, random_graph(rng.randint(1, 6), rng.random(), rng))
+        out.append(g)
+    return out

@@ -58,6 +58,14 @@ class TestCompute:
         )
         assert code == 0 and json.loads(out)["k"] == 2
 
+    def test_graph6_of_order_60_is_not_json(self, capsys, monkeypatch):
+        # its size byte is '{'; a JSON object spread over lines is still JSON
+        p60 = graph6_encode(generate(parse_family("path:60")))
+        assert p60.startswith("{")
+        for text, k in ((p60, 30), ('{\n  "n": 2,\n  "edges": [[0, 1]]\n}', 1)):
+            code, out, _ = run(capsys, ["compute", "--kind", "gp"], text, monkeypatch)
+            assert code == 0 and json.loads(out)["k"] == k
+
     def test_malformed_input_exits_2(self, capsys, monkeypatch):
         code, _, err = run(capsys, ["compute", "--kind", "gp"], "!!!", monkeypatch)
         assert code == 2 and "input error" in err

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from conftest import PETERSEN_EDGES, complete, cycle, path
+from conftest import PETERSEN_EDGES, complete, cycle, metric_graphs, path, random_graph
 from oracles import (
+    all_induced_paths,
     floyd_warshall,
     oracle_is_block_graph,
     oracle_monophonic_diameter,
 )
-from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graphs import (
     INF,
@@ -21,6 +21,7 @@ from poscol.graphs import (
     disjoint_union,
     distance_layers,
     extreme_vertices,
+    induced_paths,
     is_block_graph,
     is_diamond_free,
     is_connected,
@@ -30,12 +31,6 @@ from poscol.graphs import (
     product,
     relabel,
 )
-
-
-def random_graph(n, p, rng):
-    return build_graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
 
 
 class TestBuildGraph:
@@ -74,26 +69,11 @@ class TestDistances:
         g = build_graph(2, [])
         assert g.distance_matrix()[0][1] is INF
 
-    @staticmethod
-    def metric_graphs():
-        """n = 0, every catalogue graph of order 1 to 6, and seeded random graphs
-        on up to 12 vertices, a third of them disjoint unions."""
-        rng = random.Random(11)
-        out = [build_graph(0, [])]
-        for n in range(1, 7):
-            out += graphs_of_order(n)
-        for i in range(60):
-            g = random_graph(rng.randint(1, 12), rng.random(), rng)
-            if i % 3 == 2:
-                g = disjoint_union(g, random_graph(rng.randint(1, 6), rng.random(), rng))
-            out.append(g)
-        return out
-
     def test_matches_floyd_warshall(self):
         """The matrix, the layers, the components and the diameters agree with
         Floyd-Warshall, and so do those of a relabelled copy."""
         rng = random.Random(12)
-        for g in self.metric_graphs():
+        for g in metric_graphs():
             perm = list(range(g.n))
             rng.shuffle(perm)
             dist = floyd_warshall(g)
@@ -155,15 +135,55 @@ class TestMonophonicDiameter:
     def test_clique(self):
         assert monophonic_diameter(complete(5)) == 1
 
-    def test_matches_enumeration_random(self):
+    @staticmethod
+    def enumeration_graphs():
+        """Forty seeded random graphs on up to 9 vertices and the metric graphs,
+        each with a randomly relabelled copy: ``(g, copy, perm)``, vertex v of
+        ``g`` being ``perm[v]`` in ``copy``."""
         rng = random.Random(5)
-        for _ in range(40):
-            g = random_graph(rng.randint(1, 9), rng.random(), rng)
-            assert monophonic_diameter(g) == oracle_monophonic_diameter(g)
+        graphs = [random_graph(rng.randint(1, 9), rng.random(), rng) for _ in range(40)]
+        for g in graphs + metric_graphs():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            yield g, relabel(g, perm), perm
+
+    def test_matches_enumeration_random(self):
+        for g, copy, _ in self.enumeration_graphs():
+            expect = oracle_monophonic_diameter(g)
+            assert monophonic_diameter(g) == monophonic_diameter(copy) == expect, g.edges()
+
+    def test_walk_masks_match_enumeration(self):
+        """``between`` and ``beyond`` against explicit induced-path enumeration."""
+        for g, copy, perm in self.enumeration_graphs():
+            paths = all_induced_paths(g)
+            for h, name in ((g, range(g.n)), (copy, perm)):
+                between = [[0] * g.n for _ in range(g.n)]
+                beyond = [[0] * g.n for _ in range(g.n)]
+                for p in paths:
+                    a, b = name[p[0]], name[p[-1]]
+                    between[a][b] |= sum(1 << name[x] for x in p)
+                    for x in p[1:-1]:
+                        beyond[a][name[x]] |= 1 << b
+                walk = induced_paths(h)
+                assert walk.between == tuple(map(tuple, between)), g.edges()
+                assert walk.beyond == tuple(map(tuple, beyond)), g.edges()
 
     def test_budget_is_hard_error(self):
         with pytest.raises(BudgetExceededError):
             monophonic_diameter(cycle(12), Limits(node_limit=5))
+        g = cycle(40)  # 3040 induced paths, so the walk is stopped midway
+        with pytest.raises(BudgetExceededError):
+            monophonic_diameter(g, Limits(node_limit=5))
+        assert "induced_paths" not in g._memo
+        assert monophonic_diameter(g) == 38
+
+    def test_a_spent_budget_stops_the_walk_before_it_starts(self):
+        budget = Limits(node_limit=0).ticker()
+        with pytest.raises(BudgetExceededError):
+            budget.tick()
+        with pytest.raises(BudgetExceededError):
+            induced_paths(cycle(12), budget)
+        assert budget.nodes_left == -1
 
 
 class TestComplement:

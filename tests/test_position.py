@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import PETERSEN_GP_CLASSES, complete, cycle, path
+from conftest import PETERSEN_GP_CLASSES, complete, cycle, metric_graphs, path, random_graph
 from oracles import (
     all_geodesics,
     geodesic_betweenness_triples,
@@ -15,7 +15,7 @@ from oracles import (
 from poscol.catalogue import graphs_of_order
 from poscol.errors import GraphInputError
 from poscol.families import kneser2_graph
-from poscol.graphs import build_graph, disjoint_union, product
+from poscol.graphs import build_graph, disjoint_union, product, relabel
 from poscol.position import (
     ALL_KINDS,
     PositionKind,
@@ -31,12 +31,6 @@ from poscol.position import (
 )
 
 K = PositionKind
-
-
-def random_graph(n, p, rng):
-    return build_graph(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
 
 
 class TestKindParsing:
@@ -137,6 +131,8 @@ class TestVerifierAgainstOracle:
                     assert is_position_set(fresh, s, kind) == expected, (g.edges(), s, kind)
                     assert is_position_set(cached, s, kind) == expected, (g.edges(), s, kind)
                     assert fresh._dist is None
+                    # nor does it read the compiled form or the induced-path walk
+                    assert {("constraints", kind.base), "induced_paths"}.isdisjoint(fresh._memo)
                     if expected:
                         accepted_sizes.append(len(set(s)))
         assert max(accepted_sizes) >= 7
@@ -246,21 +242,30 @@ class TestSetStateAgainstOracles:
 
     @pytest.mark.parametrize("index", range(9))
     def test_lines_are_the_collinear_sets(self, index):
-        g = _differential_graphs()[index]
-        for kind, triples in ((K.GP, geodesic_betweenness_triples(g)),
-                              (K.MONO, induced_path_triples(g))):
-            core = compiled(g, kind)
+        """On differential graph ``index``, one ninth of the metric graphs and a
+        randomly relabelled copy of each."""
+        rng = random.Random(index)
+        for g in [_differential_graphs()[index], *metric_graphs()[index::9]]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            copy = relabel(g, perm)
+            for kind, triples in ((K.GP, geodesic_betweenness_triples(g)),
+                                  (K.MONO, induced_path_triples(g))):
 
-            def between(x, y, z):
-                return (min(x, z), y, max(x, z)) in triples
+                def between(x, y, z):
+                    return (min(x, z), y, max(x, z)) in triples
 
-            for a, b in itertools.combinations(range(g.n), 2):
-                expect = sum(
-                    1 << w for w in range(g.n)
-                    if w not in (a, b)
-                    and (between(a, w, b) or between(w, a, b) or between(a, b, w))
-                )
-                assert core.line(a, b, g) == core.line(b, a, g) == expect, (kind, a, b)
+                for a, b in itertools.combinations(range(g.n), 2):
+                    expect = [
+                        w for w in range(g.n)
+                        if w not in (a, b)
+                        and (between(a, w, b) or between(w, a, b) or between(a, b, w))
+                    ]
+                    for h, name in ((g, range(g.n)), (copy, perm)):
+                        core = compiled(h, kind)
+                        x, y = name[a], name[b]
+                        mask = sum(1 << name[w] for w in expect)
+                        assert core.line(x, y, h) == core.line(y, x, h) == mask, (g.edges(), kind, a, b)
 
     @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
     def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):

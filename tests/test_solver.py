@@ -409,10 +409,11 @@ def test_solve_computes_pi_only_when_a_level_stalls():
     assert ("pi_witness", K.MU) not in g._memo
 
 
-# Wall-time budgets are checked with a slack: the greedy bound and the final
-# verification run outside the budget, the clock is read once per block of
-# nodes, and the machine may be slow.  Both calls below end within 0.05 s of
-# their limit on a 2-vCPU Xeon under Python 3.11.
+# Wall-time budgets are checked with a slack: the final verification, and the
+# pairing that completes a greedy bound the budget stopped, run outside the
+# budget, the clock is read once per block of nodes, and the machine may be
+# slow.  The calls below end within 0.05 s of their limit on a 2-vCPU Xeon
+# under Python 3.11.
 TIME_SLACK = 4.0
 
 
@@ -422,6 +423,40 @@ def test_time_limit_holds_across_a_mono_solve():
     r = chromatic_position_number(g, K.MONO, Limits(time_limit=1.0))
     assert time.monotonic() - start < 1.0 + TIME_SLACK
     assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, K.MONO)
+
+
+def test_time_limit_holds_in_the_greedy_bound():
+    # the walk over every induced path, which the greedy's first line needs,
+    # takes far longer than the limit on this graph
+    g = generate(parse_family("random:60,0.1,1"))
+    start = time.monotonic()
+    r = chromatic_position_number(g, K.MONO, Limits(time_limit=1.0))
+    assert time.monotonic() - start < 1.0 + TIME_SLACK
+    assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, K.MONO)
+
+
+@pytest.mark.parametrize("kind, k", [(K.MONO, 3), (K.MONO_I, 4)])
+def test_a_greedy_stopped_by_the_budget_pairs_the_rest(kind, k):
+    """Once the budget is spent, the leftover vertices go two to a class,
+    except that an ``_i`` kind keeps an adjacent pair apart."""
+    g = cycle(4)
+    budget = Limits(node_limit=0).ticker()
+    with pytest.raises(BudgetExceededError):
+        budget.tick()
+    c = solver.greedy_position_colouring(g, kind, budget)
+    assert c.k == k and verify_colouring(g, c, kind)
+
+
+def test_a_spent_time_budget_stays_spent():
+    """Past the deadline every charge raises, ``tick(0)`` included, so no
+    phase can take the time-out for a stalled slice and search on."""
+    budget = Limits(time_limit=0).ticker()
+    for n in (0, 1, TICK_BLOCK, 1) * 500:
+        with pytest.raises(BudgetExceededError):
+            budget.tick(n)
+    g = generate(parse_family("random:16,0.25,5"))
+    r = chromatic_position_number(g, K.GP, Limits(time_limit=0))
+    assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, K.GP)
 
 
 def test_time_limit_left_to_the_deepening():
