@@ -323,27 +323,19 @@ class Constraints:
             paths = induced_paths(g, limits)
             out = paths.between[a][b] | paths.beyond[a][b] | paths.beyond[b][a]
             return out & ~(1 << a | 1 << b)
-        d = self._distance(a, b)
         la, lb = self.layers[a], self.layers[b]
-        out = self._beyond(a, b, d) | self._beyond(b, a, d)
+        bit, d = 1 << b, 1
+        while not la[d] & bit:
+            d += 1
+        out = 0
         for t in range(1, d):  # w between a and b
             out |= la[t] & lb[d - t]
-        return out
-
-    def _distance(self, a: int, b: int) -> int:
-        """The distance between a and b, two vertices of one component."""
-        bit = 1 << b
-        return next(d for d, layer in enumerate(self.layers[a]) if layer & bit)
-
-    def _beyond(self, a: int, b: int, d: int) -> int:
-        """Mask of the vertices w other than b with b on some shortest a-w path.
-
-        ``d`` is the distance between a and b.
-        """
-        la, lb = self.layers[a], self.layers[b]
-        out = 0
-        for t in range(1, min(len(lb), len(la) - d)):
+        # the eccentricities of a and b differ by at most d, so lb[t] and
+        # la[t] exist wherever la[d + t] and lb[d + t] do
+        for t in range(1, len(la) - d):  # b between a and w
             out |= lb[t] & la[d + t]
+        for t in range(1, len(lb) - d):  # a between b and w
+            out |= la[t] & lb[d + t]
         return out
 
     def sees(self, a: int, targets: int, blocked: int) -> bool:
@@ -395,7 +387,14 @@ class Constraints:
         key = a * self.n + v
         found = self._behind_masks.get(key)
         if found is None:
-            found = self._behind_masks[key] = self._beyond(a, v, self._distance(a, v)) & -(2 << a)
+            la, lv = self.layers[a], self.layers[v]
+            bit, d = 1 << v, 1
+            while not la[d] & bit:
+                d += 1
+            found = 0
+            for t in range(1, len(la) - d):  # v between a and b
+                found |= lv[t] & la[d + t]
+            found = self._behind_masks[key] = found & -(2 << a)
         return found
 
 

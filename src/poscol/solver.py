@@ -18,17 +18,20 @@ constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
 tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
-greedy upper bound, the cheap lower bounds, then the deepening, which computes
-the position number pi only when a level stalls; each top-level call starts
-one budget, and every phase but the final verification draws from it.  For
-the mono kinds the greedy's first line pays for the walk over every induced
-path; a greedy stopped by the budget still returns a colouring, and no later
-phase runs.
+greedy upper bound, the cheap lower bounds, then the deepening.  A level
+that a quick search does not settle computes the position number pi, which
+may refute it, and then gives Culberson's iterated greedy a short slice to
+find the colouring by recolouring before the full search.  Each top-level
+call starts one budget, and every phase but the final verification draws
+from it.  For the mono kinds the greedy's first line pays for the walk over
+every induced path; a greedy stopped by the budget still returns a
+colouring, and no later phase runs.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,6 +45,7 @@ from .graphs import (
     complement,
     degree_order,
     diameter,
+    induced_paths,
     is_diamond_free,
     monophonic_diameter,
 )
@@ -251,31 +255,48 @@ def _perfect_packing(
     return Colouring(tuple(assignment), k)
 
 
+def _first_fit(
+    order: Iterable[int],
+    new_class: Callable[[], SetState | _CliqueOrIndependent],
+    states: list,
+    assignment: list[int],
+) -> None:
+    """Put each vertex of ``order`` into the first class of ``states`` that
+    takes it, opening a class from ``new_class()`` when none does.
+
+    ``states`` and ``assignment`` are filled in place, so a caller stopped
+    by the budget keeps the vertices placed so far.
+    """
+    for v in order:
+        for c, st in enumerate(states):
+            if st.try_add(v):
+                assignment[v] = c
+                break
+        else:
+            st = new_class()
+            st.try_add(v)
+            states.append(st)
+            assignment[v] = len(states) - 1
+
+
 def greedy_position_colouring(
     g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> Colouring:
     """First-fit colouring in descending-degree order, drawing on ``limits``.
 
-    If the budget runs out, the vertices placed so far keep their classes
-    and the rest go two to a class, or one to a class for an adjacent pair
-    of an ``_i`` kind: a set of at most two vertices has no three in line
-    and sees itself.  So a colouring is always returned.
+    The first fit charges the budget nothing of its own; only the mono
+    kinds' walk over every induced path, which its first line needs, draws
+    from it.  If the budget runs out, the vertices placed so far keep their
+    classes and the rest go two to a class, or one to a class for an
+    adjacent pair of an ``_i`` kind: a set of at most two vertices has no
+    three in line and sees itself.  So a colouring is always returned.
     """
     budget = limits.ticker()
     order = degree_order(g)
     states: list[SetState] = []
     assignment = [-1] * g.n
     try:
-        for v in order:
-            for c, st in enumerate(states):
-                if st.try_add(v):
-                    assignment[v] = c
-                    break
-            else:
-                st = SetState(g, kind, budget)
-                st.try_add(v)
-                states.append(st)
-                assignment[v] = len(states) - 1
+        _first_fit(order, partial(SetState, g, kind, budget), states, assignment)
     except BudgetExceededError:
         pass
     k = len(states)
@@ -291,6 +312,48 @@ def greedy_position_colouring(
             k += 1
             single = v
     return Colouring(tuple(assignment), k)
+
+
+def _iterated_greedy(
+    g: Graph,
+    new_class: Callable[[], SetState | _CliqueOrIndependent],
+    k: int,
+    budget: BudgetTicker,
+) -> Colouring:
+    """A colouring with at most ``k`` classes, by Culberson's iterated greedy.
+
+    The first round is first fit in descending-degree order.  Each later
+    round runs first fit again over the vertices of the last colouring,
+    concatenated class by class: largest class first with probability 0.5,
+    the classes reversed with 0.2 and shuffled with 0.3, drawn from
+    ``random.Random(1)``, so the rounds are the same on every call.  Every
+    class family here is closed under subsets, so a round never needs more
+    classes than the one before.  Each round charges ``budget`` one node per
+    vertex.  The rounds stop only at ``k`` classes or when the budget raises
+    :class:`BudgetExceededError`, so the caller caps the budget.  Ref:
+    Culberson & Luo, "Exploring the k-colorable landscape with Iterated
+    Greedy" (DIMACS 1996).
+    """
+    rng = random.Random(1)
+    order = degree_order(g)
+    assignment = [-1] * g.n
+    while True:
+        budget.tick(g.n)
+        states: list = []
+        _first_fit(order, new_class, states, assignment)
+        if len(states) <= k:
+            return Colouring(tuple(assignment), len(states))
+        classes: list[list[int]] = [[] for _ in states]
+        for v in order:
+            classes[assignment[v]].append(v)
+        roll = rng.random()
+        if roll < 0.5:
+            classes.sort(key=len, reverse=True)
+        elif roll < 0.7:
+            classes.reverse()
+        else:
+            rng.shuffle(classes)
+        order = [v for cls in classes for v in cls]
 
 
 def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterator[tuple[int, str]]:
@@ -354,18 +417,26 @@ def _known_position_number(g: Graph, kind: PositionKind) -> int | None:
     return cached.value if cached is not None else None
 
 
-_QUICK_NODES = 1_000  # benchmark levels settled without pi took <= 466; 3k and 10k ran slower
+# the slice of a level's quick search, and again of its iterated greedy: benchmark
+# levels settled without pi took <= 466 nodes, and quick slices of 3k and 10k ran slower
+_QUICK_NODES = 1_000
 
 
 def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colouring | None:
     """One colouring with at most ``k`` classes, or None if none exists.
 
-    A cached pi with k*pi < n refutes the level outright.  Without pi, a
-    search of at most ``_QUICK_NODES`` nodes usually settles it; only when
-    that stalls is pi computed, in at most 200k nodes, and cached.  Then
-    k*pi < n refutes the level, k*pi == n calls ``_perfect_packing``, and
-    otherwise the level is searched again on the rest of the budget.
+    For the mono kinds the walk over every induced path runs first, on the
+    whole budget, so that no capped slice stops it midway.  A cached pi with
+    k*pi < n refutes the level outright.  Without pi, a search of at most
+    ``_QUICK_NODES`` nodes usually settles it; only when that stalls is pi
+    computed, in at most 200k nodes, and cached.  Then k*pi < n refutes the
+    level and k*pi == n calls ``_perfect_packing``.  Otherwise
+    ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to find the
+    colouring, and if it does not, the level is searched again on the rest
+    of the budget.
     """
+    if kind.base is PositionKind.MONO:
+        induced_paths(g, budget)
     new_class = partial(SetState, g, kind, budget)
     pi = _known_position_number(g, kind)
     if pi is None:
@@ -382,6 +453,11 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
         return None
     if pi and k * pi == g.n:  # pi is 0 only on the empty graph
         return _perfect_packing(g, kind, k, pi, budget)
+    try:
+        with budget.capped(_QUICK_NODES):
+            return _iterated_greedy(g, new_class, k, budget)
+    except BudgetExceededError:
+        pass
     return _feasible_partition(g, new_class, k, budget)
 
 
@@ -391,7 +467,8 @@ def feasible_position_colouring(
     """A verified colouring with at most ``k`` classes, or None if none exists.
 
     One deepening level (``_level``): a quick search, and only if that
-    stalls pi and a second search, all drawn from one budget.
+    stalls pi, the iterated greedy and a full search, all drawn from one
+    budget.
     """
     found = _level(g, kind, k, limits.ticker())
     if found is not None and not verify_colouring(g, found, kind, UNLIMITED):
