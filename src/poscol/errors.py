@@ -13,6 +13,13 @@ class GraphInputError(ValueError):
     """Malformed graph, colouring, instance or budget input."""
 
 
+def json_int(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer; floats, strings and booleans are refused."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise GraphInputError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 class BudgetExceededError(RuntimeError):
     """A search exceeded its node or wall-clock budget.
 

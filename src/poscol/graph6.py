@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import GraphInputError
+from .errors import GraphInputError, json_int
 from .graphs import Graph, build_graph
 
 _MAX_N = 258047
@@ -91,10 +91,9 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-        n = obj["n"]
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        n = json_int(obj["n"], "field 'n'")
+        edges = [(json_int(u, "an edge endpoint"), json_int(v, "an edge endpoint"))
+                 for u, v in obj["edges"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise GraphInputError(f"bad graph JSON: {exc}") from exc
-    if not isinstance(n, int):
-        raise GraphInputError("graph JSON field 'n' must be an integer")
     return build_graph(n, edges)

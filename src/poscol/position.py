@@ -26,9 +26,10 @@ triple of the set.
 
 Both take the metric from :mod:`poscol.graphs`, whose one breadth-first
 search, ``layer_walk``, builds the cached distance layers and component
-masks.  The compiled form reads those; the verifier reads the layers when
-the graph already has them, and otherwise walks from each member only as
-far as the later members.
+masks.  The compiled forms of gp and mu read the layers, mono only the
+component masks; the verifier reads the layers when the graph already has
+them, and otherwise walks from each member only as far as the later
+members.
 """
 
 from __future__ import annotations
@@ -271,56 +272,52 @@ class Constraints:
     """One graph and base kind (gp, mono or mu) compiled into int bitmasks;
     bit v is vertex v.  A kind and its ``_i`` variant share it.
 
-    ``adj[v]`` is the neighbourhood of v, ``layers[v][d]`` the set of
-    vertices at distance d from v and ``component[v]`` the component of v,
-    all three read from the graph's own caches in :mod:`poscol.graphs`, so
-    the base kinds of one graph share them.  For gp and mono three vertices
-    are in conflict exactly when they are collinear: one of them lies between
-    the other two, on a shortest path for gp and on an induced path for mono.
-    Collinearity is a property of the unordered triple, so ``line(a, b)``,
-    the mask of the vertices collinear with a and b, describes every
-    conflict of the pair; it is filled lazily.  It has one shape for both:
-    the vertices between a and b, those beyond b seen from a, and those
-    beyond a seen from b.  gp reads them off the distance layers, mono off
-    :func:`~poscol.graphs.induced_paths`, one walk over every induced path
-    of the graph.  For mu, ``sees`` walks the
-    distance layers of one vertex with mask ANDs, so one walk decides the
-    visibility of many targets.
+    ``adj[v]`` is the neighbourhood of v and ``component[v]`` the component
+    of v.  gp and mu also read ``layers[v][d]``, the set of vertices at
+    distance d from v, and mono reads ``paths``, the
+    :func:`~poscol.graphs.induced_paths` of the graph, one walk over every
+    induced path; each base kind reads only the one it needs, and all come
+    from the graph's own caches in :mod:`poscol.graphs`, so the base kinds of
+    one graph share them.  For gp and mono three vertices are in conflict
+    exactly when they are collinear: one of them lies between the other two,
+    on a shortest path for gp and on an induced path for mono.  Collinearity
+    is a property of the unordered triple, so ``line(a, b)``, the mask of the
+    vertices collinear with a and b, describes every conflict of the pair;
+    it is filled lazily.  It has one shape for both: the vertices between a
+    and b, those beyond b seen from a, and those beyond a seen from b.  For
+    mu, ``sees`` walks the distance layers of one vertex with mask ANDs, so
+    one walk decides the visibility of many targets.
 
     Built once per graph and base kind by :func:`compiled` and cached in the
     graph's memo.
     It keeps no reference to the graph, so the memo forms no reference cycle.
     """
 
-    __slots__ = ("kind", "mu", "n", "adj", "layers", "component", "_lines", "_behind_masks")
+    __slots__ = ("mu", "n", "adj", "component", "layers", "paths", "_lines", "_behind_masks")
 
-    def __init__(self, g: Graph, kind: PositionKind):
-        self.kind = kind.base
-        self.mu = self.kind is PositionKind.MU
+    def __init__(self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker):
+        mono = kind.base is PositionKind.MONO
+        self.paths = induced_paths(g, limits) if mono else None
+        self.layers = None if mono else distance_layers(g)
+        self.mu = kind.base is PositionKind.MU
         self.n = g.n
         self.adj = adjacency_masks(g)
-        self.layers = distance_layers(g)
         self.component = component_masks(g)
         self._lines: dict[int, int] = {}
         self._behind_masks: dict[int, int] = {}
 
-    def line(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:
-        """Mask of the vertices w for which one of a, b, w lies between the others.
-
-        ``g`` is the graph this was compiled from.  The mono kinds read its
-        :func:`~poscol.graphs.induced_paths`, whose one walk runs under
-        ``limits`` when the first line is asked for.
-        """
+    def line(self, a: int, b: int) -> int:
+        """Mask of the vertices w for which one of a, b, w lies between the others."""
         key = a * self.n + b if a < b else b * self.n + a
         found = self._lines.get(key)
         if found is None:
-            found = self._collinear(a, b, g, limits) if self.component[a] >> b & 1 else 0
+            found = self._collinear(a, b) if self.component[a] >> b & 1 else 0
             self._lines[key] = found
         return found
 
-    def _collinear(self, a: int, b: int, g: Graph, limits: Limits | BudgetTicker) -> int:
-        if self.kind is PositionKind.MONO:
-            paths = induced_paths(g, limits)
+    def _collinear(self, a: int, b: int) -> int:
+        paths = self.paths
+        if paths is not None:
             out = paths.between[a][b] | paths.beyond[a][b] | paths.beyond[b][a]
             return out & ~(1 << a | 1 << b)
         la, lb = self.layers[a], self.layers[b]
@@ -398,12 +395,18 @@ class Constraints:
         return found
 
 
-def compiled(g: Graph, kind: PositionKind) -> Constraints:
-    """The :class:`Constraints` of ``g`` and the base of ``kind``, built on first use."""
+def compiled(
+    g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
+) -> Constraints:
+    """The :class:`Constraints` of ``g`` and the base of ``kind``, built on first use.
+
+    Only the build draws from ``limits`` (for mono, the induced-path walk);
+    a build the budget stops caches nothing.
+    """
     key = ("constraints", kind.base)
     core = g._memo.get(key)
     if core is None:
-        core = g._memo[key] = Constraints(g, kind)
+        core = g._memo[key] = Constraints(g, kind, limits)
     return core
 
 
@@ -416,25 +419,21 @@ class SetState:
     on joining it adds its lines through every member (and, for ``_i``
     kinds, its neighbourhood).  For mu the visibility of the affected pairs
     is checked again on every addition.  Subset closure makes these
-    extension checks sound.
+    extension checks sound.  ``limits`` pays only for building the
+    constraints, when the graph has none for this kind yet.
     """
 
-    __slots__ = ("g", "budget", "core", "independent", "members", "mask", "forbidden", "_saved")
+    __slots__ = ("core", "independent", "members", "mask", "forbidden", "_saved")
 
     def __init__(
         self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
     ):
-        self.g = g
-        self.budget = limits.ticker()
-        self.core = compiled(g, kind)
+        self.core = compiled(g, kind, limits)
         self.independent = kind.independent
         self.members: list[int] = []
         self.mask = 0
         self.forbidden = 0
         self._saved: list[int] = []  # ``forbidden`` before each addition
-
-    def __len__(self) -> int:
-        return len(self.members)
 
     @property
     def mask_decides(self) -> bool:
@@ -457,9 +456,8 @@ class SetState:
             if not core.keeps_visibility(self.mask, v):
                 return False
         else:
-            g, budget = self.g, self.budget
             for b in self.members:
-                grown |= core.line(v, b, g, budget)
+                grown |= core.line(v, b)
         if self.independent:
             grown |= core.adj[v]
         self._saved.append(self.forbidden)

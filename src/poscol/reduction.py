@@ -31,6 +31,8 @@ class NaeInstance:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
+        if self.p < 0:
+            raise GraphInputError(f"variable count {self.p} is negative")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise GraphInputError(f"clause {clause} does not have three literals")

@@ -23,9 +23,9 @@ that a quick search does not settle computes the position number pi, which
 may refute it, and then gives Culberson's iterated greedy a short slice to
 find the colouring by recolouring before the full search.  Each top-level
 call starts one budget, and every phase but the final verification draws
-from it.  For the mono kinds the greedy's first line pays for the walk over
-every induced path; a greedy stopped by the budget still returns a
-colouring, and no later phase runs.
+from it.  A search pays once, up front, to compile its constraints (for
+the mono kinds, the walk over every induced path) and nothing per line; a
+greedy whose compile the budget stops still returns a colouring.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_LIMITS, UNLIMITED, BudgetExceededError, BudgetTicker, GraphInputError, Limits,
+    json_int,
 )
 from .graphs import (
     Graph,
@@ -45,7 +46,6 @@ from .graphs import (
     complement,
     degree_order,
     diameter,
-    induced_paths,
     is_diamond_free,
     monophonic_diameter,
 )
@@ -53,6 +53,7 @@ from .position import (
     ALL_KINDS,
     PositionKind,
     SetState,
+    compiled,
     is_position_set,
     position_number,
 )
@@ -202,7 +203,7 @@ def _feasible_partition(
 
 
 def _perfect_packing(
-    g: Graph, kind: PositionKind, k: int, pi: int, budget: BudgetTicker
+    g: Graph, new_class: Callable[[], SetState], k: int, pi: int, budget: BudgetTicker
 ) -> Colouring | None:
     """k classes of exactly ``pi`` vertices each (the tight case k*pi == n).
 
@@ -224,7 +225,7 @@ def _perfect_packing(
         if colour == k:
             return True
         anchor = next_free()
-        state = SetState(g, kind, budget)
+        state = new_class()
         state.try_add(anchor)
         assignment[anchor] = colour
         if extend(colour, state, anchor + 1):
@@ -258,15 +259,13 @@ def _perfect_packing(
 def _first_fit(
     order: Iterable[int],
     new_class: Callable[[], SetState | _CliqueOrIndependent],
-    states: list,
     assignment: list[int],
-) -> None:
-    """Put each vertex of ``order`` into the first class of ``states`` that
-    takes it, opening a class from ``new_class()`` when none does.
-
-    ``states`` and ``assignment`` are filled in place, so a caller stopped
-    by the budget keeps the vertices placed so far.
+) -> int:
+    """Put each vertex of ``order`` into the first class that takes it,
+    opening a class from ``new_class()`` when none does; return the number
+    of classes.  ``assignment`` is filled in place.
     """
+    states: list = []
     for v in order:
         for c, st in enumerate(states):
             if st.try_add(v):
@@ -277,6 +276,7 @@ def _first_fit(
             st.try_add(v)
             states.append(st)
             assignment[v] = len(states) - 1
+    return len(states)
 
 
 def greedy_position_colouring(
@@ -284,33 +284,27 @@ def greedy_position_colouring(
 ) -> Colouring:
     """First-fit colouring in descending-degree order, drawing on ``limits``.
 
-    The first fit charges the budget nothing of its own; only the mono
-    kinds' walk over every induced path, which its first line needs, draws
-    from it.  If the budget runs out, the vertices placed so far keep their
-    classes and the rest go two to a class, or one to a class for an
-    adjacent pair of an ``_i`` kind: a set of at most two vertices has no
-    three in line and sees itself.  So a colouring is always returned.
+    Only the compile of the constraints draws from ``limits``; for the mono
+    kinds it runs the walk over every induced path.  If the budget stops
+    it, the vertices go two to a class along the same order, or one to a
+    class for an adjacent pair of an ``_i`` kind: a set of at most two
+    vertices has no three in line and sees itself.  So a colouring is
+    always returned.
     """
-    budget = limits.ticker()
     order = degree_order(g)
-    states: list[SetState] = []
     assignment = [-1] * g.n
     try:
-        _first_fit(order, partial(SetState, g, kind, budget), states, assignment)
+        compiled(g, kind, limits)
     except BudgetExceededError:
-        pass
-    k = len(states)
-    single = -1  # a leftover vertex alone in class k - 1
-    for v in order:
-        if assignment[v] != -1:
-            continue
-        if single != -1 and not (kind.independent and v in g.adj[single]):
+        k, single = 0, -1  # ``single``: a vertex alone in class k - 1
+        for v in order:
+            if single == -1 or kind.independent and v in g.adj[single]:
+                k, single = k + 1, v
+            else:
+                single = -1
             assignment[v] = k - 1
-            single = -1
-        else:
-            assignment[v] = k
-            k += 1
-            single = v
+        return Colouring(tuple(assignment), k)
+    k = _first_fit(order, partial(SetState, g, kind), assignment)
     return Colouring(tuple(assignment), k)
 
 
@@ -339,11 +333,10 @@ def _iterated_greedy(
     assignment = [-1] * g.n
     while True:
         budget.tick(g.n)
-        states: list = []
-        _first_fit(order, new_class, states, assignment)
-        if len(states) <= k:
-            return Colouring(tuple(assignment), len(states))
-        classes: list[list[int]] = [[] for _ in states]
+        used = _first_fit(order, new_class, assignment)
+        if used <= k:
+            return Colouring(tuple(assignment), used)
+        classes: list[list[int]] = [[] for _ in range(used)]
         for v in order:
             classes[assignment[v]].append(v)
         roll = rng.random()
@@ -425,19 +418,18 @@ _QUICK_NODES = 1_000
 def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colouring | None:
     """One colouring with at most ``k`` classes, or None if none exists.
 
-    For the mono kinds the walk over every induced path runs first, on the
-    whole budget, so that no capped slice stops it midway.  A cached pi with
-    k*pi < n refutes the level outright.  Without pi, a search of at most
-    ``_QUICK_NODES`` nodes usually settles it; only when that stalls is pi
-    computed, in at most 200k nodes, and cached.  Then k*pi < n refutes the
-    level and k*pi == n calls ``_perfect_packing``.  Otherwise
-    ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to find the
-    colouring, and if it does not, the level is searched again on the rest
-    of the budget.
+    The constraints are compiled first, on the whole budget, so that no
+    capped slice stops the mono kinds' walk over every induced path midway.
+    A cached pi with k*pi < n refutes the level outright.  Without pi, a
+    search of at most ``_QUICK_NODES`` nodes usually settles it; only when
+    that stalls is pi computed, in at most 200k nodes, and cached.  Then
+    k*pi < n refutes the level and k*pi == n calls ``_perfect_packing``.
+    Otherwise ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to
+    find the colouring, and if it does not, the level is searched again on
+    the rest of the budget.
     """
-    if kind.base is PositionKind.MONO:
-        induced_paths(g, budget)
-    new_class = partial(SetState, g, kind, budget)
+    compiled(g, kind, budget)
+    new_class = partial(SetState, g, kind)
     pi = _known_position_number(g, kind)
     if pi is None:
         try:
@@ -452,7 +444,7 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
     if pi is not None and k * pi < g.n:
         return None
     if pi and k * pi == g.n:  # pi is 0 only on the empty graph
-        return _perfect_packing(g, kind, k, pi, budget)
+        return _perfect_packing(g, new_class, k, pi, budget)
     try:
         with budget.capped(_QUICK_NODES):
             return _iterated_greedy(g, new_class, k, budget)
@@ -804,11 +796,11 @@ def colouring_to_dict(c: Colouring, kind: PositionKind | None = None) -> dict:
 
 def colouring_from_dict(obj: dict) -> tuple[Colouring, PositionKind | None]:
     try:
-        n = obj["n"]
-        classes = [[int(v) for v in cls] for cls in obj["classes"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = json_int(obj["n"], "field 'n'")
+        classes = [[json_int(v, "a class member") for v in cls] for cls in obj["classes"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphInputError(f"bad colouring JSON: {exc}") from exc
-    if not isinstance(n, int) or n != sum(map(len, classes)):
+    if n != sum(map(len, classes)):
         raise GraphInputError("colouring JSON field 'n' must be the number of listed vertices")
     kind = None
     if "kind" in obj:

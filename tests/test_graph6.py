@@ -102,6 +102,18 @@ def test_json_malformed():
         graph_from_json("not json")
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "edges": [[0, 1.9]]}',
+    '{"n": 2, "edges": [["0", "1"]]}',
+    '{"n": 2, "edges": [[true, 0]]}',
+    '{"n": true, "edges": []}',
+    '{"n": 2.0, "edges": []}',
+])
+def test_json_reads_only_integer_ids(text):
+    with pytest.raises(GraphInputError, match="must be an integer"):
+        graph_from_json(text)
+
+
 class TestCatalogues:
     def test_counts(self):
         expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}

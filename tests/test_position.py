@@ -13,7 +13,8 @@ from oracles import (
     oracle_position_number,
 )
 from poscol.catalogue import graphs_of_order
-from poscol.errors import GraphInputError
+from poscol.errors import BudgetExceededError, GraphInputError, Limits
+from poscol.graph6 import graph6_decode
 from poscol.families import kneser2_graph
 from poscol.graphs import build_graph, disjoint_union, product, relabel
 from poscol.position import (
@@ -265,7 +266,7 @@ class TestSetStateAgainstOracles:
                         core = compiled(h, kind)
                         x, y = name[a], name[b]
                         mask = sum(1 << name[w] for w in expect)
-                        assert core.line(x, y, h) == core.line(y, x, h) == mask, (g.edges(), kind, a, b)
+                        assert core.line(x, y) == core.line(y, x) == mask, (g.edges(), kind, a, b)
 
     @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
     def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):
@@ -273,9 +274,19 @@ class TestSetStateAgainstOracles:
 
     def test_the_base_kinds_share_the_graphs_metric(self, petersen):
         gp, mono, mu = (compiled(petersen, kind) for kind in (K.GP, K.MONO, K.MU))
-        assert gp.layers is mono.layers is mu.layers
+        assert gp.layers is mu.layers and mono.layers is None
         assert gp.component is mono.component is mu.component
         assert gp.adj is mono.adj is mu.adj
+
+    def test_a_compile_stopped_by_the_budget_caches_nothing(self):
+        """The mono walk is the compile's one budgeted step; a stop leaves no
+        core and no walk behind, and a later unbudgeted compile succeeds."""
+        g = graph6_decode("Q??ELCm?A?BO?e?A@C???`?g?_O")  # random:18,0.2,3
+        with pytest.raises(BudgetExceededError):
+            compiled(g, K.MONO, Limits(node_limit=100))
+        assert {("constraints", K.MONO), "induced_paths"}.isdisjoint(g._memo)
+        core = compiled(g, K.MONO)
+        assert g._memo[("constraints", K.MONO)] is core and core.paths is g._memo["induced_paths"]
 
 
 class TestPositionNumber:

@@ -87,6 +87,10 @@ class TestNormalize:
         with pytest.raises(GraphInputError):
             NaeInstance(2, ((1, 2, 5),))
 
+    def test_negative_variable_count(self):
+        with pytest.raises(GraphInputError, match="variable count -1"):
+            parse_cnf("p nae3 -1 0\n")
+
 
 class TestBuildReduction:
     def test_fig6_shape(self):

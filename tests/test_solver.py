@@ -90,6 +90,16 @@ class TestVerifyColouring:
         back, kind = colouring_from_dict(obj)
         assert back == c and kind is K.GP
 
+    @pytest.mark.parametrize("obj", [
+        {"n": 2, "classes": [[0, 1.5]]},
+        {"n": 2, "classes": [["0", 1]]},
+        {"n": 2, "classes": [[True, 0]]},
+        {"n": True, "classes": [[0]]},
+    ])
+    def test_json_reads_only_integer_ids(self, obj):
+        with pytest.raises(GraphInputError, match="must be an integer"):
+            colouring_from_dict(obj)
+
 
 class TestSolverSmallValues:
     def test_petersen_all_kinds(self, petersen):
@@ -484,11 +494,30 @@ def test_a_mono_level_walks_the_induced_paths_once(monkeypatch):
             starts.append(g)
         return walk(g, limits)
 
-    for module in (graphs, position, solver):
+    for module in (graphs, position):
         monkeypatch.setattr(module, "induced_paths", counting_walk)
     g = graph6_decode("Q??ELCm?A?BO?e?A@C???`?g?_O")  # random:18,0.2,3, chi_mono = 6
     assert feasible_position_colouring(g, K.MONO, 5) is None
     assert len(starts) == 1
+
+
+def test_a_mono_level_compiles_on_its_budget():
+    """The walk draws from the level's budget before any search, so a budget
+    too small for it stops the level and leaves no walk cached."""
+    g = graph6_decode("Q??ELCm?A?BO?e?A@C???`?g?_O")  # random:18,0.2,3
+    with pytest.raises(BudgetExceededError):
+        feasible_position_colouring(g, K.MONO, 5, Limits(node_limit=100))
+    assert "induced_paths" not in g._memo
+
+
+@pytest.mark.parametrize("spec", ["petersen", "random:16,0.25,5"])
+@pytest.mark.parametrize("kind", [K.MONO, K.MONO_I])
+def test_a_mono_solve_builds_no_distance_layers(spec, kind):
+    """The mono kinds compile the induced-path walk alone, and the verifier
+    walks only as far as each class's own members."""
+    g = generate(parse_family(spec))
+    chromatic_position_number(g, kind)
+    assert "distance_layers" not in g._memo
 
 
 def test_solve_computes_pi_only_when_a_level_stalls():
@@ -515,7 +544,7 @@ def test_time_limit_holds_across_a_mono_solve():
 
 
 def test_time_limit_holds_in_the_greedy_bound():
-    # the walk over every induced path, which the greedy's first line needs,
+    # the walk over every induced path, which the greedy's compile runs,
     # takes far longer than the limit on this graph
     g = generate(parse_family("random:60,0.1,1"))
     start = time.monotonic()
@@ -524,10 +553,10 @@ def test_time_limit_holds_in_the_greedy_bound():
     assert r.optimality == "upper_bound_only" and verify_colouring(g, r.colouring, K.MONO)
 
 
-@pytest.mark.parametrize("kind, k", [(K.MONO, 3), (K.MONO_I, 4)])
+@pytest.mark.parametrize("kind, k", [(K.MONO, 2), (K.MONO_I, 4)])
 def test_a_greedy_stopped_by_the_budget_pairs_the_rest(kind, k):
-    """Once the budget is spent, the leftover vertices go two to a class,
-    except that an ``_i`` kind keeps an adjacent pair apart."""
+    """Once the budget has stopped the compile, the vertices go two to a
+    class, except that an ``_i`` kind keeps an adjacent pair apart."""
     g = cycle(4)
     budget = Limits(node_limit=0).ticker()
     with pytest.raises(BudgetExceededError):
