@@ -4,6 +4,10 @@ Vertices are always the integers ``0..n-1``.  Distances use ``math.inf`` as
 the sentinel for pairs in distinct components, never a large integer, so any
 arithmetic on a disconnected pair stays infinite instead of silently
 producing a plausible-looking bound.
+
+The metric comes from two breadth-first searches on bitmask neighbourhoods:
+``distance_layers`` sweeps from every vertex at once and is cached, and
+``layer_walk`` walks from one vertex for the callers that need only a few.
 """
 
 from __future__ import annotations
@@ -145,20 +149,31 @@ def layer_distances(by_dist: Sequence[int], row):
 def distance_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     """``layers[v][d]`` is the mask of the vertices at distance d from v (cached).
 
-    One :func:`layer_walk` per vertex; ``len(layers[v]) - 1`` is the
-    eccentricity of v within its component.
+    One breadth-first sweep from every vertex at once.  ``reached[v]`` is the
+    ball around v; each round ORs the balls of v's neighbours into it, and
+    the new bits are v's next layer.  A vertex whose ball stops growing has
+    reached its whole component and drops out.  ``len(layers[v]) - 1`` is
+    the eccentricity of v within its component.
     """
     layers = g._memo.get("distance_layers")
     if layers is None:
-        adj = adjacency_masks(g)
-        everyone = (1 << g.n) - 1
-        rows = []
-        for v in range(g.n):
-            found = layer_walk(adj, v, everyone)[0]
-            if not found[-1]:
-                found.pop()  # the component ran out before the targets did
-            rows.append(tuple(found))
-        layers = g._memo["distance_layers"] = tuple(rows)
+        adj = g.adj
+        reached = [1 << v for v in range(g.n)]
+        rows = [[ball] for ball in reached]
+        growing = [v for v in range(g.n) if adj[v]]
+        while growing:
+            last = reached[:]  # the balls of the round before
+            still = []
+            for v in growing:
+                ball = old = last[v]
+                for u in adj[v]:
+                    ball |= last[u]
+                if ball != old:
+                    rows[v].append(ball ^ old)
+                    reached[v] = ball
+                    still.append(v)
+            growing = still
+        layers = g._memo["distance_layers"] = tuple(map(tuple, rows))
     return layers
 
 

@@ -24,12 +24,12 @@ sides do not share a search either: the compiled lines come from
 graph, while the verifier asks ``exists_induced_path_through`` about each
 triple of the set.
 
-Both take the metric from :mod:`poscol.graphs`, whose one breadth-first
-search, ``layer_walk``, builds the cached distance layers and component
-masks.  The compiled forms of gp and mu read the layers, mono only the
-component masks; the verifier reads the layers when the graph already has
-them, and otherwise walks from each member only as far as the later
-members.
+Both take the metric from :mod:`poscol.graphs`: the cached distance layers,
+built by one sweep from every vertex at once, and the component masks.  The
+compiled forms of gp and mu read the layers, mono only the component masks;
+the verifier reads the layers when the graph already has them, and
+otherwise walks from each member only as far as the later members, with the
+single-source ``layer_walk``.
 """
 
 from __future__ import annotations
@@ -413,17 +413,21 @@ def compiled(
 class SetState:
     """A growing candidate position set with incremental feasibility checks.
 
-    Runs on the compiled :class:`Constraints` of its graph and base kind.  For
-    gp and mono, and for the independence of the ``_i`` kinds, the set keeps
-    one ``forbidden`` mask: ``v`` may join exactly when its bit is clear, and
-    on joining it adds its lines through every member (and, for ``_i``
-    kinds, its neighbourhood).  For mu the visibility of the affected pairs
-    is checked again on every addition.  Subset closure makes these
-    extension checks sound.  ``limits`` pays only for building the
+    Runs on the compiled :class:`Constraints` of its graph and base kind.  The
+    set keeps one ``forbidden`` mask of vertices known not to fit: ``v`` may
+    join only when its bit is clear.  For gp and mono, and for the
+    independence of the ``_i`` kinds, a clear bit alone decides: on joining,
+    a vertex adds its lines through every member (and, for ``_i`` kinds, its
+    neighbourhood).  For mu the visibility of the affected pairs is checked
+    again; ``fits`` records each answer for the current members, a
+    ``forbidden`` bit for a vertex that does not fit and an ``ok`` bit for
+    one that does, and both masks go back to their old values on ``pop``.
+    Subset closure makes all of this sound: a vertex that cannot join a set
+    cannot join any superset.  ``limits`` pays only for building the
     constraints, when the graph has none for this kind yet.
     """
 
-    __slots__ = ("core", "independent", "members", "mask", "forbidden", "_saved")
+    __slots__ = ("core", "independent", "members", "mask", "forbidden", "ok", "_saved")
 
     def __init__(
         self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
@@ -433,18 +437,31 @@ class SetState:
         self.members: list[int] = []
         self.mask = 0
         self.forbidden = 0
-        self._saved: list[int] = []  # ``forbidden`` before each addition
+        self.ok = 0  # mu: vertices known to keep the current members mutually visible
+        self._saved: list[tuple[int, int]] = []  # ``forbidden`` and ``ok`` before each addition
 
-    @property
-    def mask_decides(self) -> bool:
-        """Whether a clear ``forbidden`` bit alone admits a vertex: all kinds but mu."""
-        return not self.core.mu
+    def fits(self, free: int) -> int:
+        """The mask of the vertices of ``free`` that ``try_add`` would accept.
 
-    def admits(self, v: int) -> bool:
-        """Whether ``try_add(v)`` would succeed; the set is left unchanged."""
-        if self.forbidden >> v & 1:
-            return False
-        return not self.core.mu or self.core.keeps_visibility(self.mask, v)
+        A set of at most one member takes any vertex its ``forbidden`` mask
+        allows, since a pair always sees itself.
+        """
+        out = free & ~self.forbidden
+        if not self.core.mu or len(self.members) < 2:
+            return out
+        unknown = out & ~self.ok
+        if unknown:
+            core, mask, bad = self.core, self.mask, 0
+            while unknown:
+                low = unknown & -unknown
+                unknown ^= low
+                if core.keeps_visibility(mask, low.bit_length() - 1):
+                    self.ok |= low
+                else:
+                    bad |= low
+            self.forbidden |= bad
+            out &= ~bad
+        return out
 
     def try_add(self, v: int) -> bool:
         """Add ``v`` if the set stays a position set; report success."""
@@ -453,15 +470,18 @@ class SetState:
         core = self.core
         grown = self.forbidden
         if core.mu:
-            if not core.keeps_visibility(self.mask, v):
+            if not (
+                len(self.members) < 2 or self.ok >> v & 1 or core.keeps_visibility(self.mask, v)
+            ):
                 return False
         else:
             for b in self.members:
                 grown |= core.line(v, b)
         if self.independent:
             grown |= core.adj[v]
-        self._saved.append(self.forbidden)
+        self._saved.append((self.forbidden, self.ok))
         self.forbidden = grown
+        self.ok = 0
         self.members.append(v)
         self.mask |= 1 << v
         return True
@@ -469,7 +489,7 @@ class SetState:
     def pop(self) -> None:
         """Undo the last successful ``try_add`` (adds and pops must nest LIFO)."""
         self.mask ^= 1 << self.members.pop()
-        self.forbidden = self._saved.pop()
+        self.forbidden, self.ok = self._saved.pop()
 
 
 # -- exact maxima -------------------------------------------------------------

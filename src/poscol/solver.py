@@ -11,10 +11,15 @@ complement) and the cochromatic number deepen the same search over classes
 that must be independent sets, or for the cochromatic number independent
 sets or cliques.  The greedy bound, ``position_number``, the partition search
 and the exact-cover packing run on the compiled bitmask constraints of
-:mod:`poscol.position`; for gp and mono, whether a vertex fits a class is one
-bit test.  Every position colouring is re-verified by ``verify_colouring``,
-which uses the independent membership oracles and not the compiled
-constraints, before it is reported.  Symmetry between colour
+:mod:`poscol.position`.  Each class answers ``fits``, the mask of the
+unassigned vertices it takes (for gp, mono and the classic families one AND
+with its ``forbidden`` mask), and a node of the partition search folds those
+masks into the vertices that fit at least one, two and three classes: a
+vertex that fits none fails the node, and the search branches on a vertex
+with the fewest classes (Brelaz's DSATUR rule, with forward checking as in
+Haralick & Elliott).  Every position colouring is re-verified by
+``verify_colouring``, which uses the independent membership oracles and not
+the compiled constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
 tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
@@ -22,10 +27,11 @@ greedy upper bound, the cheap lower bounds, then the deepening.  A level
 that a quick search does not settle computes the position number pi, which
 may refute it, and then gives Culberson's iterated greedy a short slice to
 find the colouring by recolouring before the full search.  Each top-level
-call starts one budget, and every phase but the final verification draws
-from it.  A search pays once, up front, to compile its constraints (for
-the mono kinds, the walk over every induced path) and nothing per line; a
-greedy whose compile the budget stops still returns a colouring.
+call starts one budget, and every phase but the build of the distance
+layers and the final verification draws from it.  A search pays once, up
+front, to compile its constraints (for the mono kinds, the walk over every
+induced path) and nothing per line; a greedy whose compile the budget stops
+still returns a colouring.
 """
 
 from __future__ import annotations
@@ -141,10 +147,15 @@ def _feasible_partition(
     ``new_class()`` makes an empty class of the family: a :class:`SetState`
     for a position kind, a :class:`_CliqueOrIndependent` for the classic
     parameters.  Every such family is closed under subsets, so a class only
-    ever has to check the vertex that joins it.  Branches on the unassigned
+    ever has to check the vertex that joins it, and a vertex that fits no
+    class fits none below the node either.  A node asks each open class
+    which unassigned vertices it takes (``fits``, one mask per class) and
+    folds the answers into the masks of the vertices that fit at least one,
+    two and three classes.  Forward checking on every vertex: one that fits
+    no class fails the node.  Otherwise the node branches on the unassigned
     vertex with the fewest feasible classes (deterministic tie-break:
-    descending degree then id).  Scanning the options doubles as forward
-    checking: a vertex with no feasible class fails the node immediately.
+    descending degree then id), trying its classes in order; the vertices
+    are counted one by one only when each fits three classes or more.
     Each node charges ``budget`` one tick.  No capacity prune: with every
     class a position set it could only test k*pi < n, which ``_level``
     decides first.
@@ -155,46 +166,50 @@ def _feasible_partition(
         return None
     order = degree_order(g)
     states = [new_class() for _ in range(k)]
-    mask_decides = states[0].mask_decides
     assignment = [-1] * g.n
 
-    def bt(assigned: int, opened: int) -> bool:
+    def bt(free: int, opened: int) -> bool:
         budget.tick()
-        if assigned == g.n:
+        if not free:
             return True
-        limit = min(opened + 1, k)
-        best_v = -1
-        best_opts: list[int] | None = None
-        for v in order:
-            if assignment[v] != -1:
-                continue
-            opts = []
-            for c in range(limit):
-                st = states[c]
-                if not st.forbidden >> v & 1 and (mask_decides or st.admits(v)):
-                    opts.append(c)
-                    if best_opts is not None and len(opts) >= len(best_opts):
-                        break
-            if not opts:
-                return False
-            if best_opts is None or len(opts) < len(best_opts):
-                best_v, best_opts = v, opts
-                if len(best_opts) == 1:
+        fit = []
+        one = two = three = 0
+        for st in states[: opened + 1]:  # the open classes and one empty one, if left
+            a = st.fits(free)
+            fit.append(a)
+            three |= two & a
+            two |= one & a
+            one |= a
+        if free & ~one:
+            return False
+        fewest = free & ~two or free & ~three
+        if fewest:  # its first vertex in degree order
+            for v in order:
+                if fewest >> v & 1:
                     break
-        assert best_opts is not None
-        for c in best_opts:
-            st = states[c]
-            if not st.try_add(best_v):  # pragma: no cover - options were vetted
-                continue
-            assignment[best_v] = c
-            if bt(assigned + 1, max(opened, c + 1)):
-                return True
-            st.pop()
-            assignment[best_v] = -1
+        else:  # every vertex fits three classes or more: count them
+            v, least = -1, k + 1
+            for u in order:
+                if free >> u & 1:
+                    count = sum(a >> u & 1 for a in fit)
+                    if count < least:
+                        v, least = u, count
+                        if count == 3:
+                            break
+        bit = 1 << v
+        for c, a in enumerate(fit):
+            if a & bit:
+                st = states[c]
+                if not st.try_add(v):  # pragma: no cover - ``fits`` vetted it
+                    continue
+                assignment[v] = c
+                if bt(free ^ bit, max(opened, c + 1)):
+                    return True
+                st.pop()
         return False
 
     try:
-        if not bt(0, 0):
+        if not bt((1 << g.n) - 1, 0):
             return None
     finally:
         del bt  # a recursive closure is a reference cycle; free it now
@@ -484,7 +499,6 @@ class _CliqueOrIndependent:
     """
 
     __slots__ = ("adj", "full", "_apart", "_close", "forbidden", "_saved")
-    mask_decides = True
 
     def __init__(self, adj: tuple[int, ...], clique_allowed: bool):
         self.adj = adj
@@ -493,6 +507,10 @@ class _CliqueOrIndependent:
         self._close = 0 if clique_allowed else self.full
         self.forbidden = 0
         self._saved: list[tuple[int, int]] = []  # both masks before each addition
+
+    def fits(self, free: int) -> int:
+        """The mask of the vertices of ``free`` that ``try_add`` would accept."""
+        return free & ~self.forbidden
 
     def try_add(self, v: int) -> bool:
         """Add ``v`` if the class stays a clique or an independent set."""

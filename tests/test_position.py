@@ -222,24 +222,38 @@ class TestSetStateAgainstOracles:
     @pytest.mark.parametrize("index", range(9))
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
     def test_random_lifo_sequences(self, index, kind):
+        """``fits`` agrees with the oracle on every outside vertex before each
+        add and after each pop, so mu's recorded answers are undone with the
+        members they were made for; ``try_add`` agrees too."""
         g = _differential_graphs()[index]
         rng = random.Random(index)
         oracle: dict[frozenset, bool] = {}
+
+        def fits_by_oracle(members):
+            out = 0
+            for v in range(g.n):
+                if v not in members:
+                    s = frozenset(members + [v])
+                    if s not in oracle:
+                        oracle[s] = oracle_is_position_set(g, s, kind)
+                    out |= oracle[s] << v
+            return out
+
         state = SetState(g, kind)
         for _ in range(60):
             outside = [v for v in range(g.n) if v not in state.members]
             if not outside or (state.members and rng.random() < 0.3):
                 state.pop()
+                everyone_else = sum(1 << v for v in range(g.n) if v not in state.members)
+                assert state.fits(everyone_else) == fits_by_oracle(state.members)
                 continue
             v = rng.choice(outside)
-            s = frozenset(state.members + [v])
-            if s not in oracle:
-                oracle[s] = oracle_is_position_set(g, s, kind)
             before = list(state.members)
-            assert state.admits(v) == oracle[s], (before, v)
+            expect = fits_by_oracle(before)
+            assert state.fits(sum(1 << u for u in outside)) == expect, before
             assert state.members == before
-            assert state.try_add(v) == oracle[s], (before, v)
-            assert state.members == (before + [v] if oracle[s] else before)
+            assert state.try_add(v) == bool(expect >> v & 1), (before, v)
+            assert state.members == (before + [v] if expect >> v & 1 else before)
 
     @pytest.mark.parametrize("index", range(9))
     def test_lines_are_the_collinear_sets(self, index):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import time
 from functools import partial
@@ -147,6 +148,33 @@ class TestSolverAgainstBellBruteForce:
                     chromatic_position_number(g, kind).k
                     == oracle_chromatic_position(g, kind)
                 ), (g.edges(), kind)
+
+
+class TestSolverAgainstOraclesOnOrderSevenAndEight:
+    """Seeded random graphs of order 7 and 8, some of them disconnected: each
+    position chromatic number and chi, theta and zeta against exhaustive
+    partitions."""
+
+    @pytest.mark.parametrize("index", range(40))
+    def test_random_graph(self, index):
+        rng = random.Random(1000 + index)
+        g = random_graph(7 + index % 2, rng.choice([0.3, 0.45, 0.6]), rng)
+        for kind in ALL_KINDS:
+            assert chromatic_position_number(g, kind).k == oracle_chromatic_position(g, kind), (
+                g.edges(), kind)
+
+        def pairs(cls):
+            return itertools.combinations(cls, 2)
+
+        def independent(cls):
+            return all(b not in g.adj[a] for a, b in pairs(cls))
+
+        def clique(cls):
+            return all(b in g.adj[a] for a, b in pairs(cls))
+
+        assert chromatic_number(g) == oracle_chromatic_position(g, K.GP, membership=independent)
+        assert clique_cover_number(g) == oracle_chromatic_position(g, K.GP, membership=clique)
+        assert cochromatic_number(g) == oracle_cochromatic(g)
 
 
 class TestBounds:
@@ -441,6 +469,14 @@ def test_iterated_greedy_settles_the_grid_within_budget(spec):
     g = generate(parse_family(spec))
     r = chromatic_position_number(g, K.GP, Limits(node_limit=4000))
     assert (r.k, r.optimality) == (7, "exact") and verify_colouring(g, r.colouring, K.GP)
+
+
+def test_forward_checking_settles_the_three_by_seven_grid_within_budget():
+    """A vertex that fits no open class fails its node at once, so the search
+    finds the 6-colouring of P3 x P7 within 12000 nodes."""
+    g = generate(parse_family("cartesian(path:3,path:7)"))
+    r = chromatic_position_number(g, K.GP, Limits(node_limit=12000))
+    assert (r.k, r.optimality) == (6, "exact") and verify_colouring(g, r.colouring, K.GP)
 
 
 def test_iterated_greedy_returns_position_colourings():
