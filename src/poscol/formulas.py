@@ -182,9 +182,9 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
         if kind is K.MU:
             return Prediction.exact(s + 1, "strong-block plus tail")
     if name == "g_star":
-        a, n = args
+        a, n = args  # a star K_{1,n-1} when a = 1, so chromatic number 2 once n >= 2
         if kind in (K.GP_I, K.MU_I):
-            return Prediction.exact(a, "diameter <= 2: equals chromatic number")
+            return Prediction.exact(max(a, min(n, 2)), "diameter <= 2: equals chromatic number")
     if name == "g":
         a, b = args
         if kind in (K.GP_I, K.MONO_I):

@@ -68,19 +68,18 @@ def graph6_decode(text: str) -> Graph:
         raise GraphInputError(
             f"graph6 body has {len(body)} bytes, expected {expect} for n={n}"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[nbits:]:
         raise GraphInputError("nonzero padding bits in graph6 body")
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    j = end = 1  # column j holds the bits end - j .. end - 1
+    k = bits.find("1")
+    while k != -1:
+        while k >= end:
+            j += 1
+            end += j
+        edges.append((k - end + j, j))
+        k = bits.find("1", k + 1)
     return build_graph(n, edges)
 
 

@@ -107,8 +107,9 @@ def exists_induced_path_through(
 ) -> bool:
     """True iff some induced u-v path of ``g`` contains ``w``.
 
-    Backtracks over induced extensions from ``u``; a branch dies as soon as
-    ``v`` or ``w`` becomes adjacent to the path interior, since an induced
+    Backtracks over induced extensions from ``u``, carrying the path and
+    the vertices adjacent to its interior as masks; a branch dies as soon
+    as ``v`` or ``w`` becomes adjacent to the path interior, since an induced
     path can never pick such a vertex up later.  Each extension counts as a
     search node of ``limits``.  Results are memoised on the graph (the
     endpoints are symmetric).
@@ -125,33 +126,30 @@ def exists_induced_path_through(
         memo[key] = False
         return False
     ticker = limits.ticker()
-    adj = g.adj
+    nbr = adjacency_masks(g)
+    vbit, wbit = 1 << v, 1 << w
     left = [TICK_BLOCK]
 
-    def extend(path: list[int], on_path: set[int], banned: set[int]) -> bool:
+    def extend(last: int, on_path: int, banned: int) -> bool:
         left[0] -= 1
         if not left[0]:
             ticker.tick(TICK_BLOCK)
             left[0] = TICK_BLOCK
-        last = path[-1]
-        if v in adj[last] and v not in banned and w in on_path:
-            return True
         # prune: once v or w is banned (adjacent to interior) it can never join
-        if v in banned or (w not in on_path and w in banned):
+        if banned & vbit or banned & ~on_path & wbit:
             return False
-        for x in adj[last]:
-            if x in on_path or x in banned or x == v:
-                continue
-            path.append(x)
-            on_path.add(x)
-            if extend(path, on_path, banned | (adj[last] - {x})):
+        if nbr[last] & vbit and on_path & wbit:
+            return True
+        step = nbr[last] & ~(on_path | banned | vbit)
+        while step:
+            bit = step & -step
+            step ^= bit
+            if extend(bit.bit_length() - 1, on_path | bit, banned | nbr[last] ^ bit):
                 return True
-            path.pop()
-            on_path.remove(x)
         return False
 
     try:
-        found = extend([u], {u}, set())
+        found = extend(u, 1 << u, 0)
     finally:
         del extend  # a recursive closure is a reference cycle; free it now
     memo[key] = found

@@ -23,15 +23,16 @@ the compiled constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
 tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
-greedy upper bound, the cheap lower bounds, then the deepening.  A level
-that a quick search does not settle computes the position number pi, which
-may refute it, and then gives Culberson's iterated greedy a short slice to
-find the colouring by recolouring before the full search.  Each top-level
-call starts one budget, and every phase but the build of the distance
-layers and the final verification draws from it.  A search pays once, up
-front, to compile its constraints (for the mono kinds, the walk over every
-induced path) and nothing per line; a greedy whose compile the budget stops
-still returns a colouring.
+greedy upper bound, the (monophonic) diameter bound, then the deepening,
+whose ``_i`` classes carry the independence mask, so no chromatic number is
+searched for.  A level that a quick search does not settle computes the
+position number pi, which may refute it, and then gives Culberson's
+iterated greedy a short slice to find the colouring by recolouring before
+the full search.  Each top-level call starts one budget, and every phase
+but the distance layers, the greedy's first fit and the final verification
+draws from it.  A search pays once, up front, to compile its constraints
+(for the mono kinds, the walk over every induced path) and nothing per
+line; a greedy whose compile the budget stops still returns a colouring.
 """
 
 from __future__ import annotations
@@ -368,16 +369,14 @@ def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterato
     """The cheap lower bounds on chi_kind of a nonempty graph, with their reasons.
 
     Cheapest first, so a caller whose budget runs out midway keeps the
-    bounds found before the stop.  ceil(n/pi) is not among them: pi is
-    computed only by a stalled deepening level and by ``bounds()``.
+    bounds found before the stop.  Only ``bounds()`` adds ceil(n/pi) and the
+    chromatic number: the deepening refutes the levels below both itself.
     """
     yield 1, "trivial"
     if kind in (PositionKind.GP, PositionKind.GP_I):
         yield -(-(diameter(g).diam_star + 1) // 2), "diameter"
     if kind in (PositionKind.MONO, PositionKind.MONO_I):
         yield -(-(monophonic_diameter(g, budget) + 1) // 2), "monophonic diameter"
-    if kind.independent:
-        yield chromatic_number(g, budget), "chromatic number"
 
 
 def chromatic_position_number(
@@ -386,12 +385,13 @@ def chromatic_position_number(
     """Exact chi_kind by iterative deepening from the cheap lower bounds.
 
     The greedy first-fit colouring supplies the initial upper bound, so a
-    feasible colouring always exists at the top of the deepening range; it
-    draws from the same budget, and if it spends it, nothing else runs.  Each
-    level runs ``_level``, which computes pi only if its quick search
-    stalls.  If the budget runs out first, the best colouring found so far is
-    returned, ``exact`` only when the bounds, the levels refuted and any
-    cached pi already meet it, else tagged ``upper_bound_only``.
+    feasible colouring always exists at the top of the deepening range; its
+    compile draws from the same budget, and if it spends it, nothing else
+    runs.  Each level runs ``_level``, which computes pi only if its quick
+    search stalls; no chromatic, clique cover or cochromatic number is
+    searched for.  If the budget runs out first, the best colouring found
+    so far is returned, ``exact`` only when the bounds, the levels refuted
+    and any cached pi already meet it, else tagged ``upper_bound_only``.
     """
     if g.n == 0:
         return CertifiedColouring(Colouring((), 0), kind, True, "solver", "exact")
@@ -660,19 +660,21 @@ def bounds(
     """Best applicable lower and upper bounds on chi_kind, each annotated.
 
     Lower bounds: ceil(n/pi); the (monophonic) diameter bound for gp and
-    mono kinds; the chromatic number for independent kinds.  Upper bounds:
-    n - pi + 1; pairing the leftovers for the non-independent kinds; the
-    clique cover number for the non-independent kinds; splitting a longest
-    geodesic for independent kinds; total domination for gp on diamond-free
-    graphs without isolated vertices.
+    mono kinds; the chromatic number for independent kinds (a solve does
+    without it).  Upper bounds: n - pi + 1; pairing the leftovers for the
+    non-independent kinds; the clique cover number for the non-independent
+    kinds; splitting a longest geodesic for independent kinds; total
+    domination for gp on diamond-free graphs without isolated vertices.
     """
     n = g.n
     if n == 0:
         return BoundPair(0, 0, "empty graph", "empty graph")
     budget = limits.ticker()
-    cheap = max(_lower_bounds(g, kind, budget))
+    lo = max(_lower_bounds(g, kind, budget))
+    if kind.independent:
+        lo = max(lo, (chromatic_number(g, budget), "chromatic number"))
     pi = position_number(g, kind, budget).value
-    lo = max(cheap, (-(-n // pi), "ceil(n/pi)"))
+    lo = max(lo, (-(-n // pi), "ceil(n/pi)"))
     upper: list[tuple[int, str]] = [(n - pi + 1, "n-pi+1")]
     comp = diameter(g)
     if kind.independent:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from oracles import canonical_key, oracle_cochromatic
@@ -50,6 +52,9 @@ class TestPredictedChi:
             ("j:3,2", K.GP, 5),
             ("j:3,2", K.MU, 3),
             ("g_star:4,9", K.GP_I, 4),
+            ("g_star:1,1", K.MU_I, 1),
+            ("g_star:1,3", K.GP_I, 2),  # the star K_{1,2}
+            ("g_star:1,6", K.MU_I, 2),
             ("g:3,5", K.GP_I, 5),
             ("cartesian(path:2,path:7)", K.GP, 5),
             ("cartesian(path:4,path:9)", K.GP, 10),
@@ -137,6 +142,49 @@ class TestPredictionsAgainstSolver:
             p = predicted_chi(spec, K.GP)
             assert p.status == "exact"
             assert p.value == chromatic_position_number(generate(spec), K.GP).k
+
+
+# small instances of every family that ``predicted_chi`` covers
+_SWEEP_SPECS = (
+    [f"complete:{n}" for n in range(1, 8)] + [f"path:{n}" for n in range(1, 12)]
+    + [f"cycle:{n}" for n in range(3, 14)]
+    + ["multipartite:" + ",".join(map(str, parts))
+       for n in range(1, 8) for parts in partitions_descending(n)]
+    + [f"turan:{a},{n}" for a, n in product(range(1, 5), range(1, 9)) if a <= n]
+    + [f"kneser2:{n}" for n in range(5, 8)] + [f"line_complete:{n}" for n in range(3, 8)]
+    + [f"h:{r},{s}" for r, s in product(range(3, 6), range(5))]
+    + [f"j:{r},{s}" for r, s in product(range(1, 4), range(1, 4)) if r + s <= 5]
+    + [f"g_star:{a},{n}" for a, n in product(range(1, 5), range(1, 8)) if a <= n]
+    + [f"g:{a},{b}" for a, b in product(range(2, 5), range(2, 7)) if a <= b]
+    + [f"q:{r}" for r in range(4, 10)]
+    + [f"split_random:{n},{seed}" for n, seed in product(range(1, 9), range(2))]
+    + [f"complementary_prism(split_random:{n},{seed})"
+       for n, seed in product(range(3, 7), range(2))]
+    + [f"cartesian(path:{m},path:{n})" for m, n in product(range(1, 5), range(1, 7))]
+    + [f"cartesian(cycle:{m},cycle:{n})" for m, n in product(range(3, 5), range(3, 5))]
+    + [f"strong(path:{m},path:{n})" for m, n in product(range(1, 5), range(1, 6))]
+    + [f"tree_leaves:{a},{b}" for a, b in product(range(2, 5), range(3))]
+    + [f"t:{a},{b}" for a, b in product(range(2, 4), range(2, 5)) if a <= b]
+    + [f"s:{r},{t}" for r, t in product(range(4), range(1, 4))]
+    + [f"block_random:{n},{seed}" for n, seed in product(range(5, 11), range(2))]
+)
+
+
+def test_every_prediction_contains_the_solved_value():
+    """Each ``exact`` or ``bounds`` claim, for all six kinds, contains the exact chi."""
+    wrong = []
+    for text in _SWEEP_SPECS:
+        spec = parse_family(text)
+        g = generate(spec)
+        for kind in K:
+            p = predicted_chi(spec, kind)
+            if p.status == "unknown":
+                continue
+            r = chromatic_position_number(g, kind)
+            assert r.optimality == "exact"
+            if not p.low <= r.k <= p.high:
+                wrong.append((text, kind.value, p.low, p.high, r.k))
+    assert not wrong
 
 
 class TestPredictedPositionNumbers:

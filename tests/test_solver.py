@@ -15,9 +15,12 @@ from conftest import (
     random_graph,
 )
 from oracles import (
+    floyd_warshall,
     oracle_chromatic_position,
     oracle_cochromatic,
     oracle_is_position_set,
+    oracle_monophonic_diameter,
+    oracle_position_number,
     oracle_total_domination,
 )
 from poscol import graphs, position, solver
@@ -28,6 +31,7 @@ from poscol.errors import (
 from poscol.families import generate, parse_family, random_connected_graph
 from poscol.graph6 import graph6_decode
 from poscol.graphs import (
+    INF,
     Graph,
     build_graph,
     diameter,
@@ -204,6 +208,29 @@ class TestBounds:
                 b = bounds(g, kind)
                 k = chromatic_position_number(g, kind).k
                 assert b.lower <= k <= b.upper, (g.edges(), kind, b, k)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lower_bound_is_the_largest_oracle_candidate(self, n):
+        """The lower end and its reason are the largest of the candidates, each
+        recomputed by an oracle: the trivial bound, the (monophonic) diameter
+        bound, chi for the ``_i`` kinds and ceil(n/pi)."""
+        for g in graphs_of_order(n):
+            diam = max(d for row in floyd_warshall(g) for d in row if d is not INF)
+            chi = oracle_chromatic_position(
+                g, K.GP, membership=lambda cls: all(
+                    b not in g.adj[a] for a, b in itertools.combinations(cls, 2)))
+            for kind in ALL_KINDS:
+                pi = oracle_position_number(g, kind)
+                candidates = [(1, "trivial"), (-(-n // pi), "ceil(n/pi)")]
+                if kind.base is K.GP:
+                    candidates.append((-(-(diam + 1) // 2), "diameter"))
+                if kind.base is K.MONO:
+                    candidates.append(
+                        (-(-(oracle_monophonic_diameter(g) + 1) // 2), "monophonic diameter"))
+                if kind.independent:
+                    candidates.append((chi, "chromatic number"))
+                b = bounds(g, kind)
+                assert (b.lower, b.lower_reason) == max(candidates), (g.edges(), kind)
 
 
 class TestClassicParameters:
@@ -418,6 +445,25 @@ def test_budget_exhaustion_returns_tagged_upper_bound(petersen):
         assert r2.k == 3
     else:
         assert r2.k >= 3
+
+
+@pytest.mark.parametrize("spec, values", [
+    ("petersen", (3, 4, 3)),
+    ("cartesian(path:4,path:6)", (7, 12, 4)),
+    ("random:16,0.25,5", (4, 8, 4)),
+])
+def test_an_independent_solve_searches_for_no_chromatic_number(monkeypatch, spec, values):
+    """Every class of an ``_i`` kind carries the independence mask, so the
+    deepening refutes each k below chi without a chromatic-number search."""
+
+    def no_search(*args):
+        raise AssertionError("a classic-parameter search ran")
+
+    monkeypatch.setattr(solver, "_fewest_classes", no_search)
+    g = generate(parse_family(spec))
+    for kind, value in zip((K.GP_I, K.MONO_I, K.MU_I), values):
+        r = chromatic_position_number(g, kind)
+        assert (r.k, r.optimality) == (value, "exact"), kind
 
 
 def _charged_nodes(monkeypatch) -> list[int]:
