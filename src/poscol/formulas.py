@@ -285,18 +285,6 @@ def predicted_position_number(spec: FamilySpec, kind: PositionKind) -> Predictio
 # -- characterisations ----------------------------------------------------------
 
 
-def _is_iuc(g: Graph, side: list[int]) -> bool:
-    """Does ``side`` induce a disjoint union of cliques (no induced P3)?"""
-    inside = set(side)
-    for w in side:
-        nb = [u for u in g.adj[w] if u in inside]
-        for i, u in enumerate(nb):
-            for v in nb[i + 1 :]:
-                if v not in g.adj[u]:
-                    return False
-    return True
-
-
 def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Structural test for chi_gp(G) = 2: a 2-partition into independent
     unions of cliques with diam* <= 3 and the cross-clique distance condition.
@@ -318,7 +306,7 @@ def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bo
         side1 = [v for v in range(1, n) if not mask >> (v - 1) & 1]
         if not side1:
             continue
-        if not (_is_iuc(g, side0) and _is_iuc(g, side1)):
+        if not all(is_disjoint_union_of_cliques(g, side) for side in (side0, side1)):
             continue
         if _cross_condition(g, dist, side0, side1) and _cross_condition(
             g, dist, side1, side0

@@ -440,10 +440,12 @@ def complete_graph_edges(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def is_disjoint_union_of_cliques(g: Graph) -> bool:
-    """True iff every component induces a clique (no induced P3 anywhere)."""
-    for w in range(g.n):
-        nb = sorted(g.adj[w])
+def is_disjoint_union_of_cliques(g: Graph, vertices: Iterable[int] | None = None) -> bool:
+    """True iff ``vertices`` (default: all) induce a disjoint union of cliques,
+    that is, no induced P3."""
+    inside = range(g.n) if vertices is None else set(vertices)
+    for w in inside:
+        nb = [u for u in g.adj[w] if u in inside]
         for i, u in enumerate(nb):
             for v in nb[i + 1 :]:
                 if v not in g.adj[u]:

@@ -13,16 +13,18 @@ All six properties are closed under taking subsets, which the exact searches
 exploit for pruning.
 
 The properties are decided twice here, on purpose.  The searches
-(:class:`SetState`, ``position_number``, ``position_sets_of_size`` and the
-solver's greedy and partition searches) run on :class:`Constraints`, the
-bitmask form of one graph and base kind, compiled once and cached on the
-graph.  ``is_position_set`` works from the distances among the set's own
-members and the induced-path oracle alone and never touches the compiled
-form, so it re-verifies every search result independently.  For mono the two
-sides do not share a search either: the compiled lines come from
-:func:`~poscol.graphs.induced_paths`, one walk over every induced path of the
-graph, while the verifier asks ``exists_induced_path_through`` about each
-triple of the set.
+(``position_number``, ``position_sets_of_size`` and the solver's) run on
+:class:`Constraints`, the bitmask form of one graph and base kind, cached on
+the graph.  Each search compiles it once, on its own budget, and grows
+:class:`SetState` objects that wrap it; ``position_sets_of_size`` and the
+solver's packing share one fixed-size walk, :func:`completions`.
+``is_position_set`` works from the distances among the set's own members and
+the induced-path oracle alone and never touches the compiled form, so it
+re-verifies every search result independently.  For mono the two sides do
+not share a search either: the compiled lines come from
+:func:`~poscol.graphs.induced_paths`, one walk over every induced path of
+the graph, while the verifier asks ``exists_induced_path_through`` about
+each triple of the set.
 
 Both take the metric from :mod:`poscol.graphs`: the cached distance layers,
 built by one sweep from every vertex at once, and the component masks.  The
@@ -114,10 +116,11 @@ def exists_induced_path_through(
     search node of ``limits``.  Results are memoised on the graph (the
     endpoints are symmetric).
     """
-    if len({u, w, v}) != 3:
-        raise GraphInputError("u, w, v must be three distinct vertices")
+    lo, hi = (u, v) if u < v else (v, u)
+    if not (0 <= lo < hi < g.n and 0 <= w < g.n) or w == lo or w == hi:
+        raise GraphInputError("u, w, v must be three distinct vertices of the graph")
     memo = g._memo.setdefault("induced_through", {})
-    key = (min(u, v), w, max(u, v))
+    key = (lo, w, hi)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -162,6 +165,8 @@ def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
 
     One :func:`~poscol.graphs.layer_walk` from ``u`` toward ``v``.
     """
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise GraphInputError("u, v must be vertices of the graph")
     blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
     found, hidden = layer_walk(adjacency_masks(g), u, 1 << v, blocked_mask)
     if not found[-1]:
@@ -399,7 +404,8 @@ def compiled(
     """The :class:`Constraints` of ``g`` and the base of ``kind``, built on first use.
 
     Only the build draws from ``limits`` (for mono, the induced-path walk);
-    a build the budget stops caches nothing.
+    a build the budget stops caches nothing.  A search calls it once and
+    hands the core to every :class:`SetState` it makes.
     """
     key = ("constraints", kind.base)
     core = g._memo.get(key)
@@ -411,9 +417,10 @@ def compiled(
 class SetState:
     """A growing candidate position set with incremental feasibility checks.
 
-    Runs on the compiled :class:`Constraints` of its graph and base kind.  The
-    set keeps one ``forbidden`` mask of vertices known not to fit: ``v`` may
-    join only when its bit is clear.  For gp and mono, and for the
+    Wraps ``core``, the compiled :class:`Constraints` of a graph and base
+    kind that its search built once; ``independent`` adds the independence
+    of the ``_i`` kinds.  The set keeps one ``forbidden`` mask of vertices
+    known not to fit: ``v`` may join only when its bit is clear.  For gp and mono, and for the
     independence of the ``_i`` kinds, a clear bit alone decides: on joining,
     a vertex adds its lines through every member (and, for ``_i`` kinds, its
     neighbourhood).  For mu the visibility of the affected pairs is checked
@@ -421,17 +428,14 @@ class SetState:
     ``forbidden`` bit for a vertex that does not fit and an ``ok`` bit for
     one that does, and both masks go back to their old values on ``pop``.
     Subset closure makes all of this sound: a vertex that cannot join a set
-    cannot join any superset.  ``limits`` pays only for building the
-    constraints, when the graph has none for this kind yet.
+    cannot join any superset.
     """
 
     __slots__ = ("core", "independent", "members", "mask", "forbidden", "ok", "_saved")
 
-    def __init__(
-        self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
-    ):
-        self.core = compiled(g, kind, limits)
-        self.independent = kind.independent
+    def __init__(self, core: Constraints, independent: bool):
+        self.core = core
+        self.independent = independent
         self.members: list[int] = []
         self.mask = 0
         self.forbidden = 0
@@ -506,7 +510,7 @@ def position_number(
     if cached is not None:
         return cached
     ticker = limits.ticker()
-    state = SetState(g, kind, ticker)
+    state = SetState(compiled(g, kind, ticker), kind.independent)
     best: list[int] = []
 
     def search(cands: list[int]) -> None:
@@ -532,31 +536,40 @@ def position_number(
     return result
 
 
+def completions(
+    state: SetState, cands: list[int], size: int, ticker: BudgetTicker
+) -> Iterator[None]:
+    """Grow ``state`` to ``size`` members from ``cands``, each way once.
+
+    Yields at each completion, with the set in ``state``; the members added
+    follow ``cands``'s order, and a branch stops when too few candidates
+    remain.  Each node charges ``ticker`` one tick.  Every member added is
+    popped before the walk returns; one stopped early keeps its last set.
+    """
+    ticker.tick()
+    need = size - len(state.members)
+    if not need:
+        yield
+        return
+    for idx, v in enumerate(cands):
+        if len(cands) - idx < need:
+            return
+        if state.try_add(v):
+            forbidden = state.forbidden
+            yield from completions(
+                state, [u for u in cands[idx + 1 :] if not forbidden >> u & 1], size, ticker
+            )
+            state.pop()
+
+
 def position_sets_of_size(
     g: Graph, kind: PositionKind, size: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[frozenset[int]]:
     """Yield every ``kind`` position set of exactly ``size`` vertices."""
     ticker = limits.ticker()
-    state = SetState(g, kind, ticker)
-
-    def search(cands: list[int]) -> Iterator[frozenset[int]]:
-        ticker.tick()
-        if len(state.members) == size:
-            yield frozenset(state.members)
-            return
-        need = size - len(state.members)
-        for idx, v in enumerate(cands):
-            if len(cands) - idx < need:
-                return
-            if state.try_add(v):
-                forbidden = state.forbidden
-                yield from search([u for u in cands[idx + 1 :] if not forbidden >> u & 1])
-                state.pop()
-
-    try:
-        yield from search(degree_order(g))
-    finally:
-        del search  # a recursive closure is a reference cycle; free it now
+    state = SetState(compiled(g, kind, ticker), kind.independent)
+    for _ in completions(state, degree_order(g), size, ticker):
+        yield frozenset(state.members)
 
 
 def is_maximal_position_set(

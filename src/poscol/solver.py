@@ -11,7 +11,10 @@ complement) and the cochromatic number deepen the same search over classes
 that must be independent sets, or for the cochromatic number independent
 sets or cliques.  The greedy bound, ``position_number``, the partition search
 and the exact-cover packing run on the compiled bitmask constraints of
-:mod:`poscol.position`.  Each class answers ``fits``, the mask of the
+:mod:`poscol.position`, compiled once per entry point: the private searches
+get the vertex order and a factory of classes that wrap the core, never the
+graph, and the packing completes its classes with the fixed-size walk of
+``position_sets_of_size``.  Each class answers ``fits``, the mask of the
 unassigned vertices it takes (for gp, mono and the classic families one AND
 with its ``forbidden`` mask), and a node of the partition search folds those
 masks into the vertices that fit at least one, two and three classes: a
@@ -61,6 +64,7 @@ from .position import (
     PositionKind,
     SetState,
     compiled,
+    completions,
     is_position_set,
     position_number,
 )
@@ -138,36 +142,37 @@ def verify_colouring(
 
 
 def _feasible_partition(
-    g: Graph,
+    order: list[int],
     new_class: Callable[[], SetState | _CliqueOrIndependent],
     k: int,
     budget: BudgetTicker,
 ) -> Colouring | None:
-    """A partition of V(g) into at most ``k`` classes, or None if none exists.
+    """A partition of the vertices into at most ``k`` classes, or None if none exists.
 
-    ``new_class()`` makes an empty class of the family: a :class:`SetState`
-    for a position kind, a :class:`_CliqueOrIndependent` for the classic
-    parameters.  Every such family is closed under subsets, so a class only
+    ``order`` lists every vertex, in the caller's ``degree_order`` of the
+    graph.  ``new_class()`` makes an empty class of the family: a
+    :class:`SetState` for a position kind, a :class:`_CliqueOrIndependent`
+    for the classic parameters.  Every such family is closed under subsets, so a class only
     ever has to check the vertex that joins it, and a vertex that fits no
     class fits none below the node either.  A node asks each open class
     which unassigned vertices it takes (``fits``, one mask per class) and
     folds the answers into the masks of the vertices that fit at least one,
     two and three classes.  Forward checking on every vertex: one that fits
     no class fails the node.  Otherwise the node branches on the unassigned
-    vertex with the fewest feasible classes (deterministic tie-break:
-    descending degree then id), trying its classes in order; the vertices
-    are counted one by one only when each fits three classes or more.
+    vertex with the fewest feasible classes (deterministic tie-break: first
+    in ``order``), trying its classes in order; the vertices are counted
+    one by one only when each fits three classes or more.
     Each node charges ``budget`` one tick.  No capacity prune: with every
     class a position set it could only test k*pi < n, which ``_level``
     decides first.
     """
-    if g.n == 0:
+    n = len(order)
+    if n == 0:
         return Colouring((), 0)
     if k <= 0:
         return None
-    order = degree_order(g)
     states = [new_class() for _ in range(k)]
-    assignment = [-1] * g.n
+    assignment = [-1] * n
 
     def bt(free: int, opened: int) -> bool:
         budget.tick()
@@ -210,7 +215,7 @@ def _feasible_partition(
         return False
 
     try:
-        if not bt((1 << g.n) - 1, 0):
+        if not bt((1 << n) - 1, 0):
             return None
     finally:
         del bt  # a recursive closure is a reference cycle; free it now
@@ -219,69 +224,50 @@ def _feasible_partition(
 
 
 def _perfect_packing(
-    g: Graph, new_class: Callable[[], SetState], k: int, pi: int, budget: BudgetTicker
+    n: int, new_class: Callable[[], SetState], pi: int, budget: BudgetTicker
 ) -> Colouring | None:
-    """k classes of exactly ``pi`` vertices each (the tight case k*pi == n).
+    """n/pi classes of exactly ``pi`` vertices each (the tight case k*pi == n).
 
     Exact-cover style search: the lowest unassigned vertex anchors the next
-    class, whose remaining members are chosen in increasing id order, so
+    class, and :func:`~poscol.position.completions` grows it to ``pi``
+    members from the later unassigned vertices, in increasing id order, so
     class symmetry disappears entirely.
     """
-    n = g.n
-    assignment = [-1] * n
+    classes: list[SetState] = []
 
-    def next_free(start: int = 0) -> int:
-        v = start
-        while v < n and assignment[v] != -1:
-            v += 1
-        return v
-
-    def fill(colour: int) -> bool:
+    def fill(free: int) -> bool:
         budget.tick()
-        if colour == k:
+        if not free:
             return True
-        anchor = next_free()
+        anchor = (free & -free).bit_length() - 1
         state = new_class()
         state.try_add(anchor)
-        assignment[anchor] = colour
-        if extend(colour, state, anchor + 1):
-            return True
-        assignment[anchor] = -1
-        return False
-
-    def extend(colour: int, state: SetState, start: int) -> bool:
-        budget.tick()
-        if len(state.members) == pi:
-            return fill(colour + 1)
-        v = start
-        while v < n:
-            if assignment[v] == -1 and state.try_add(v):
-                assignment[v] = colour
-                if extend(colour, state, v + 1):
-                    return True
-                state.pop()
-                assignment[v] = -1
-            v += 1
+        classes.append(state)
+        allowed = free & ~state.forbidden
+        cands = [v for v in range(anchor + 1, n) if allowed >> v & 1]
+        for _ in completions(state, cands, pi, budget):
+            if fill(free & ~state.mask):
+                return True
+        classes.pop()
         return False
 
     try:
-        if not fill(0):
+        if not fill((1 << n) - 1):
             return None
     finally:
-        del fill, extend  # mutually recursive closures form a reference cycle
-    return Colouring(tuple(assignment), k)
+        del fill  # a recursive closure is a reference cycle; free it now
+    return Colouring.from_classes(n, [st.members for st in classes])
 
 
 def _first_fit(
-    order: Iterable[int],
-    new_class: Callable[[], SetState | _CliqueOrIndependent],
-    assignment: list[int],
-) -> int:
-    """Put each vertex of ``order`` into the first class that takes it,
-    opening a class from ``new_class()`` when none does; return the number
-    of classes.  ``assignment`` is filled in place.
+    order: list[int], new_class: Callable[[], SetState | _CliqueOrIndependent]
+) -> Colouring:
+    """First fit: each vertex of ``order``, which lists every vertex, joins
+    the first class that takes it, or a new class from ``new_class()`` when
+    none does.
     """
     states: list = []
+    assignment = [-1] * len(order)
     for v in order:
         for c, st in enumerate(states):
             if st.try_add(v):
@@ -292,7 +278,7 @@ def _first_fit(
             st.try_add(v)
             states.append(st)
             assignment[v] = len(states) - 1
-    return len(states)
+    return Colouring(tuple(assignment), len(states))
 
 
 def greedy_position_colouring(
@@ -308,10 +294,10 @@ def greedy_position_colouring(
     always returned.
     """
     order = degree_order(g)
-    assignment = [-1] * g.n
     try:
-        compiled(g, kind, limits)
+        core = compiled(g, kind, limits)
     except BudgetExceededError:
+        assignment = [-1] * g.n
         k, single = 0, -1  # ``single``: a vertex alone in class k - 1
         for v in order:
             if single == -1 or kind.independent and v in g.adj[single]:
@@ -320,41 +306,39 @@ def greedy_position_colouring(
                 single = -1
             assignment[v] = k - 1
         return Colouring(tuple(assignment), k)
-    k = _first_fit(order, partial(SetState, g, kind), assignment)
-    return Colouring(tuple(assignment), k)
+    return _first_fit(order, partial(SetState, core, kind.independent))
 
 
 def _iterated_greedy(
-    g: Graph,
+    order: list[int],
     new_class: Callable[[], SetState | _CliqueOrIndependent],
     k: int,
     budget: BudgetTicker,
 ) -> Colouring:
     """A colouring with at most ``k`` classes, by Culberson's iterated greedy.
 
-    The first round is first fit in descending-degree order.  Each later
-    round runs first fit again over the vertices of the last colouring,
-    concatenated class by class: largest class first with probability 0.5,
-    the classes reversed with 0.2 and shuffled with 0.3, drawn from
-    ``random.Random(1)``, so the rounds are the same on every call.  Every
-    class family here is closed under subsets, so a round never needs more
-    classes than the one before.  Each round charges ``budget`` one node per
-    vertex.  The rounds stop only at ``k`` classes or when the budget raises
-    :class:`BudgetExceededError`, so the caller caps the budget.  Ref:
+    The first round is first fit in ``order``, every vertex in the caller's
+    ``degree_order`` of the graph.  Each later round runs first fit again
+    over the vertices of the last colouring, concatenated class by class:
+    largest class first with probability 0.5, the classes reversed with 0.2
+    and shuffled with 0.3, drawn from ``random.Random(1)``, so the rounds
+    are the same on every call.  Every class family here is closed under
+    subsets, so a round never needs more classes than the one before.  Each
+    round charges ``budget`` one node per vertex.  The rounds stop only at
+    ``k`` classes or when the budget raises :class:`BudgetExceededError`, so
+    the caller caps the budget.  Ref:
     Culberson & Luo, "Exploring the k-colorable landscape with Iterated
     Greedy" (DIMACS 1996).
     """
     rng = random.Random(1)
-    order = degree_order(g)
-    assignment = [-1] * g.n
     while True:
-        budget.tick(g.n)
-        used = _first_fit(order, new_class, assignment)
-        if used <= k:
-            return Colouring(tuple(assignment), used)
-        classes: list[list[int]] = [[] for _ in range(used)]
+        budget.tick(len(order))
+        found = _first_fit(order, new_class)
+        if found.k <= k:
+            return found
+        classes: list[list[int]] = [[] for _ in range(found.k)]
         for v in order:
-            classes[assignment[v]].append(v)
+            classes[found.assignment[v]].append(v)
         roll = rng.random()
         if roll < 0.5:
             classes.sort(key=len, reverse=True)
@@ -434,22 +418,23 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
     """One colouring with at most ``k`` classes, or None if none exists.
 
     The constraints are compiled first, on the whole budget, so that no
-    capped slice stops the mono kinds' walk over every induced path midway.
-    A cached pi with k*pi < n refutes the level outright.  Without pi, a
-    search of at most ``_QUICK_NODES`` nodes usually settles it; only when
-    that stalls is pi computed, in at most 200k nodes, and cached.  Then
-    k*pi < n refutes the level and k*pi == n calls ``_perfect_packing``.
-    Otherwise ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to
-    find the colouring, and if it does not, the level is searched again on
-    the rest of the budget.
+    capped slice stops the mono kinds' walk over every induced path midway;
+    the searches below share that core and one ``degree_order``.  A cached pi
+    with k*pi < n refutes the level outright.  Without pi, a search of at
+    most ``_QUICK_NODES`` nodes usually settles it; only when that stalls is
+    pi computed, in at most 200k nodes, and cached.  Then k*pi < n refutes
+    the level and k*pi == n calls ``_perfect_packing``.  Otherwise
+    ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to find the
+    colouring, and if it does not, the level is searched again on the rest
+    of the budget.
     """
-    compiled(g, kind, budget)
-    new_class = partial(SetState, g, kind)
+    new_class = partial(SetState, compiled(g, kind, budget), kind.independent)
+    order = degree_order(g)
     pi = _known_position_number(g, kind)
     if pi is None:
         try:
             with budget.capped(_QUICK_NODES):
-                return _feasible_partition(g, new_class, k, budget)
+                return _feasible_partition(order, new_class, k, budget)
         except BudgetExceededError:
             try:
                 with budget.capped(200_000):
@@ -459,13 +444,13 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
     if pi is not None and k * pi < g.n:
         return None
     if pi and k * pi == g.n:  # pi is 0 only on the empty graph
-        return _perfect_packing(g, new_class, k, pi, budget)
+        return _perfect_packing(g.n, new_class, pi, budget)
     try:
         with budget.capped(_QUICK_NODES):
-            return _iterated_greedy(g, new_class, k, budget)
+            return _iterated_greedy(order, new_class, k, budget)
     except BudgetExceededError:
         pass
-    return _feasible_partition(g, new_class, k, budget)
+    return _feasible_partition(order, new_class, k, budget)
 
 
 def feasible_position_colouring(
@@ -535,8 +520,9 @@ def _fewest_classes(
     """Fewest independent (or, if allowed, clique) classes, deepening from ``lower``."""
     budget = limits.ticker()
     new_class = partial(_CliqueOrIndependent, adjacency_masks(g), clique_allowed)
+    order = degree_order(g)
     k = lower
-    while (found := _feasible_partition(g, new_class, k, budget)) is None:
+    while (found := _feasible_partition(order, new_class, k, budget)) is None:
         k += 1
     return found
 

@@ -150,6 +150,13 @@ class TestInducedPathThrough:
         with pytest.raises(GraphInputError):
             exists_induced_path_through(path(4), 0, 0, 3)
 
+    @pytest.mark.parametrize("u, w, v", [(0, 1, 7), (-1, 1, 2), (0, 4, 2), (9, 1, -3)])
+    def test_vertices_out_of_range_are_rejected_before_the_memo(self, u, w, v):
+        g = path(4)
+        with pytest.raises(GraphInputError, match="vertices of the graph"):
+            exists_induced_path_through(g, u, w, v)
+        assert not g._memo.get("induced_through")
+
     def test_matches_exhaustive_enumeration_petersen(self, petersen):
         arrangements = induced_path_through_arrangements(petersen)
         for u, w, v in itertools.permutations(range(10), 3):
@@ -187,6 +194,11 @@ class TestGeodesicAvoiding:
         g = build_graph(2, [])
         with pytest.raises(GraphInputError):
             geodesic_avoiding(g, 0, 1, set())
+
+    @pytest.mark.parametrize("u, v", [(5, 0), (0, 4), (-1, 2), (2, -1)])
+    def test_vertices_out_of_range_are_rejected(self, u, v):
+        with pytest.raises(GraphInputError, match="vertices of the graph"):
+            geodesic_avoiding(path(4), u, v, [])
 
     @pytest.mark.parametrize("index", range(9))
     def test_matches_geodesic_enumeration(self, index):
@@ -239,7 +251,7 @@ class TestSetStateAgainstOracles:
                     out |= oracle[s] << v
             return out
 
-        state = SetState(g, kind)
+        state = SetState(compiled(g, kind), kind.independent)
         for _ in range(60):
             outside = [v for v in range(g.n) if v not in state.members]
             if not outside or (state.members and rng.random() < 0.3):
@@ -407,6 +419,23 @@ def _kneser_maximal_type(g, s):
     if len(common) == 1:
         return "common-element-star"
     return None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sets_of_each_size_are_the_oracle_position_sets(n):
+    """On every catalogue graph of order n, for all six kinds and every
+    size, the fixed-size walk yields each oracle position set once and
+    nothing else."""
+    for g in graphs_of_order(n):
+        for kind in ALL_KINDS:
+            for size in range(n + 1):
+                found = list(position_sets_of_size(g, kind, size))
+                expect = {
+                    frozenset(s) for s in itertools.combinations(range(n), size)
+                    if oracle_is_position_set(g, s, kind)
+                }
+                assert len(found) == len(set(found)), (g.edges(), kind, size)
+                assert set(found) == expect, (g.edges(), kind, size)
 
 
 @pytest.mark.parametrize("n", [5, 6])

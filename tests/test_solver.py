@@ -26,7 +26,8 @@ from oracles import (
 from poscol import graphs, position, solver
 from poscol.catalogue import graphs_of_order
 from poscol.errors import (
-    DEFAULT_LIMITS, TICK_BLOCK, BudgetExceededError, BudgetTicker, GraphInputError, Limits,
+    DEFAULT_LIMITS, TICK_BLOCK, UNLIMITED, BudgetExceededError, BudgetTicker, GraphInputError,
+    Limits,
 )
 from poscol.families import generate, parse_family, random_connected_graph
 from poscol.graph6 import graph6_decode
@@ -34,6 +35,7 @@ from poscol.graphs import (
     INF,
     Graph,
     build_graph,
+    degree_order,
     diameter,
     disjoint_union,
     is_disjoint_union_of_cliques,
@@ -42,7 +44,7 @@ from poscol.graphs import (
     product,
     relabel,
 )
-from poscol.position import ALL_KINDS, PositionKind, SetState
+from poscol.position import ALL_KINDS, PositionKind, SetState, compiled, position_number
 from poscol.reduction import check_equivalence, random_nae_instance
 from poscol.solver import (
     Colouring,
@@ -502,6 +504,31 @@ def test_feasible_colouring_phases_share_one_node_budget(monkeypatch):
     assert sum(charged) <= 100 + TICK_BLOCK
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_packing_agrees_with_the_partition_search(n):
+    """On every catalogue graph of order n and every kind whose pi divides
+    n, the packing finds n/pi classes exactly when the partition search
+    finds a colouring with that many, and each class it packs is an oracle
+    position set of exactly pi vertices."""
+    for g in graphs_of_order(n):
+        order = degree_order(g)
+        for kind in ALL_KINDS:
+            pi = position_number(g, kind).value
+            if n % pi:
+                continue
+            k = n // pi
+            new_class = partial(SetState, compiled(g, kind), kind.independent)
+            packing = solver._perfect_packing(n, new_class, pi, UNLIMITED.ticker())
+            partition = solver._feasible_partition(order, new_class, k, UNLIMITED.ticker())
+            assert (packing is None) == (partition is None), (g.edges(), kind)
+            if packing is not None:
+                assert packing.k == k
+                for cls in packing.classes():
+                    assert len(cls) == pi and oracle_is_position_set(g, cls, kind), (
+                        g.edges(), kind, cls,
+                    )
+
+
 def test_feasible_colouring_refutes_by_pi_within_budget():
     """A stalled quick pass leaves pi and its k*pi < n refutation the rest of the budget."""
     g = generate(parse_family("cartesian(path:4,path:6)"))
@@ -539,7 +566,8 @@ def test_iterated_greedy_returns_position_colourings():
                 budget = Limits(node_limit=20 * g.n).ticker()
                 try:
                     runs.append(solver._iterated_greedy(
-                        g, partial(SetState, g, kind, budget), k, budget
+                        degree_order(g),
+                        partial(SetState, compiled(g, kind, budget), kind.independent), k, budget,
                     ))
                 except BudgetExceededError:
                     runs.append(None)
@@ -561,7 +589,9 @@ def test_iterated_greedy_stops_within_its_slice(monkeypatch):
     charged = _charged_nodes(monkeypatch)
     budget = Limits(node_limit=110).ticker()
     with pytest.raises(BudgetExceededError):
-        solver._iterated_greedy(g, partial(SetState, g, K.GP, budget), 6, budget)
+        solver._iterated_greedy(
+            degree_order(g), partial(SetState, compiled(g, K.GP, budget), False), 6, budget
+        )
     assert charged == [g.n] * (110 // g.n + 1)  # the last round crosses the limit
 
 
