@@ -3,8 +3,9 @@
 Every construction re-verifies its output through the position oracles,
 which need no all-pairs distance matrix, before returning (the torus
 tessellation feeds the closed-form cyclic metric to the same collinear-triple
-test instead of BFS; Cartesian distance additivity is checked separately in
-the graph tests).  A failed verification is a construction bug and raises.
+test instead of BFS, once per class shape, since its classes are translates;
+Cartesian distance additivity is checked separately in the graph tests).  A
+failed verification is a construction bug and raises.
 
 Colourings are tagged ``exact`` only for parameter ranges where a matching
 lower bound is proven; otherwise ``upper_bound_only``.
@@ -296,15 +297,28 @@ def _torus_classes(n1: int, n2: int) -> list[list[int]]:
 
 
 def _verify_torus_colouring(n1: int, n2: int, classes: list[list[int]]) -> None:
-    """gp check with the closed-form metric d = cyc(dr) + cyc(dc)."""
+    """gp check with the closed-form metric d = cyc(dr) + cyc(dc).
+
+    That metric depends only on the differences between cells, so each class
+    shape, its cells' offsets from its first cell mod (n1, n2), is checked once.
+    """
     seen = set()
+    shapes: dict[tuple[Cell, ...], bool] = {}
     for cls in classes:
         if len(cls) != 7:
             raise AssertionError("torus class of wrong size")
         seen.update(cls)
-        cells = [divmod(v, n2) for v in cls]
-        rows = [[_cyc(n1, r - q) + _cyc(n2, c - d) for q, d in cells] for r, c in cells]
-        if has_collinear_triple(rows, range(7)):
+        r0, c0 = divmod(cls[0], n2)
+        shape = tuple(((v // n2 - r0) % n1, (v - c0) % n2) for v in cls)
+        collinear = shapes.get(shape)
+        if collinear is None:
+            by_dist = [[0] * (n1 // 2 + n2 // 2 + 1) for _ in shape]
+            for (a, (r, c)), (j, (q, e)) in itertools.product(enumerate(shape), repeat=2):
+                by_dist[a][_cyc(n1, r - q) + _cyc(n2, c - e)] |= 1 << j
+            collinear = shapes[shape] = has_collinear_triple(
+                range(7), lambda a, later: [m & later for m in by_dist[a]], 7
+            )
+        if collinear:
             raise AssertionError("torus class is not in general position")
     if len(seen) != n1 * n2 or len(classes) * 7 != n1 * n2:
         raise AssertionError("torus classes do not partition the vertices")

@@ -86,9 +86,16 @@ class Graph:
         Row v is read off ``distance_layers(self)[v]``.
         """
         if self._dist is None:
-            self._dist = tuple(
-                tuple(layer_distances(by_dist, [INF] * self.n)) for by_dist in distance_layers(self)
-            )
+            rows = []
+            for by_dist in distance_layers(self):
+                row = [INF] * self.n
+                for d, layer in enumerate(by_dist):
+                    while layer:
+                        low = layer & -layer
+                        layer ^= low
+                        row[low.bit_length() - 1] = d
+                rows.append(tuple(row))
+            self._dist = tuple(rows)
         return self._dist
 
 
@@ -134,16 +141,6 @@ def layer_walk(
         targets ^= hit
         clear = near & frontier & ~blocked
     return found, hidden
-
-
-def layer_distances(by_dist: Sequence[int], row):
-    """Set ``row[w] = d`` for every vertex w of the mask ``by_dist[d]``; return ``row``."""
-    for d, layer in enumerate(by_dist):
-        while layer:
-            low = layer & -layer
-            layer ^= low
-            row[low.bit_length() - 1] = d
-    return row
 
 
 def distance_layers(g: Graph) -> tuple[tuple[int, ...], ...]:

@@ -20,8 +20,10 @@ the graph.  Each search compiles it once, on its own budget, and grows
 solver's packing share one fixed-size walk, :func:`completions`.
 ``is_position_set`` works from the distances among the set's own members and
 the induced-path oracle alone and never touches the compiled form, so it
-re-verifies every search result independently.  For mono the two sides do
-not share a search either: the compiled lines come from
+re-verifies every search result independently: for gp it packs each
+member's later members by distance into one int and tests every triple with
+a few shifted ANDs per member and distance (:func:`has_collinear_triple`).
+For mono the two sides do not share a search either: the compiled lines come from
 :func:`~poscol.graphs.induced_paths`, one walk over every induced path of
 the graph, while the verifier asks ``exists_induced_path_through`` about
 each triple of the set.
@@ -29,21 +31,21 @@ each triple of the set.
 Both take the metric from :mod:`poscol.graphs`: the cached distance layers,
 built by one sweep from every vertex at once, and the component masks.  The
 compiled forms of gp and mu read the layers, mono only the component masks;
-the verifier reads the layers when the graph already has them, and
-otherwise walks from each member only as far as the later members, with the
-single-source ``layer_walk``.
+the verifier masks the layers down to the later members when the graph
+already has them, and otherwise walks from each member only as far as the
+later members, with the single-source ``layer_walk``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
 from .graphs import (
-    INF, Graph, adjacency_masks, component_masks, degree_order, distance_layers, induced_paths,
-    layer_distances, layer_walk,
+    Graph, adjacency_masks, component_masks, degree_order, distance_layers, induced_paths,
+    layer_walk,
 )
 
 
@@ -174,50 +176,38 @@ def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
     return not hidden
 
 
-def _member_distances(g: Graph, s: list[int]) -> list[dict[int, float]]:
-    """Each member's distances to the later members of ``s``, by vertex.
+def has_collinear_triple(ids: Sequence[int], found, width: int) -> bool:
+    """True iff one of the points ``ids`` lies on a shortest path between two others.
 
-    Read from the distance layers when ``g`` already has them; otherwise one
-    walk per member, which stops once the later members are all reached.
+    Point i is bit i of a mask of ``width`` bits.  ``found(a, later)`` lists
+    the points of the mask ``later`` by distance from a, none across
+    components.  Going backwards, ``near[a]`` packs that list, bucket t at
+    bit t*width.  For each distance t from a, the buckets of the later points
+    b at that distance are ORed, and shifted ANDs with a's buckets and their
+    reversal find any r after b with b between a and r, a between b and r,
+    or r between a and b.  So each triple is tested at its first two points.
     """
-    layers = g._memo.get("distance_layers")
-    adj = adjacency_masks(g)
-    later = sum(1 << v for v in s)
-    rows = []
-    for a in s:
-        later ^= 1 << a
-        if layers is None:
-            found = layer_walk(adj, a, later)[0]
-        else:
-            found = [layer & later for layer in layers[a]]
-        rows.append(layer_distances(found, dict.fromkeys(s, INF)))
-    return rows
-
-
-def has_collinear_triple(rows: list, ids: list[int] | range) -> bool:
-    """True iff one of some points lies on a shortest path between two others.
-
-    ``rows[i][ids[j]]`` is the distance from point i to a later point j,
-    ``INF`` across components.  ``near[i]`` packs the buckets of point i: bit
-    t*k + j is set when point j is at distance t from it.  For a pair i, j at
-    distance d, bucket t of i meets bucket d + t of j exactly when i lies
-    between j and a point at distance t from i, so one shifted AND per
-    direction tests every t at once.
-    """
-    k = len(ids)
-    near = [0] * k
-    pairs = []
-    for i, row in enumerate(rows):
-        for j in range(i + 1, k):
-            d = row[ids[j]]
-            if d is not INF:
-                near[i] |= 1 << d * k + j
-                near[j] |= 1 << d * k + i
-                pairs.append((i, j, d * k))
-    for i, j, shift in pairs:
-        a, b = near[i], near[j]
-        if a & b >> shift or b & a >> shift:
-            return True
+    near: dict[int, int] = {}
+    later = 0
+    for a in reversed(ids):
+        layers = found(a, later)
+        later |= 1 << a
+        top = len(layers) - 1
+        mine = rev = 0
+        for t, layer in enumerate(layers):
+            if layer:
+                mine |= layer << t * width
+                rev |= layer << (top - t) * width
+        near[a] = mine
+        for t, layer in enumerate(layers):
+            theirs = 0
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                theirs |= near[low.bit_length() - 1]
+            up = t * width
+            if theirs and (mine & theirs << up or theirs & (mine << up | rev >> (top - t) * width)):
+                return True
     return False
 
 
@@ -230,9 +220,9 @@ def is_position_set(
     """Decide whether ``s`` has the position property ``kind`` in ``g``.
 
     A set of at most two vertices has no triple, and a pair sees itself.
-    Otherwise gp tests the members' distances for a collinear triple, mu
-    walks once from each member toward the later ones, and mono asks the
-    induced-path oracle about every triple.
+    Otherwise gp hands each member's later members, by distance, to
+    :func:`has_collinear_triple`; mu walks once from each member toward the
+    later ones, and mono asks the induced-path oracle about every triple.
     """
     s = sorted(set(s))
     if s and not (0 <= s[0] and s[-1] < g.n):
@@ -246,7 +236,10 @@ def is_position_set(
     if len(s) < 3:
         return True
     if base is PositionKind.GP:
-        return not has_collinear_triple(_member_distances(g, s), s)
+        layers, adj = g._memo.get("distance_layers"), adjacency_masks(g)
+        if layers is None:
+            return not has_collinear_triple(s, lambda a, later: layer_walk(adj, a, later)[0], g.n)
+        return not has_collinear_triple(s, lambda a, later: [x & later for x in layers[a]], g.n)
     if base is PositionKind.MONO:
         ticker = limits.ticker()
         for i, a in enumerate(s):
@@ -566,6 +559,8 @@ def position_sets_of_size(
     g: Graph, kind: PositionKind, size: int, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[frozenset[int]]:
     """Yield every ``kind`` position set of exactly ``size`` vertices."""
+    if size < 0:
+        raise GraphInputError(f"set size must be >= 0, got {size}")
     ticker = limits.ticker()
     state = SetState(compiled(g, kind, ticker), kind.independent)
     for _ in completions(state, degree_order(g), size, ticker):

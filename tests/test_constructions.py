@@ -343,10 +343,15 @@ def test_construction_sweep(text):
 def test_torus_verification_rejects_a_collinear_class():
     from poscol.constructions import _verify_torus_colouring
 
-    _verify_torus_colouring(7, 7, [[r * 7 + (2 * r + c) % 7 for r in range(7)] for c in range(7)])
+    good = [[r * 7 + (2 * r + c) % 7 for r in range(7)] for c in range(7)]
+    _verify_torus_colouring(7, 7, good)
     rows = [[r * 7 + c for c in range(7)] for r in range(7)]  # a row holds 0, 1, 2
     with pytest.raises(AssertionError, match="general position"):
         _verify_torus_colouring(7, 7, rows)
+    # each class shape is checked once: a collinear class that is not a
+    # translate of the others must still be caught among them
+    with pytest.raises(AssertionError, match="general position"):
+        _verify_torus_colouring(7, 7, good[:3] + rows[3:4] + good[4:])
 
 
 def test_constructions_verify_without_the_distance_matrix(monkeypatch):

@@ -15,8 +15,11 @@ from oracles import (
 from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graph6 import graph6_decode
-from poscol.families import kneser2_graph
-from poscol.graphs import build_graph, disjoint_union, product, relabel
+from poscol.constructions import construct_colouring
+from poscol.families import generate, kneser2_graph, parse_family
+from poscol.graphs import build_graph, disjoint_union, distance_layers, product, relabel
+from poscol.reduction import NaeInstance, build_reduction, normalize
+from poscol.solver import chromatic_position_number
 from poscol.position import (
     ALL_KINDS,
     PositionKind,
@@ -137,6 +140,76 @@ class TestVerifierAgainstOracle:
                     if expected:
                         accepted_sizes.append(len(set(s)))
         assert max(accepted_sizes) >= 7
+
+
+class TestCollinearTripleAgainstOracle:
+    """The gp verifier tests each member against the ORed buckets of its
+    later members at each distance.  Its verdicts must be the oracle's, on
+    a fresh graph (one walk per member) and on one with its layers cached."""
+
+    @staticmethod
+    def verdicts(g, s, kind):
+        fresh = build_graph(g.n, g.edges())
+        cached = build_graph(g.n, g.edges())
+        distance_layers(cached)
+        return [is_position_set(fresh, s, kind), is_position_set(cached, s, kind)]
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_subset_of_every_small_graph(self, n):
+        for g in graphs_of_order(n):
+            for size in range(3, n + 1):
+                for s in itertools.combinations(range(n), size):
+                    for kind in (K.GP, K.GP_I):
+                        expect = oracle_is_position_set(g, s, kind)
+                        assert self.verdicts(g, s, kind) == [expect, expect], (g.edges(), s, kind)
+
+    @staticmethod
+    def large_class_colouring(case):
+        if case == "nae":
+            inst = normalize(NaeInstance(4, ((1, 2, 3), (-1, 2, 4), (1, -3, -4))))
+            g = build_reduction(inst).graph
+            return g, chromatic_position_number(g, K.GP).colouring.classes()
+        spec = parse_family(case)
+        return generate(spec), construct_colouring(spec, K.GP).colouring.classes()
+
+    @pytest.mark.parametrize("case", ["kneser2:7", "line_complete:7", "nae"])
+    def test_large_classes_and_each_vertex_moved(self, case):
+        """Each class is accepted, and each class that gains a vertex of
+        another is judged as the oracle judges it."""
+        g, classes = self.large_class_colouring(case)
+        assert max(map(len, classes)) >= 6
+        for cls in classes:
+            assert self.verdicts(g, cls, K.GP) == [True, True], cls
+        rejected = 0
+        for i, j in itertools.permutations(range(len(classes)), 2):
+            for v in classes[i]:
+                grown = classes[j] + [v]
+                expect = oracle_is_position_set(g, grown, K.GP)
+                assert self.verdicts(g, grown, K.GP) == [expect, expect], grown
+                rejected += not expect
+        assert rejected
+
+    def test_grid_triples_that_span_distance_199(self):
+        """P4 x P200: the two 3-member classes of the construction, and a
+        collinear triple with its middle point first, second and last in
+        vertex order.  The grid's metric is |dr| + |dc|."""
+        spec = parse_family("cartesian(path:4,path:200)")
+        g = generate(spec)
+        cell = {label: v for v, label in enumerate(g.labels)}
+        built = [c for c in construct_colouring(spec, K.GP).colouring.classes() if len(c) == 3]
+        collinear = [
+            [(2, 100), (2, 199), (3, 1)],
+            [(1, 1), (1, 100), (1, 200)],
+            [(1, 200), (2, 2), (2, 150)],
+        ]
+        assert len(built) == 2
+        for s in built + [[cell[c] for c in cells] for cells in collinear]:
+            cells = [g.labels[v] for v in s]
+            d = [abs(r - q) + abs(c - e) for (r, c), (q, e) in itertools.combinations(cells, 2)]
+            assert max(d) == 199
+            expect = 2 * max(d) != sum(d)
+            assert self.verdicts(g, s, K.GP) == [expect, expect], cells
+            assert expect == (s in built)
 
 
 class TestInducedPathThrough:
@@ -436,6 +509,11 @@ def test_sets_of_each_size_are_the_oracle_position_sets(n):
                 }
                 assert len(found) == len(set(found)), (g.edges(), kind, size)
                 assert set(found) == expect, (g.edges(), kind, size)
+
+
+def test_a_negative_size_is_rejected_before_any_walk(petersen):
+    with pytest.raises(GraphInputError):
+        list(position_sets_of_size(petersen, K.GP, -1, Limits(node_limit=100)))
 
 
 @pytest.mark.parametrize("n", [5, 6])
