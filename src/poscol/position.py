@@ -18,22 +18,26 @@ The properties are decided twice here, on purpose.  The searches
 the graph.  Each search compiles it once, on its own budget, and grows
 :class:`SetState` objects that wrap it; ``position_sets_of_size`` and the
 solver's packing share one fixed-size walk, :func:`completions`.
-``is_position_set`` works from the distances among the set's own members and
-the induced-path oracle alone and never touches the compiled form, so it
-re-verifies every search result independently: for gp it packs each
-member's later members by distance into one int and tests every triple with
-a few shifted ANDs per member and distance (:func:`has_collinear_triple`).
-For mono the two sides do not share a search either: the compiled lines come from
-:func:`~poscol.graphs.induced_paths`, one walk over every induced path of
-the graph, while the verifier asks ``exists_induced_path_through`` about
-each triple of the set.
+The verifier, ``are_position_sets`` (and ``is_position_set``, the same on
+one set), works from the distances among the members alone and the
+induced-path oracle and never touches the compiled form, so it re-verifies
+every search result independently: for gp it packs each member's later
+members by distance into one int and tests every triple with a few shifted
+ANDs per member and distance (:func:`has_collinear_triple`).  For mu one
+breadth-first sweep from every member of every set at once finds any pair
+that no shortest path joins past the rest of its set (:func:`_hides_a_pair`),
+so a whole colouring costs one sweep.  For mono the two sides do not share a search either: the
+compiled lines come from :func:`~poscol.graphs.induced_paths`, one walk
+over every induced path of the graph, while the verifier asks
+``exists_induced_path_through`` about each triple of the set.
 
 Both take the metric from :mod:`poscol.graphs`: the cached distance layers,
 built by one sweep from every vertex at once, and the component masks.  The
 compiled forms of gp and mu read the layers, mono only the component masks;
-the verifier masks the layers down to the later members when the graph
+the gp verifier masks the layers down to the later members when the graph
 already has them, and otherwise walks from each member only as far as the
-later members, with the single-source ``layer_walk``.
+later members, with the single-source ``layer_walk``.  The mu sweep reads
+only the component masks.
 """
 
 from __future__ import annotations
@@ -211,6 +215,116 @@ def has_collinear_triple(ids: Sequence[int], found, width: int) -> bool:
     return False
 
 
+def _hides_a_pair(g: Graph, sets: Sequence[tuple[list[int], int]]) -> bool:
+    """True iff two members of one of the disjoint ``sets`` (each its members
+    and their mask), in one component, see each other along no shortest path
+    past the rest of their set.
+
+    One sweep from every member at once, in the rounds of
+    :func:`~poscol.graphs.distance_layers`.  ``state[v]`` packs two masks:
+    its low n bits are the members within the current radius of v, and its
+    high n bits those that reach v along a shortest path whose interior
+    avoids their own set, and may go on through v.  Each round ORs the
+    states of v's neighbours into v's.  The new low bits are the members at
+    exactly that distance, and those of them in the ORed high bits arrive
+    along a clear path.  A new member of v's own set with no clear path
+    hides a pair; those with one stop at v.  The sweep ends once every
+    member has reached the rest of its set within its component.
+    """
+    n, comp, nbrs = g.n, component_masks(g), g.adj
+    full = (1 << n) - 1
+    own = [0] * n
+    state = [0] * n
+    waiting = 0  # members not yet reached by all of their set
+    for members, mask in sets:
+        for v in members:
+            low = 1 << v
+            own[v] = mask
+            state[v] = low | low << n
+            waiting += mask & comp[v] != low
+    while waiting:
+        last = state[:]
+        for v in range(n):
+            old = acc = last[v]
+            for u in nbrs[v]:
+                acc |= last[u]
+            new = (acc ^ old) & full
+            if new:
+                clear = acc >> n & new
+                mine = own[v]
+                if new & mine:
+                    if new & mine & ~clear:
+                        return True
+                    if not mine & comp[v] & ~(old | new):
+                        waiting -= 1
+                        if not waiting:
+                            return False
+                    clear &= ~mine
+                state[v] = old | new | clear << n
+    return False
+
+
+def are_position_sets(
+    g: Graph,
+    sets: Iterable[Iterable[int]],
+    kind: PositionKind,
+    limits: Limits | BudgetTicker = DEFAULT_LIMITS,
+) -> bool:
+    """Decide whether each of the disjoint ``sets`` has the position property ``kind``.
+
+    The ``_i`` kinds first AND each member's neighbourhood with its set.  A
+    set of at most two vertices has no triple, and a pair sees itself, so
+    it passes the rest.  Otherwise gp hands each member's later members, by
+    distance, to :func:`has_collinear_triple`, and mono asks the
+    induced-path oracle about every triple, set by set; mu checks every
+    set in one sweep (:func:`_hides_a_pair`).
+    """
+    n = g.n
+    adj = adjacency_masks(g)
+    checked: list[tuple[list[int], int]] = []  # each set in order, and its mask
+    taken = 0
+    for s in sets:
+        s = sorted(set(s))
+        if s and not (0 <= s[0] and s[-1] < n):
+            raise GraphInputError("set contains out-of-range vertex")
+        mask = 0
+        for v in s:
+            mask |= 1 << v
+        if mask & taken:
+            raise GraphInputError("the sets must be disjoint")
+        taken |= mask
+        checked.append((s, mask))
+    if kind.independent:
+        for s, mask in checked:
+            for a in s:
+                if adj[a] & mask:
+                    return False
+    large = [(s, mask) for s, mask in checked if len(s) > 2]
+    if not large:
+        return True
+    base = kind.base
+    if base is PositionKind.MU:
+        return not _hides_a_pair(g, large)
+    if base is PositionKind.GP:
+        layers = g._memo.get("distance_layers")
+        if layers is None:
+            found = lambda a, later: layer_walk(adj, a, later)[0]
+        else:
+            found = lambda a, later: [x & later for x in layers[a]]
+        for s, _ in large:
+            if has_collinear_triple(s, found, n):
+                return False
+        return True
+    ticker = limits.ticker()
+    for s, _ in large:
+        for j, a in enumerate(s):
+            for b in s[j + 1 :]:
+                for w in s:
+                    if w != a and w != b and exists_induced_path_through(g, a, w, b, ticker):
+                        return False
+    return True
+
+
 def is_position_set(
     g: Graph,
     s: Iterable[int],
@@ -219,46 +333,9 @@ def is_position_set(
 ) -> bool:
     """Decide whether ``s`` has the position property ``kind`` in ``g``.
 
-    A set of at most two vertices has no triple, and a pair sees itself.
-    Otherwise gp hands each member's later members, by distance, to
-    :func:`has_collinear_triple`; mu walks once from each member toward the
-    later ones, and mono asks the induced-path oracle about every triple.
+    :func:`are_position_sets` on the one set ``s``.
     """
-    s = sorted(set(s))
-    if s and not (0 <= s[0] and s[-1] < g.n):
-        raise GraphInputError("set contains out-of-range vertex")
-    if kind.independent:
-        for i, a in enumerate(s):
-            for b in s[i + 1 :]:
-                if b in g.adj[a]:
-                    return False
-    base = kind.base
-    if len(s) < 3:
-        return True
-    if base is PositionKind.GP:
-        layers, adj = g._memo.get("distance_layers"), adjacency_masks(g)
-        if layers is None:
-            return not has_collinear_triple(s, lambda a, later: layer_walk(adj, a, later)[0], g.n)
-        return not has_collinear_triple(s, lambda a, later: [x & later for x in layers[a]], g.n)
-    if base is PositionKind.MONO:
-        ticker = limits.ticker()
-        for i, a in enumerate(s):
-            for j in range(i + 1, len(s)):
-                b = s[j]
-                for w in s:
-                    if w == a or w == b:
-                        continue
-                    if exists_induced_path_through(g, a, w, b, ticker):
-                        return False
-        return True
-    # mutual visibility: each member must see the later ones past the set
-    adj = adjacency_masks(g)
-    members = later = sum(1 << v for v in s)
-    for a in s:
-        later ^= 1 << a
-        if layer_walk(adj, a, later, members)[1]:
-            return False
-    return True
+    return are_position_sets(g, [s], kind, limits)
 
 
 # -- compiled constraints (shared by the exact searches) ----------------------

@@ -63,9 +63,9 @@ from .position import (
     ALL_KINDS,
     PositionKind,
     SetState,
+    are_position_sets,
     compiled,
     completions,
-    is_position_set,
     position_number,
 )
 
@@ -124,7 +124,11 @@ class BoundPair:
 def verify_colouring(
     g: Graph, c: Colouring, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
 ) -> bool:
-    """True iff every colour class of ``c`` is a ``kind`` position set of ``g``."""
+    """True iff every colour class of ``c`` is a ``kind`` position set of ``g``.
+
+    The classes go to :func:`~poscol.position.are_position_sets` together,
+    so a mu colouring is checked in one sweep from all its members.
+    """
     if len(c.assignment) != g.n:
         raise GraphInputError("colouring does not cover the vertex set")
     seen = [False] * c.k
@@ -134,8 +138,7 @@ def verify_colouring(
         seen[cls] = True
     if not all(seen):
         raise GraphInputError("gap in class ids: some class is empty")
-    ticker = limits.ticker()
-    return all(is_position_set(g, cls, kind, ticker) for cls in c.classes())
+    return are_position_sets(g, c.classes(), kind, limits)
 
 
 # -- partition search --------------------------------------------------------

@@ -19,11 +19,12 @@ from poscol.constructions import construct_colouring
 from poscol.families import generate, kneser2_graph, parse_family
 from poscol.graphs import build_graph, disjoint_union, distance_layers, product, relabel
 from poscol.reduction import NaeInstance, build_reduction, normalize
-from poscol.solver import chromatic_position_number
+from poscol.solver import Colouring, chromatic_position_number, verify_colouring
 from poscol.position import (
     ALL_KINDS,
     PositionKind,
     SetState,
+    are_position_sets,
     compiled,
     exists_induced_path_through,
     geodesic_avoiding,
@@ -74,6 +75,12 @@ class TestIsPositionSet:
     def test_out_of_range(self):
         with pytest.raises(GraphInputError):
             is_position_set(path(3), {0, 7}, K.GP)
+
+    def test_overlapping_or_out_of_range_sets_are_rejected(self):
+        with pytest.raises(GraphInputError, match="disjoint"):
+            are_position_sets(path(5), [[0, 1, 2], [2, 3]], K.MU)
+        with pytest.raises(GraphInputError, match="out-of-range"):
+            are_position_sets(path(5), [[0, 1], [3, 5]], K.MU_I)
 
     def test_independent_variants(self):
         g = complete(4)
@@ -141,11 +148,51 @@ class TestVerifierAgainstOracle:
                         accepted_sizes.append(len(set(s)))
         assert max(accepted_sizes) >= 7
 
+    @pytest.mark.parametrize("kind", [K.MU, K.MU_I])
+    def test_mu_sweep_over_random_partitions(self, kind):
+        """One sweep checks every class of a colouring at once; it must
+        accept exactly the partitions whose classes the oracle accepts one by
+        one, and build neither the compiled form nor the distance layers."""
+        rng = random.Random(77)
+        verdicts = set()
+        for g in self.graphs(rng, 150):
+            for _ in range(4):
+                k = rng.randint(1, g.n)
+                assignment = [rng.randrange(k) for _ in range(g.n)]
+                ids = {c: i for i, c in enumerate(sorted(set(assignment)))}
+                c = Colouring(tuple(ids[x] for x in assignment), len(ids))
+                expect = all(oracle_is_position_set(g, cls, kind) for cls in c.classes())
+                fresh = build_graph(g.n, g.edges())
+                assert verify_colouring(fresh, c, kind) == expect, (g.edges(), c, kind)
+                assert {("constraints", kind.base), "distance_layers"}.isdisjoint(fresh._memo)
+                verdicts.add((expect, max(map(len, c.classes())) > 2))
+        assert {(True, True), (False, True)} <= verdicts
+
+    def test_mu_construction_with_each_vertex_moved(self):
+        """The strong(P6, P8) mu colouring, and each of its 96 colourings with
+        one vertex moved into another class, judged as the oracle judges them."""
+        spec = parse_family("strong(path:6,path:8)")
+        g = generate(spec)
+        classes = construct_colouring(spec, K.MU).colouring.classes()
+        assert verify_colouring(g, Colouring.from_classes(g.n, classes), K.MU)
+        moves = rejected = 0
+        for i, j in itertools.permutations(range(len(classes)), 2):
+            for v in classes[i]:
+                moved = [[u for u in cls if u != v] for cls in classes]
+                moved[j].append(v)
+                expect = all(oracle_is_position_set(g, cls, K.MU) for cls in moved)
+                c = Colouring.from_classes(g.n, [cls for cls in moved if cls])
+                assert verify_colouring(g, c, K.MU) == expect, (v, i, j)
+                moves += 1
+                rejected += not expect
+        assert (moves, rejected) == (96, 84)
+
 
 class TestCollinearTripleAgainstOracle:
     """The gp verifier tests each member against the ORed buckets of its
-    later members at each distance.  Its verdicts must be the oracle's, on
-    a fresh graph (one walk per member) and on one with its layers cached."""
+    later members at each distance, and the mu verifier sweeps from every
+    member at once.  Their verdicts must be the oracle's, on a fresh graph
+    (for gp, one walk per member) and on one with its layers cached."""
 
     @staticmethod
     def verdicts(g, s, kind):
@@ -159,7 +206,7 @@ class TestCollinearTripleAgainstOracle:
         for g in graphs_of_order(n):
             for size in range(3, n + 1):
                 for s in itertools.combinations(range(n), size):
-                    for kind in (K.GP, K.GP_I):
+                    for kind in (K.GP, K.GP_I, K.MU, K.MU_I):
                         expect = oracle_is_position_set(g, s, kind)
                         assert self.verdicts(g, s, kind) == [expect, expect], (g.edges(), s, kind)
 
