@@ -68,7 +68,8 @@ class BudgetTicker:
     """A running budget; ``tick(n)`` charges n search nodes.
 
     The clock is read at the first charge and then once per ``TICK_BLOCK``
-    charged nodes: a read on every node would dominate the searches.  A
+    charged nodes: a read on every node would dominate the searches;
+    ``check_clock()`` reads it without a charge.  A
     spent budget stays spent: once a charge has raised, every later one
     raises too, ``tick(0)`` included.
     """
@@ -95,6 +96,17 @@ class BudgetTicker:
                 if time.monotonic() >= self.deadline:
                     raise BudgetExceededError("time limit exceeded")
                 self._until_check = TICK_BLOCK
+
+    def check_clock(self) -> None:
+        """Raise if the deadline has passed, charging no node.
+
+        For loops whose steps are too many and too cheap to charge as nodes
+        without changing what a node limit allows.  Past the deadline the
+        count stays due, so every later charge raises too.
+        """
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            self._until_check = 0
+            raise BudgetExceededError("time limit exceeded")
 
     @contextmanager
     def capped(self, nodes: int) -> Iterator[None]:

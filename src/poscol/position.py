@@ -650,14 +650,23 @@ def is_maximal_position_set(
     """True iff ``s`` is a ``kind`` position set no single vertex can extend.
 
     Single-vertex extensions suffice: the properties are subset-closed, so a
-    larger superset would extend through one of them.
+    larger superset would extend through one of them.  For mu and mu_i, one
+    :func:`~poscol.graphs.layer_walk` from a candidate that leaves a member
+    of its component hidden behind the set rejects it before the sweep of
+    :func:`is_position_set`.
     """
     s = set(s)
     ticker = limits.ticker()
     if not is_position_set(g, s, kind, ticker):
         raise GraphInputError("is_maximal_position_set requires a valid position set")
+    mu = kind.base is PositionKind.MU
+    if mu:
+        adj, comp = adjacency_masks(g), component_masks(g)
+        mask = sum(1 << v for v in s)
     for v in range(g.n):
         if v in s:
+            continue
+        if mu and layer_walk(adj, v, mask & comp[v], mask)[1]:
             continue
         if is_position_set(g, s | {v}, kind, ticker):
             return False

@@ -26,16 +26,19 @@ the compiled constraints, before it is reported.  Symmetry between colour
 classes is broken by only letting a vertex open class j when classes 0..j-1
 are nonempty.  Budgets make the solver interruptible: partial results are
 tagged ``upper_bound_only``, never passed off as exact.  A solve runs the
-greedy upper bound, the (monophonic) diameter bound, then the deepening,
-whose ``_i`` classes carry the independence mask, so no chromatic number is
-searched for.  A level that a quick search does not settle computes the
-position number pi, which may refute it, and then gives Culberson's
-iterated greedy a short slice to find the colouring by recolouring before
-the full search.  Each top-level call starts one budget, and every phase
-but the distance layers, the greedy's first fit and the final verification
-draws from it.  A search pays once, up front, to compile its constraints
-(for the mono kinds, the walk over every induced path) and nothing per
-line; a greedy whose compile the budget stops still returns a colouring.
+greedy upper bound, then the lower bounds that need no search: the
+(monophonic) diameter bound, a greedy clique for the ``_i`` kinds (their
+classes carry the independence mask, so no chromatic number is searched
+for) and 2 for mu on a graph with a component that is not complete.  The
+deepening starts at the largest.  A level that a quick search does not
+settle computes the position number pi, which may refute it, and then
+gives Culberson's iterated greedy a short slice to find the colouring by
+recolouring before the full search.  Each top-level call starts one budget,
+and every phase but the distance layers and the final verification draws
+from it; the greedy's first fit only reads its clock.  A search pays once,
+up front, to compile its constraints (for the mono kinds, the walk over
+every induced path) and nothing per line; a greedy that the budget stops
+still returns a colouring.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
-    DEFAULT_LIMITS, UNLIMITED, BudgetExceededError, BudgetTicker, GraphInputError, Limits,
-    json_int,
+    DEFAULT_LIMITS, TICK_BLOCK, UNLIMITED, BudgetExceededError, BudgetTicker, GraphInputError,
+    Limits, json_int,
 )
 from .graphs import (
     Graph,
@@ -263,14 +266,21 @@ def _perfect_packing(
 
 
 def _first_fit(
-    order: list[int], new_class: Callable[[], SetState | _CliqueOrIndependent]
+    order: list[int],
+    new_class: Callable[[], SetState | _CliqueOrIndependent],
+    budget: BudgetTicker,
+    assignment: list[int],
 ) -> Colouring:
     """First fit: each vertex of ``order``, which lists every vertex, joins
     the first class that takes it, or a new class from ``new_class()`` when
-    none does.
+    none does, and ``assignment``, all -1 at the start, records its class.
+
+    The clock of ``budget`` is read about once per ``TICK_BLOCK`` class
+    tests.  The reads charge no node, so no node limit stops a first fit.
+    A stop at the deadline leaves the vertices not yet placed at -1.
     """
     states: list = []
-    assignment = [-1] * len(order)
+    tests = 0
     for v in order:
         for c, st in enumerate(states):
             if st.try_add(v):
@@ -281,6 +291,10 @@ def _first_fit(
             st.try_add(v)
             states.append(st)
             assignment[v] = len(states) - 1
+        tests += assignment[v] + 1
+        if tests >= TICK_BLOCK:
+            budget.check_clock()
+            tests = 0
     return Colouring(tuple(assignment), len(states))
 
 
@@ -289,27 +303,31 @@ def greedy_position_colouring(
 ) -> Colouring:
     """First-fit colouring in descending-degree order, drawing on ``limits``.
 
-    Only the compile of the constraints draws from ``limits``; for the mono
-    kinds it runs the walk over every induced path.  If the budget stops
-    it, the vertices go two to a class along the same order, or one to a
-    class for an adjacent pair of an ``_i`` kind: a set of at most two
-    vertices has no three in line and sees itself.  So a colouring is
-    always returned.
+    The compile of the constraints draws from ``limits`` (for the mono
+    kinds it runs the walk over every induced path), and the first fit
+    reads its clock.  If the budget stops either, the vertices not yet
+    placed go two to a class along the same order, or one to a class for an
+    adjacent pair of an ``_i`` kind: a set of at most two vertices has no
+    three in line and sees itself.  So a colouring is always returned.
     """
     order = degree_order(g)
+    budget = limits.ticker()
+    assignment = [-1] * g.n
     try:
-        core = compiled(g, kind, limits)
+        core = compiled(g, kind, budget)
+        return _first_fit(order, partial(SetState, core, kind.independent), budget, assignment)
     except BudgetExceededError:
-        assignment = [-1] * g.n
-        k, single = 0, -1  # ``single``: a vertex alone in class k - 1
-        for v in order:
-            if single == -1 or kind.independent and v in g.adj[single]:
-                k, single = k + 1, v
-            else:
-                single = -1
-            assignment[v] = k - 1
-        return Colouring(tuple(assignment), k)
-    return _first_fit(order, partial(SetState, core, kind.independent))
+        pass
+    k, single = max(assignment, default=-1) + 1, -1  # ``single``: a vertex alone in class k - 1
+    for v in order:
+        if assignment[v] != -1:
+            continue
+        if single == -1 or kind.independent and v in g.adj[single]:
+            k, single = k + 1, v
+        else:
+            single = -1
+        assignment[v] = k - 1
+    return Colouring(tuple(assignment), k)
 
 
 def _iterated_greedy(
@@ -336,7 +354,7 @@ def _iterated_greedy(
     rng = random.Random(1)
     while True:
         budget.tick(len(order))
-        found = _first_fit(order, new_class)
+        found = _first_fit(order, new_class, budget, [-1] * len(order))
         if found.k <= k:
             return found
         classes: list[list[int]] = [[] for _ in range(found.k)]
@@ -357,7 +375,9 @@ def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterato
 
     Cheapest first, so a caller whose budget runs out midway keeps the
     bounds found before the stop.  Only ``bounds()`` adds ceil(n/pi) and the
-    chromatic number: the deepening refutes the levels below both itself.
+    chromatic number; only a solve adds ``_solve_bound``, which never
+    exceeds either of them, so as a ``bounds()`` candidate it would only
+    take ties from their reasons.
     """
     yield 1, "trivial"
     if kind in (PositionKind.GP, PositionKind.GP_I):
@@ -366,25 +386,41 @@ def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterato
         yield -(-(monophonic_diameter(g, budget) + 1) // 2), "monophonic diameter"
 
 
+def _solve_bound(g: Graph, kind: PositionKind) -> int:
+    """The lower bound on chi_kind that a solve adds to ``_lower_bounds``.
+
+    For the ``_i`` kinds the size of a greedy clique, whose vertices need an
+    independent class each.  For mu 2 when some component is not complete:
+    the middle of every shortest path between two vertices at distance 2
+    lies in V, so V is no mutual-visibility set.  Else 1.  Neither searches.
+    """
+    if kind.independent:
+        return len(_greedy_clique(g))
+    return 2 if kind is PositionKind.MU and diameter(g).diam_star >= 2 else 1
+
+
 def chromatic_position_number(
     g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> CertifiedColouring:
     """Exact chi_kind by iterative deepening from the cheap lower bounds.
 
     The greedy first-fit colouring supplies the initial upper bound, so a
-    feasible colouring always exists at the top of the deepening range; its
-    compile draws from the same budget, and if it spends it, nothing else
-    runs.  Each level runs ``_level``, which computes pi only if its quick
-    search stalls; no chromatic, clique cover or cochromatic number is
-    searched for.  If the budget runs out first, the best colouring found
-    so far is returned, ``exact`` only when the bounds, the levels refuted
-    and any cached pi already meet it, else tagged ``upper_bound_only``.
+    feasible colouring always exists at the top of the deepening range; it
+    draws from the same budget, and if it spends it, no search runs.  The
+    deepening starts at the largest of the ``_lower_bounds`` and
+    ``_solve_bound`` (a greedy clique for the ``_i`` kinds, 2 for mu on a
+    graph with a component that is not complete).  Each level runs
+    ``_level``, which computes pi only if its quick search stalls; no
+    chromatic, clique cover or cochromatic number is searched for.  If the
+    budget runs out first, the best colouring found so far is returned,
+    ``exact`` only when the bounds, the levels refuted and any cached pi
+    already meet it, else tagged ``upper_bound_only``.
     """
     if g.n == 0:
         return CertifiedColouring(Colouring((), 0), kind, True, "solver", "exact")
     budget = limits.ticker()
     best = greedy_position_colouring(g, kind, budget)
-    lower = 1
+    lower = _solve_bound(g, kind)
     try:
         for value, _ in _lower_bounds(g, kind, budget):
             lower = max(lower, value)

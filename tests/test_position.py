@@ -518,6 +518,22 @@ class TestMaximality:
             g, {0, 2}, K.GP
         )
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_subset_of_the_catalogue_matches_brute_force(self, n):
+        """On every catalogue graph of order n, for all six kinds, a subset
+        that is no oracle position set is refused, and one that is is
+        maximal exactly when no vertex added gives an oracle position set."""
+        for g in graphs_of_order(n):
+            for kind in ALL_KINDS:
+                for size in range(n + 1):
+                    for s in itertools.combinations(range(n), size):
+                        if not oracle_is_position_set(g, s, kind):
+                            with pytest.raises(GraphInputError):
+                                is_maximal_position_set(g, s, kind)
+                            continue
+                        assert is_maximal_position_set(g, s, kind) == self.brute_maximal(
+                            g, s, kind), (g.edges(), kind, s)
+
     def test_k62_three_k2_maximal(self):
         g = kneser2_graph(6)
         inside = [i for i, lab in enumerate(g.labels) if set(lab) <= {1, 2, 3, 4}]

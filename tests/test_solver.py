@@ -137,37 +137,44 @@ class TestSolverSmallValues:
         assert verify_colouring(petersen, r.colouring, K.GP)
 
 
+def _starting_level(g, kind):
+    """The level at which a solve starts its deepening."""
+    cheap = solver._lower_bounds(g, kind, UNLIMITED.ticker())
+    return max(solver._solve_bound(g, kind), *(value for value, _ in cheap))
+
+
 class TestSolverAgainstBellBruteForce:
+    """The solver, and the level it starts at, against exhaustive partitions."""
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_all_graphs_all_kinds(self, n):
         for g in graphs_of_order(n):
             for kind in ALL_KINDS:
-                assert (
-                    chromatic_position_number(g, kind).k
-                    == oracle_chromatic_position(g, kind)
-                ), (g.edges(), kind)
+                chi = oracle_chromatic_position(g, kind)
+                assert chromatic_position_number(g, kind).k == chi, (g.edges(), kind)
+                assert _starting_level(g, kind) <= chi, (g.edges(), kind)
 
     def test_order_six_all_graphs(self):
         for g in graphs_of_order(6):
             for kind in ALL_KINDS:
-                assert (
-                    chromatic_position_number(g, kind).k
-                    == oracle_chromatic_position(g, kind)
-                ), (g.edges(), kind)
+                chi = oracle_chromatic_position(g, kind)
+                assert chromatic_position_number(g, kind).k == chi, (g.edges(), kind)
+                assert _starting_level(g, kind) <= chi, (g.edges(), kind)
 
 
 class TestSolverAgainstOraclesOnOrderSevenAndEight:
     """Seeded random graphs of order 7 and 8, some of them disconnected: each
-    position chromatic number and chi, theta and zeta against exhaustive
-    partitions."""
+    position chromatic number, the level its solve starts at, and chi, theta
+    and zeta against exhaustive partitions."""
 
     @pytest.mark.parametrize("index", range(40))
     def test_random_graph(self, index):
         rng = random.Random(1000 + index)
         g = random_graph(7 + index % 2, rng.choice([0.3, 0.45, 0.6]), rng)
         for kind in ALL_KINDS:
-            assert chromatic_position_number(g, kind).k == oracle_chromatic_position(g, kind), (
-                g.edges(), kind)
+            chi = oracle_chromatic_position(g, kind)
+            assert chromatic_position_number(g, kind).k == chi, (g.edges(), kind)
+            assert _starting_level(g, kind) <= chi, (g.edges(), kind)
 
         def pairs(cls):
             return itertools.combinations(cls, 2)
@@ -468,6 +475,46 @@ def test_an_independent_solve_searches_for_no_chromatic_number(monkeypatch, spec
         assert (r.k, r.optimality) == (value, "exact"), kind
 
 
+def _levels_tried(monkeypatch) -> list[int]:
+    """Record the k of every deepening level a solve runs."""
+    tried = []
+    level = solver._level
+
+    def recording_level(g, kind, k, budget):
+        tried.append(k)
+        return level(g, kind, k, budget)
+
+    monkeypatch.setattr(solver, "_level", recording_level)
+    return tried
+
+
+@pytest.mark.parametrize("spec, kinds", [
+    ("petersen", (K.MU,)),
+    ("kneser2:7", (K.MU,)),
+    ("complete:5", (K.GP_I, K.MONO_I, K.MU_I)),
+])
+def test_the_search_free_bounds_leave_no_level_to_refute(monkeypatch, spec, kinds):
+    """mu starts at 2 on a graph with a component that is not complete, and
+    an ``_i`` kind at the size of a greedy clique; here the first fit meets
+    that bound, so no level runs."""
+    tried = _levels_tried(monkeypatch)
+    g = generate(parse_family(spec))
+    for kind in kinds:
+        assert chromatic_position_number(g, kind).optimality == "exact", kind
+    assert tried == []
+
+
+@pytest.mark.parametrize("spec", ["kneser2:7", "line_complete:5", "random:16,0.25,5"])
+def test_an_independent_solve_with_a_triangle_tries_no_level_below_three(monkeypatch, spec):
+    """The greedy clique of these graphs is a triangle or larger, so no
+    ``_i`` solve refutes 1 or 2 colours by search."""
+    g = generate(parse_family(spec))
+    tried = _levels_tried(monkeypatch)
+    for kind in (K.GP_I, K.MONO_I, K.MU_I):
+        chromatic_position_number(g, kind)
+    assert not tried or min(tried) >= 3
+
+
 def _charged_nodes(monkeypatch) -> list[int]:
     """Record every charge made to a budget that has a node limit."""
     charged = []
@@ -675,6 +722,15 @@ def test_a_greedy_stopped_by_the_budget_pairs_the_rest(kind, k):
         budget.tick()
     c = solver.greedy_position_colouring(g, kind, budget)
     assert c.k == k and verify_colouring(g, c, kind)
+
+
+def test_the_greedy_first_fit_stops_at_the_deadline():
+    """The first fit reads the clock about once per ``TICK_BLOCK`` class
+    tests, so under a zero time limit it places at most about one block of
+    vertices of this 2500-vertex grid, and the rest go two to a class."""
+    g = generate(parse_family("cartesian(path:50,path:50)"))
+    c = solver.greedy_position_colouring(g, K.GP, Limits(time_limit=0))
+    assert c.k >= (g.n - TICK_BLOCK) // 2 and verify_colouring(g, c, K.GP)
 
 
 def test_a_spent_time_budget_stays_spent():
