@@ -17,6 +17,7 @@ from .graphs import (
     build_graph,
     complete_graph_edges,
     diameter,
+    distance_layers,
     is_block_graph,
     is_connected,
     is_disjoint_union_of_cliques,
@@ -298,7 +299,7 @@ def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bo
         return False
     if diameter(g).diam_star > 3:
         return False
-    dist = g.distance_matrix()
+    at_two = [row[2] if len(row) > 2 else 0 for row in distance_layers(g)]
     ticker = limits.ticker()
     for mask in range(1 << (n - 1)):
         ticker.tick()
@@ -308,14 +309,12 @@ def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bo
             continue
         if not all(is_disjoint_union_of_cliques(g, side) for side in (side0, side1)):
             continue
-        if _cross_condition(g, dist, side0, side1) and _cross_condition(
-            g, dist, side1, side0
-        ):
+        if _cross_condition(g, at_two, side0, side1) and _cross_condition(g, at_two, side1, side0):
             return True
     return False
 
 
-def _cross_condition(g, dist, side_w: list[int], side_c: list[int]) -> bool:
+def _cross_condition(g, at_two, side_w: list[int], side_c: list[int]) -> bool:
     # side_c induces disjoint cliques, so the clique of v is its closed neighbourhood there
     inside = set(side_c)
     clique = {v: g.adj[v] & inside | {v} for v in side_c}
@@ -325,8 +324,8 @@ def _cross_condition(g, dist, side_w: list[int], side_c: list[int]) -> bool:
             for v in nb[i + 1 :]:
                 if v in clique[u]:
                     continue
-                if any(dist[u][vp] != 2 for vp in clique[v]) or any(
-                    dist[up][v] != 2 for up in clique[u]
+                if any(not at_two[u] >> vp & 1 for vp in clique[v]) or any(
+                    not at_two[v] >> up & 1 for up in clique[u]
                 ):
                     return False
     return True

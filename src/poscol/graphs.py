@@ -8,6 +8,7 @@ producing a plausible-looking bound.
 The metric comes from two breadth-first searches on bitmask neighbourhoods:
 ``distance_layers`` sweeps from every vertex at once and is cached, and
 ``layer_walk`` walks from one vertex for the callers that need only a few.
+Visibility past a set of vertices is read off these layers by ``position.sees``.
 """
 
 from __future__ import annotations
@@ -107,40 +108,30 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
     return masks
 
 
-def layer_walk(
-    adj: tuple[int, ...], a: int, targets: int, blocked: int = 0
-) -> tuple[list[int], int]:
+def layer_walk(adj: tuple[int, ...], a: int, targets: int) -> list[int]:
     """Breadth-first search from ``a`` on bitmasks, one distance layer at a time.
 
     ``adj`` holds bitmask neighbourhoods.  The walk stops once every vertex of
     ``targets`` is reached or the component of ``a`` runs out, and then its
-    last layer is empty.  Returns ``(found, hidden)``: ``found[d]`` is the
-    mask of the targets at distance d from ``a``, and ``hidden`` the mask of
-    those that no shortest path from ``a`` reaches with its interior outside
-    ``blocked``.  Targets in another component are in neither.
+    last layer is empty.  Entry d of the result is the mask of the targets at
+    distance d from ``a``; targets in another component are in no entry.
     """
-    reached = frontier = clear = 1 << a
+    reached = frontier = 1 << a
     hit = targets & reached
     found = [hit]
     targets ^= hit
-    hidden = 0
     while targets and frontier:
-        layer = near = 0
+        layer = 0
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            nb = adj[low.bit_length() - 1]
-            layer |= nb
-            if clear & low:
-                near |= nb
+            layer |= adj[low.bit_length() - 1]
         frontier = layer & ~reached
         reached |= frontier
         hit = frontier & targets
         found.append(hit)
-        hidden |= hit & ~near
         targets ^= hit
-        clear = near & frontier & ~blocked
-    return found, hidden
+    return found
 
 
 def distance_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -183,7 +174,7 @@ def component_masks(g: Graph) -> tuple[int, ...]:
         out = [0] * g.n
         for v in range(g.n):
             if not out[v]:
-                comp = rest = sum(layer_walk(adj, v, everyone)[0])
+                comp = rest = sum(layer_walk(adj, v, everyone))
                 while rest:
                     low = rest & -rest
                     rest ^= low

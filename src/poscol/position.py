@@ -37,7 +37,9 @@ compiled forms of gp and mu read the layers, mono only the component masks;
 the gp verifier masks the layers down to the later members when the graph
 already has them, and otherwise walks from each member only as far as the
 later members, with the single-source ``layer_walk``.  The mu sweep reads
-only the component masks.
+only the component masks.  Whether one vertex sees some targets past a set
+is one walk along its distance layers, :func:`sees`, which the mu search,
+the mu maximality test and :func:`geodesic_avoiding` share.
 """
 
 from __future__ import annotations
@@ -166,18 +168,44 @@ def exists_induced_path_through(
     return found
 
 
+def sees(adj: Sequence[int], layers: Sequence[int], a: int, targets: int, blocked: int) -> bool:
+    """True iff ``a`` sees every vertex of the mask ``targets`` past ``blocked``.
+
+    ``a`` sees ``b`` when some shortest a-b path has no interior vertex in
+    ``blocked``, so ``a`` sees itself and nothing outside its component.
+    ``layers[d]`` holds the vertices at distance d from ``a``; one walk along
+    them serves all the targets and goes on only from vertices not blocked.
+    """
+    targets &= ~(1 << a)
+    frontier = 1 << a
+    free = ~blocked
+    for t in range(1, len(layers)):
+        if not targets or not frontier:
+            break
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+        reach &= layers[t]
+        targets &= ~reach
+        frontier = reach & free
+    return not targets
+
+
 def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
     """True iff some shortest u-v path has its interior disjoint from ``blocked``.
 
-    One :func:`~poscol.graphs.layer_walk` from ``u`` toward ``v``.
+    :func:`sees` on one :func:`~poscol.graphs.layer_walk` over u's component.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphInputError("u, v must be vertices of the graph")
-    blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
-    found, hidden = layer_walk(adjacency_masks(g), u, 1 << v, blocked_mask)
-    if not found[-1]:
+    comp = component_masks(g)[u]
+    if not comp >> v & 1:
         raise GraphInputError("geodesic_avoiding requires u, v in one component")
-    return not hidden
+    blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
+    adj = adjacency_masks(g)
+    return sees(adj, layer_walk(adj, u, comp), u, 1 << v, blocked_mask)
 
 
 def has_collinear_triple(ids: Sequence[int], found, width: int) -> bool:
@@ -308,7 +336,7 @@ def are_position_sets(
     if base is PositionKind.GP:
         layers = g._memo.get("distance_layers")
         if layers is None:
-            found = lambda a, later: layer_walk(adj, a, later)[0]
+            found = lambda a, later: layer_walk(adj, a, later)
         else:
             found = lambda a, later: [x & later for x in layers[a]]
         for s, _ in large:
@@ -358,8 +386,8 @@ class Constraints:
     vertices collinear with a and b, describes every conflict of the pair;
     it is filled lazily.  It has one shape for both: the vertices between a
     and b, those beyond b seen from a, and those beyond a seen from b.  For
-    mu, ``sees`` walks the distance layers of one vertex with mask ANDs, so
-    one walk decides the visibility of many targets.
+    mu, ``keeps_visibility`` hands the distance layers of one vertex to
+    :func:`sees`, so one walk decides the visibility of many targets.
 
     Built once per graph and base kind by :func:`compiled` and cached in the
     graph's memo.
@@ -408,30 +436,6 @@ class Constraints:
             out |= la[t] & lb[d + t]
         return out
 
-    def sees(self, a: int, targets: int, blocked: int) -> bool:
-        """True iff ``a`` sees every vertex of the mask ``targets``.
-
-        ``a`` sees ``b`` when some shortest a-b path has no interior vertex
-        in ``blocked``.  One walk from ``a`` serves all the targets: layer t
-        holds the vertices at distance t that such a path reaches.  The
-        targets must lie in the component of ``a``.
-        """
-        la, adj = self.layers[a], self.adj
-        free = ~blocked
-        frontier = 1 << a
-        for t in range(1, len(la)):
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-            reach &= la[t]
-            targets &= ~reach
-            frontier = reach & free
-            if not targets or not frontier:
-                break
-        return not targets
-
     def keeps_visibility(self, mask: int, v: int) -> bool:
         """Whether the mutual-visibility set ``mask`` stays one when ``v`` joins.
 
@@ -440,7 +444,7 @@ class Constraints:
         between them, so only those pairs are checked again.
         """
         near = mask & self.component[v]
-        if not self.sees(v, near, mask):
+        if not sees(self.adj, self.layers[v], v, near, mask):
             return False
         grown = mask | 1 << v
         while near:
@@ -448,7 +452,7 @@ class Constraints:
             near ^= low
             a = low.bit_length() - 1
             behind = self._behind(a, v) & mask
-            if behind and not self.sees(a, behind, grown):
+            if behind and not sees(self.adj, self.layers[a], a, behind, grown):
                 return False
         return True
 
@@ -650,10 +654,10 @@ def is_maximal_position_set(
     """True iff ``s`` is a ``kind`` position set no single vertex can extend.
 
     Single-vertex extensions suffice: the properties are subset-closed, so a
-    larger superset would extend through one of them.  For mu and mu_i, one
-    :func:`~poscol.graphs.layer_walk` from a candidate that leaves a member
-    of its component hidden behind the set rejects it before the sweep of
-    :func:`is_position_set`.
+    larger superset would extend through one of them.  For mu and mu_i, a
+    candidate that does not see every member of its component past the set
+    (:func:`sees`, on the graph's cached distance layers) is rejected before
+    the sweep of :func:`is_position_set`.
     """
     s = set(s)
     ticker = limits.ticker()
@@ -661,12 +665,12 @@ def is_maximal_position_set(
         raise GraphInputError("is_maximal_position_set requires a valid position set")
     mu = kind.base is PositionKind.MU
     if mu:
-        adj, comp = adjacency_masks(g), component_masks(g)
+        adj, comp, layers = adjacency_masks(g), component_masks(g), distance_layers(g)
         mask = sum(1 << v for v in s)
     for v in range(g.n):
         if v in s:
             continue
-        if mu and layer_walk(adj, v, mask & comp[v], mask)[1]:
+        if mu and not sees(adj, layers[v], v, mask & comp[v], mask):
             continue
         if is_position_set(g, s | {v}, kind, ticker):
             return False

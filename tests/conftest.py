@@ -43,6 +43,18 @@ def random_graph(n: int, p: float, rng: random.Random):
     )
 
 
+def partitions_descending(n, maximum=None):
+    """All partitions of n into parts of at most ``maximum`` (default n), as
+    descending tuples, the largest first part first."""
+    maximum = maximum or n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, maximum), 0, -1):
+        for tail in partitions_descending(n - first, first):
+            yield (first,) + tail
+
+
 def metric_graphs():
     """n = 0, every catalogue graph of order 1 to 6, and seeded random graphs
     on up to 12 vertices, a third of them disjoint unions."""

@@ -28,6 +28,15 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
     return dist
 
 
+def row_layers(row: list[float]) -> list[int]:
+    """Entry d is the bitmask of the vertices at distance d in the distance row ``row``."""
+    layers = [0] * (1 + max(d for d in row if d is not INF))
+    for u, d in enumerate(row):
+        if d is not INF:
+            layers[d] |= 1 << u
+    return layers
+
+
 # (n, edges) -> Floyd-Warshall matrix; keyed by the edge list rather than
 # the graph object so that no library cache is involved
 _DISTANCES: dict[tuple, list[list[float]]] = {}

@@ -7,7 +7,7 @@ tolerance zero unless the criterion itself states a bracket.
 import itertools
 import time
 
-from conftest import PETERSEN_EDGES
+from conftest import PETERSEN_EDGES, partitions_descending
 from oracles import canonical_key, oracle_cochromatic
 from poscol.catalogue import graphs_of_order
 from poscol.constructions import (
@@ -39,16 +39,6 @@ K = PositionKind
 
 def report(number: int, text: str) -> None:
     print(f"ACCEPTANCE {number:02d} PASS: {text}")
-
-
-def partitions_descending(n, maximum=None):
-    maximum = maximum or n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maximum), 0, -1):
-        for tail in partitions_descending(n - first, first):
-            yield (first,) + tail
 
 
 def test_criterion_01_petersen():

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from conftest import cycle, partitions_descending, path
 from oracles import canonical_key, oracle_cochromatic
 from poscol.catalogue import graphs_of_order
 from poscol.errors import GraphInputError
@@ -18,17 +19,6 @@ from poscol.position import PositionKind, position_number
 from poscol.solver import chromatic_position_number
 
 K = PositionKind
-
-
-def partitions_descending(n):
-    """All partitions of n as descending tuples."""
-    def rec(rest, maximum):
-        if rest == 0:
-            yield ()
-        for first in range(min(rest, maximum), 0, -1):
-            for tail in rec(rest - first, first):
-                yield (first,) + tail
-    return rec(n, n)
 
 
 class TestPredictedChi:
@@ -259,6 +249,12 @@ class TestChiGpTwoCharacterization:
         from poscol.graphs import build_graph
 
         assert not chi_gp_two_characterization(build_graph(2, [(0, 1)]))
+
+    def test_builds_no_distance_matrix(self):
+        """The cross condition reads the distance-2 layers, not the float matrix."""
+        for g in (path(4), cycle(6), generate(parse_family("split_random:8,0"))):
+            chi_gp_two_characterization(g)
+            assert g._dist is None, g.edges()
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_solver_exhaustively(self, n):

@@ -9,6 +9,7 @@ from oracles import (
     floyd_warshall,
     oracle_is_block_graph,
     oracle_monophonic_diameter,
+    row_layers,
 )
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graphs import (
@@ -27,6 +28,7 @@ from poscol.graphs import (
     is_connected,
     is_disjoint_union_of_cliques,
     join,
+    layer_walk,
     monophonic_diameter,
     product,
     relabel,
@@ -105,6 +107,34 @@ class TestDistances:
         g = build_graph(3, [(0, 1)])
         d = g.distance_matrix()[0][2]
         assert d == math.inf and not isinstance(d, int)
+
+
+class TestLayerWalk:
+    @staticmethod
+    def expected(layers, targets):
+        """The targets by distance up to the farthest one, or, when one lies
+        in another component, through the whole component and an empty layer."""
+        if targets & ~sum(layers):
+            return [x & targets for x in layers] + [0]
+        depth = max((d for d, x in enumerate(layers) if x & targets), default=0)
+        return [x & targets for x in layers[: depth + 1]]
+
+    def test_matches_floyd_warshall(self):
+        """From every source of the metric graphs (the catalogue graphs of order
+        <= 6 among them, with disconnected graphs and isolated vertices): toward
+        the whole component the walk gives the Floyd-Warshall row's layers, and
+        toward seeded target sets the targets among them."""
+        rng = random.Random(20)
+        for g in metric_graphs():
+            adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+            for a, row in enumerate(floyd_warshall(g)):
+                layers = row_layers(row)
+                assert layer_walk(adj, a, sum(layers)) == layers, (g.edges(), a)
+                for _ in range(3):
+                    targets = sum(1 << u for u in range(g.n) if rng.random() < 0.3)
+                    assert layer_walk(adj, a, targets) == self.expected(layers, targets), (
+                        g.edges(), a, targets,
+                    )
 
 
 class TestDiameter:

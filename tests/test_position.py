@@ -6,11 +6,13 @@ import pytest
 from conftest import PETERSEN_GP_CLASSES, complete, cycle, metric_graphs, path, random_graph
 from oracles import (
     all_geodesics,
+    floyd_warshall,
     geodesic_betweenness_triples,
     induced_path_through_arrangements,
     induced_path_triples,
     oracle_is_position_set,
     oracle_position_number,
+    row_layers,
 )
 from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
@@ -33,6 +35,7 @@ from poscol.position import (
     parse_kind,
     position_number,
     position_sets_of_size,
+    sees,
 )
 
 K = PositionKind
@@ -334,6 +337,37 @@ class TestGeodesicAvoiding:
                     continue
                 expect = any(not blocked & set(p[1:-1]) for p in paths)
                 assert geodesic_avoiding(g, u, v, blocked) == expect, (g.edges(), u, v, blocked)
+
+
+class TestSees:
+    @pytest.mark.parametrize("index", range(9))
+    def test_matches_geodesic_enumeration(self, index):
+        """``sees`` from every source against every shortest path, with seeded
+        target and blocked sets that sometimes hold the source, a target or
+        a vertex of another component; a source sees itself past any set."""
+        g = _differential_graphs()[index]
+        rng = random.Random(index)
+        adj = [sum(1 << u for u in g.adj[v]) for v in range(g.n)]
+        everyone = (1 << g.n) - 1
+        for a, row in enumerate(floyd_warshall(g)):
+            layers = row_layers(row)
+            assert sees(adj, layers, a, 1 << a, everyone)
+            for _ in range(12):
+                targets = set(rng.sample(range(g.n), rng.randint(1, 3)))
+                blocked = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+                if rng.random() < 0.3:
+                    targets.add(a)
+                if rng.random() < 0.3:
+                    blocked.add(a)
+                if rng.random() < 0.3:
+                    blocked |= targets
+                expect = all(
+                    any(not blocked & set(p[1:-1]) for p in all_geodesics(g, a, b))
+                    for b in targets
+                )
+                got = sees(adj, layers, a, sum(1 << b for b in targets),
+                           sum(1 << x for x in blocked))
+                assert got == expect, (g.edges(), a, targets, blocked)
 
 
 def _differential_graphs():
