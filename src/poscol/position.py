@@ -139,32 +139,35 @@ def exists_induced_path_through(
     ticker = limits.ticker()
     nbr = adjacency_masks(g)
     vbit, wbit = 1 << v, 1 << w
-    left = [TICK_BLOCK]
-
-    def extend(last: int, on_path: int, banned: int) -> bool:
-        left[0] -= 1
-        if not left[0]:
+    left = TICK_BLOCK
+    # one frame [last, on_path, banned, steps not yet tried] per path vertex
+    stack: list[list[int]] = []
+    last, on_path, banned = u, 1 << u, 0
+    found = False
+    while True:
+        left -= 1
+        if not left:
             ticker.tick(TICK_BLOCK)
-            left[0] = TICK_BLOCK
+            left = TICK_BLOCK
         # prune: once v or w is banned (adjacent to interior) it can never join
-        if banned & vbit or banned & ~on_path & wbit:
-            return False
-        if nbr[last] & vbit and on_path & wbit:
-            return True
-        step = nbr[last] & ~(on_path | banned | vbit)
-        while step:
-            bit = step & -step
-            step ^= bit
-            if extend(bit.bit_length() - 1, on_path | bit, banned | nbr[last] ^ bit):
-                return True
-        return False
-
-    try:
-        found = extend(u, 1 << u, 0)
-    finally:
-        del extend  # a recursive closure is a reference cycle; free it now
+        if not (banned & vbit or banned & ~on_path & wbit):
+            if nbr[last] & vbit and on_path & wbit:
+                found = True
+                break
+            stack.append([last, on_path, banned, nbr[last] & ~(on_path | banned | vbit)])
+        while stack:
+            frame = stack[-1]
+            prev, path, ban, step = frame
+            if step:
+                bit = step & -step
+                frame[3] = step ^ bit
+                last, on_path, banned = bit.bit_length() - 1, path | bit, ban | nbr[prev] ^ bit
+                break
+            stack.pop()
+        else:
+            break
     memo[key] = found
-    ticker.tick(TICK_BLOCK - left[0])
+    ticker.tick(TICK_BLOCK - left)
     return found
 
 
@@ -196,7 +199,8 @@ def sees(adj: Sequence[int], layers: Sequence[int], a: int, targets: int, blocke
 def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
     """True iff some shortest u-v path has its interior disjoint from ``blocked``.
 
-    :func:`sees` on one :func:`~poscol.graphs.layer_walk` over u's component.
+    :func:`sees` on u's row of the graph's distance layers when they are
+    cached, else on one :func:`~poscol.graphs.layer_walk` over u's component.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphInputError("u, v must be vertices of the graph")
@@ -205,7 +209,9 @@ def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
         raise GraphInputError("geodesic_avoiding requires u, v in one component")
     blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
     adj = adjacency_masks(g)
-    return sees(adj, layer_walk(adj, u, comp), u, 1 << v, blocked_mask)
+    layers = g._memo.get("distance_layers")
+    row = layer_walk(adj, u, comp) if layers is None else layers[u]
+    return sees(adj, row, u, 1 << v, blocked_mask)
 
 
 def has_collinear_triple(ids: Sequence[int], found, width: int) -> bool:
@@ -550,9 +556,11 @@ class SetState:
                 len(self.members) < 2 or self.ok >> v & 1 or core.keeps_visibility(self.mask, v)
             ):
                 return False
-        else:
+        else:  # ``core.line`` with its cache read inline
+            lines, n = core._lines, core.n
             for b in self.members:
-                grown |= core.line(v, b)
+                found = lines.get(v * n + b if v < b else b * n + v)
+                grown |= core.line(v, b) if found is None else found
         if self.independent:
             grown |= core.adj[v]
         self._saved.append((self.forbidden, self.ok))
@@ -577,34 +585,45 @@ def position_number(
     """Exact maximum size of a ``kind`` position set, with one witness.
 
     Branch and bound over vertex inclusion in descending-degree order;
-    subset closure lets infeasible extensions be filtered permanently.
-    The result is cached on the graph.
+    subset closure lets infeasible extensions be filtered permanently.  A
+    node's candidates are the later vertices that still fit; it is pruned
+    once its members and the candidates left cannot beat the best set.
+    The path is an explicit stack of ``[candidates, next index]`` frames,
+    one per member, so no graph is too deep for it.  The result is cached
+    on the graph.
     """
     cached = g._memo.get(("pi_witness", kind))
     if cached is not None:
         return cached
     ticker = limits.ticker()
     state = SetState(compiled(g, kind, ticker), kind.independent)
+    members = state.members
     best: list[int] = []
-
-    def search(cands: list[int]) -> None:
-        ticker.tick()
-        if len(state.members) > len(best):
-            best[:] = state.members
-        if len(state.members) + len(cands) <= len(best):
-            return
-        for idx, v in enumerate(cands):
-            if len(state.members) + len(cands) - idx <= len(best):
-                return
-            if state.try_add(v):
-                forbidden = state.forbidden
-                search([u for u in cands[idx + 1 :] if not forbidden >> u & 1])
+    ticker.tick()  # the root
+    stack = [[degree_order(g), 0]]
+    while stack:
+        frame = stack[-1]
+        cands, idx = frame
+        size = len(members)
+        while idx < len(cands) and size + len(cands) - idx > len(best):
+            v = cands[idx]
+            idx += 1
+            if not state.try_add(v):
+                continue
+            forbidden = state.forbidden
+            below = [u for u in cands[idx:] if not forbidden >> u & 1]
+            ticker.tick()
+            if size + 1 > len(best):
+                best = members[:]
+            if size + 1 + len(below) > len(best):
+                frame[1] = idx
+                stack.append([below, 0])
+                break
+            state.pop()
+        else:
+            stack.pop()
+            if stack:
                 state.pop()
-
-    try:
-        search(degree_order(g))
-    finally:
-        del search  # a recursive closure is a reference cycle; free it now
     result = PositionWitness(len(best), frozenset(best), kind)
     g._memo[("pi_witness", kind)] = result
     return result

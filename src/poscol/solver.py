@@ -2,7 +2,10 @@
 
 Every colouring number here is the fewest classes in a partition of V(G)
 into sets from a subset-closed family, and one backtracking partition
-search, ``_feasible_partition``, decides each k for all of them.  The
+search, ``_PartitionSearch``, decides each k for all of them.  It keeps its
+path on an explicit stack, not in recursion, so no graph is too deep for it,
+and a budget stop leaves it where it was: a later ``run`` goes on with the
+same depth-first search.  The
 position chromatic number solver iteratively deepens over k; its classes
 grow through :class:`poscol.position.SetState`, whose extension checks are
 sound because every position property is closed under subsets.  The
@@ -30,10 +33,11 @@ greedy upper bound, then the lower bounds that need no search: the
 (monophonic) diameter bound, a greedy clique for the ``_i`` kinds (their
 classes carry the independence mask, so no chromatic number is searched
 for) and 2 for mu on a graph with a component that is not complete.  The
-deepening starts at the largest.  A level that a quick search does not
-settle computes the position number pi, which may refute it, and then
-gives Culberson's iterated greedy a short slice to find the colouring by
-recolouring before the full search.  Each top-level call starts one budget,
+deepening starts at the largest.  A level that a quick slice of its search
+does not settle computes the position number pi, which may refute it, and
+then gives Culberson's iterated greedy a short slice to find the colouring
+by recolouring before the same search resumes where the slice stopped.
+Each top-level call starts one budget,
 and every phase but the distance layers and the final verification draws
 from it; the greedy's first fit only reads its clock.  A search pays once,
 up front, to compile its constraints (for the mono kinds, the walk over
@@ -147,13 +151,8 @@ def verify_colouring(
 # -- partition search --------------------------------------------------------
 
 
-def _feasible_partition(
-    order: list[int],
-    new_class: Callable[[], SetState | _CliqueOrIndependent],
-    k: int,
-    budget: BudgetTicker,
-) -> Colouring | None:
-    """A partition of the vertices into at most ``k`` classes, or None if none exists.
+class _PartitionSearch:
+    """A partition of the vertices into at most ``k`` classes, searched in slices.
 
     ``order`` lists every vertex, in the caller's ``degree_order`` of the
     graph.  ``new_class()`` makes an empty class of the family: a
@@ -167,66 +166,124 @@ def _feasible_partition(
     no class fails the node.  Otherwise the node branches on the unassigned
     vertex with the fewest feasible classes (deterministic tie-break: first
     in ``order``), trying its classes in order; the vertices are counted
-    one by one only when each fits three classes or more.
-    Each node charges ``budget`` one tick.  No capacity prune: with every
-    class a position set it could only test k*pi < n, which ``_level``
-    decides first.
+    one by one only when each fits three classes or more.  No capacity
+    prune: with every class a position set it could only test k*pi < n,
+    which ``_level`` decides first.
+
+    The depth-first search keeps its path on an explicit stack, one frame
+    ``[v, fit, c, free, opened]`` per branching node: the vertex branched
+    on, the masks its classes took, the class it is in now, and the node's
+    unassigned vertices and open class count.  So no graph is too deep for
+    it, and it can stop and go on: ``run`` charges each node one tick of its
+    budget, and when a charge raises :class:`BudgetExceededError` the stack
+    stays as it was, so the next ``run`` continues the same search from the
+    node whose charge raised, without charging that node again.
     """
-    n = len(order)
-    if n == 0:
-        return Colouring((), 0)
-    if k <= 0:
-        return None
-    states = [new_class() for _ in range(k)]
-    assignment = [-1] * n
 
-    def bt(free: int, opened: int) -> bool:
-        budget.tick()
-        if not free:
-            return True
-        fit = []
-        one = two = three = 0
-        for st in states[: opened + 1]:  # the open classes and one empty one, if left
-            a = st.fits(free)
-            fit.append(a)
-            three |= two & a
-            two |= one & a
-            one |= a
-        if free & ~one:
-            return False
-        fewest = free & ~two or free & ~three
-        if fewest:  # its first vertex in degree order
-            for v in order:
-                if fewest >> v & 1:
-                    break
-        else:  # every vertex fits three classes or more: count them
-            v, least = -1, k + 1
-            for u in order:
-                if free >> u & 1:
-                    count = sum(a >> u & 1 for a in fit)
-                    if count < least:
-                        v, least = u, count
-                        if count == 3:
+    __slots__ = ("_states", "_fits", "_runs", "_pairs", "_assignment", "_stack", "_next",
+                 "_charge_next", "_result")
+
+    def __init__(
+        self,
+        order: list[int],
+        new_class: Callable[[], SetState | _CliqueOrIndependent],
+        k: int,
+    ):
+        n = len(order)
+        self._states = [new_class() for _ in range(k)]
+        self._fits = [st.fits for st in self._states]
+        self._pairs = [(v, 1 << v) for v in order]
+        self._runs: list[int] = []  # the masks of the maximal id-ascending runs of ``order``
+        last = n
+        for v in order:
+            if v < last:
+                self._runs.append(0)
+            self._runs[-1] |= 1 << v
+            last = v
+        self._assignment = [-1] * n
+        self._stack: list[list] | None = []  # None once the search has its answer
+        self._next = ((1 << n) - 1, 0)  # ``free`` and ``opened`` of the node to expand
+        self._charge_next = True  # only the root is charged in ``run`` itself
+        self._result: Colouring | None = None
+        if n == 0:
+            self._stack, self._result = None, Colouring((), 0)
+        elif k <= 0:
+            self._stack = None
+
+    def run(self, budget: BudgetTicker) -> Colouring | None:
+        """The colouring found, or None once the search has refuted ``k``."""
+        stack = self._stack
+        if stack is None:
+            return self._result
+        states, fits, assignment = self._states, self._fits, self._assignment
+        runs, pairs = self._runs, self._pairs
+        tick = budget.tick
+        free, opened = self._next
+        if self._charge_next:
+            self._charge_next = False
+            tick()
+        while True:  # expand the node (free, opened), already charged
+            if not free:
+                self._stack = None
+                self._result = Colouring(tuple(assignment), max(assignment) + 1)
+                return self._result
+            fit = []
+            one = two = three = 0
+            for f in fits[: opened + 1]:  # the open classes and one empty one, if left
+                a = f(free)
+                fit.append(a)
+                three |= two & a
+                two |= one & a
+                one |= a
+            if not free & ~one:
+                fewest = free & ~two or free & ~three
+                if fewest:  # its first vertex in order: the lowest of its first run
+                    for run in runs:
+                        run &= fewest
+                        if run:
+                            v = (run & -run).bit_length() - 1
                             break
-        bit = 1 << v
-        for c, a in enumerate(fit):
-            if a & bit:
-                st = states[c]
-                if not st.try_add(v):  # pragma: no cover - ``fits`` vetted it
+                else:  # every vertex fits three classes or more: count them
+                    v, least = -1, len(fit) + 1
+                    for u, bit in pairs:
+                        if free & bit:
+                            count = 0
+                            for a in fit:
+                                if a & bit:
+                                    count += 1
+                            if count < least:
+                                v, least = u, count
+                                if count == 3:
+                                    break
+                stack.append([v, fit, -1, free, opened])
+            # move to the next class of the deepest frame that has one left
+            while stack:
+                frame = stack[-1]
+                v, fit, c, free, opened = frame
+                bit = 1 << v
+                if c >= 0:
+                    states[c].pop()
+                for c in range(c + 1, len(fit)):
+                    if fit[c] & bit:
+                        break
+                else:
+                    stack.pop()
                     continue
+                states[c].try_add(v)  # ``fits`` vetted it
                 assignment[v] = c
-                if bt(free ^ bit, max(opened, c + 1)):
-                    return True
-                st.pop()
-        return False
-
-    try:
-        if not bt((1 << n) - 1, 0):
-            return None
-    finally:
-        del bt  # a recursive closure is a reference cycle; free it now
-    used = max(assignment) + 1
-    return Colouring(tuple(assignment), used)
+                frame[2] = c
+                free ^= bit
+                if opened <= c:
+                    opened = c + 1
+                try:
+                    tick()
+                except BudgetExceededError:
+                    self._next = (free, opened)
+                    raise
+                break
+            else:
+                self._stack = None
+                return None
 
 
 def _perfect_packing(
@@ -458,22 +515,24 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
 
     The constraints are compiled first, on the whole budget, so that no
     capped slice stops the mono kinds' walk over every induced path midway;
-    the searches below share that core and one ``degree_order``.  A cached pi
-    with k*pi < n refutes the level outright.  Without pi, a search of at
-    most ``_QUICK_NODES`` nodes usually settles it; only when that stalls is
-    pi computed, in at most 200k nodes, and cached.  Then k*pi < n refutes
-    the level and k*pi == n calls ``_perfect_packing``.  Otherwise
+    the searches below share that core and one ``degree_order``.  One
+    :class:`_PartitionSearch` serves the level.  A cached pi with k*pi < n
+    refutes the level outright.  Without pi, a slice of at most
+    ``_QUICK_NODES`` nodes of the search usually settles it; only when that
+    stalls is pi computed, in at most 200k nodes, and cached.  Then k*pi < n
+    refutes the level and k*pi == n calls ``_perfect_packing``.  Otherwise
     ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to find the
-    colouring, and if it does not, the level is searched again on the rest
-    of the budget.
+    colouring, and if it does not, the search resumes where its slice
+    stopped, on the rest of the budget, so no node is searched twice.
     """
     new_class = partial(SetState, compiled(g, kind, budget), kind.independent)
     order = degree_order(g)
+    search = _PartitionSearch(order, new_class, k)
     pi = _known_position_number(g, kind)
     if pi is None:
         try:
             with budget.capped(_QUICK_NODES):
-                return _feasible_partition(order, new_class, k, budget)
+                return search.run(budget)
         except BudgetExceededError:
             try:
                 with budget.capped(200_000):
@@ -489,7 +548,7 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
             return _iterated_greedy(order, new_class, k, budget)
     except BudgetExceededError:
         pass
-    return _feasible_partition(order, new_class, k, budget)
+    return search.run(budget)
 
 
 def feasible_position_colouring(
@@ -497,9 +556,9 @@ def feasible_position_colouring(
 ) -> Colouring | None:
     """A verified colouring with at most ``k`` classes, or None if none exists.
 
-    One deepening level (``_level``): a quick search, and only if that
-    stalls pi, the iterated greedy and a full search, all drawn from one
-    budget.
+    One deepening level (``_level``): a quick slice of the search, and only
+    if that stalls pi, the iterated greedy and the rest of the search, all
+    drawn from one budget.
     """
     found = _level(g, kind, k, limits.ticker())
     if found is not None and not verify_colouring(g, found, kind, UNLIMITED):
@@ -561,7 +620,7 @@ def _fewest_classes(
     new_class = partial(_CliqueOrIndependent, adjacency_masks(g), clique_allowed)
     order = degree_order(g)
     k = lower
-    while (found := _feasible_partition(order, new_class, k, budget)) is None:
+    while (found := _PartitionSearch(order, new_class, k).run(budget)) is None:
         k += 1
     return found
 

@@ -566,7 +566,7 @@ def test_the_packing_agrees_with_the_partition_search(n):
             k = n // pi
             new_class = partial(SetState, compiled(g, kind), kind.independent)
             packing = solver._perfect_packing(n, new_class, pi, UNLIMITED.ticker())
-            partition = solver._feasible_partition(order, new_class, k, UNLIMITED.ticker())
+            partition = solver._PartitionSearch(order, new_class, k).run(UNLIMITED.ticker())
             assert (packing is None) == (partition is None), (g.edges(), kind)
             if packing is not None:
                 assert packing.k == k
@@ -574,6 +574,87 @@ def test_the_packing_agrees_with_the_partition_search(n):
                     assert len(cls) == pi and oracle_is_position_set(g, cls, kind), (
                         g.edges(), kind, cls,
                     )
+
+
+def _run_in_slices(search, cap):
+    """Run ``search`` to its answer in slices of at most ``cap`` nodes of one
+    budget; return the answer, the nodes charged and the number of stops."""
+    budget = Limits(node_limit=10**9).ticker()
+    stops = 0
+    while True:
+        try:
+            with budget.capped(cap):
+                found = search.run(budget)
+            return found, 10**9 - budget.nodes_left, stops
+        except BudgetExceededError:
+            stops += 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_resumed_search_is_the_uninterrupted_search(n):
+    """Stopped by slices of 1, 7 and 100 nodes and resumed after each stop,
+    the partition search gives the answer of one uninterrupted run and
+    charges the same nodes in total: the node whose charge stopped a slice
+    is expanded, not charged again, by the next.  Every catalogue graph of
+    order n, the six kinds at k = chi - 1 and chi, and the classic classes
+    at the chromatic and cochromatic numbers and one below."""
+    stops = 0
+    for g in graphs_of_order(n):
+        order = degree_order(g)
+        cases = [
+            (partial(solver._CliqueOrIndependent, graphs.adjacency_masks(g), clique), value)
+            for clique, value in ((False, chromatic_number(g)), (True, cochromatic_number(g)))
+        ]
+        for kind in ALL_KINDS:
+            cases.append((partial(SetState, compiled(g, kind), kind.independent),
+                          chromatic_position_number(g, kind).k))
+        for new_class, chi in cases:
+            for k in (chi - 1, chi):
+                whole = _run_in_slices(solver._PartitionSearch(order, new_class, k), 10**9)
+                assert (whole[0] is None) == (k < chi) and whole[2] == 0
+                for cap in (1, 7, 100):
+                    found, charged, stopped = _run_in_slices(
+                        solver._PartitionSearch(order, new_class, k), cap
+                    )
+                    assert (found, charged) == whole[:2], (g.edges(), k, cap)
+                    stops += stopped
+    assert stops > 0
+
+
+def test_a_stalled_level_resumes_its_quick_search(monkeypatch):
+    """The level of random:18,0.2,3 at k = 5 outlasts its quick slice; pi and
+    the iterated greedy run in between, and one search object answers."""
+    built = []
+
+    class Counted(solver._PartitionSearch):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "_PartitionSearch", Counted)
+    g = graph6_decode("Q??ELCm?A?BO?e?A@C???`?g?_O")  # random:18,0.2,3, chi_mono = 6
+    charged = _charged_nodes(monkeypatch)
+    assert feasible_position_colouring(g, K.MONO, 5) is None
+    assert built == [5] and sum(charged) > solver._QUICK_NODES
+
+
+class TestDeepInputs:
+    """Searches that go about a thousand vertices deep keep their paths on
+    explicit stacks, so they answer instead of overflowing Python's stack."""
+
+    def test_clique_cover_of_a_large_clique(self):
+        assert clique_cover_number(complete(1100)) == 1
+
+    def test_position_number_of_a_large_clique(self):
+        r = position_number(complete(1100), K.GP)
+        assert r.value == 1100 and r.witness == frozenset(range(1100))
+
+    def test_a_mono_class_along_a_long_path_is_rejected(self):
+        g = path(1500)
+        classes = [[0, 700, 1499]] + [[v] for v in range(1500) if v not in (0, 700, 1499)]
+        assert not verify_colouring(g, Colouring.from_classes(1500, classes), K.MONO)
 
 
 def test_feasible_colouring_refutes_by_pi_within_budget():
