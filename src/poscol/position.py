@@ -199,8 +199,7 @@ def sees(adj: Sequence[int], layers: Sequence[int], a: int, targets: int, blocke
 def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
     """True iff some shortest u-v path has its interior disjoint from ``blocked``.
 
-    :func:`sees` on u's row of the graph's distance layers when they are
-    cached, else on one :func:`~poscol.graphs.layer_walk` over u's component.
+    :func:`sees` on one :func:`~poscol.graphs.layer_walk` over u's component.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise GraphInputError("u, v must be vertices of the graph")
@@ -209,9 +208,7 @@ def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
         raise GraphInputError("geodesic_avoiding requires u, v in one component")
     blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
     adj = adjacency_masks(g)
-    layers = g._memo.get("distance_layers")
-    row = layer_walk(adj, u, comp) if layers is None else layers[u]
-    return sees(adj, row, u, 1 << v, blocked_mask)
+    return sees(adj, layer_walk(adj, u, comp), u, 1 << v, blocked_mask)
 
 
 def has_collinear_triple(ids: Sequence[int], found, width: int) -> bool:
@@ -390,8 +387,10 @@ class Constraints:
     on a shortest path for gp and on an induced path for mono.  Collinearity
     is a property of the unordered triple, so ``line(a, b)``, the mask of the
     vertices collinear with a and b, describes every conflict of the pair;
-    it is filled lazily.  It has one shape for both: the vertices between a
-    and b, those beyond b seen from a, and those beyond a seen from b.  For
+    it is filled lazily into ``lines``, where ``lines[a][b]`` and
+    ``lines[b][a]`` both hold it once it has been asked for.  It has one
+    shape for both: the vertices between a and b, those beyond b seen from
+    a, and those beyond a seen from b.  For
     mu, ``keeps_visibility`` hands the distance layers of one vertex to
     :func:`sees`, so one walk decides the visibility of many targets.
 
@@ -400,7 +399,7 @@ class Constraints:
     It keeps no reference to the graph, so the memo forms no reference cycle.
     """
 
-    __slots__ = ("mu", "n", "adj", "component", "layers", "paths", "_lines", "_behind_masks")
+    __slots__ = ("mu", "n", "adj", "component", "layers", "paths", "lines", "_behind_masks")
 
     def __init__(self, g: Graph, kind: PositionKind, limits: Limits | BudgetTicker):
         mono = kind.base is PositionKind.MONO
@@ -410,16 +409,15 @@ class Constraints:
         self.n = g.n
         self.adj = adjacency_masks(g)
         self.component = component_masks(g)
-        self._lines: dict[int, int] = {}
+        self.lines: list[dict[int, int]] = [{} for _ in range(g.n)]
         self._behind_masks: dict[int, int] = {}
 
     def line(self, a: int, b: int) -> int:
         """Mask of the vertices w for which one of a, b, w lies between the others."""
-        key = a * self.n + b if a < b else b * self.n + a
-        found = self._lines.get(key)
+        found = self.lines[a].get(b)
         if found is None:
             found = self._collinear(a, b) if self.component[a] >> b & 1 else 0
-            self._lines[key] = found
+            self.lines[a][b] = self.lines[b][a] = found
         return found
 
     def _collinear(self, a: int, b: int) -> int:
@@ -556,10 +554,10 @@ class SetState:
                 len(self.members) < 2 or self.ok >> v & 1 or core.keeps_visibility(self.mask, v)
             ):
                 return False
-        else:  # ``core.line`` with its cache read inline
-            lines, n = core._lines, core.n
+        else:  # ``core.line``, read from its filled row first
+            known = core.lines[v]
             for b in self.members:
-                found = lines.get(v * n + b if v < b else b * n + v)
+                found = known.get(b)
                 grown |= core.line(v, b) if found is None else found
         if self.independent:
             grown |= core.adj[v]

@@ -14,7 +14,6 @@ from oracles import (
     oracle_position_number,
     row_layers,
 )
-from poscol import position
 from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graph6 import graph6_decode
@@ -338,30 +337,6 @@ class TestGeodesicAvoiding:
                     continue
                 expect = any(not blocked & set(p[1:-1]) for p in paths)
                 assert geodesic_avoiding(g, u, v, blocked) == expect, (g.edges(), u, v, blocked)
-
-    def test_cached_distance_layers_give_the_same_verdicts(self, monkeypatch):
-        """Once the graph has its distance layers, u's row replaces the walk
-        from u, and every verdict (errors included) stays the same."""
-        rng = random.Random(5)
-        asked = []
-        for g in metric_graphs()[::3]:
-            for u, v in itertools.product(range(g.n), repeat=2):
-                blocked = set(rng.sample(range(-1, g.n + 1), rng.randint(0, g.n)))
-                try:
-                    verdict = geodesic_avoiding(g, u, v, blocked)
-                except GraphInputError:
-                    verdict = None
-                asked.append((g, u, v, blocked, verdict))
-            assert "distance_layers" not in g._memo
-        monkeypatch.setattr(position, "layer_walk", None)  # the walk is not called again
-        for g, u, v, blocked, verdict in asked:
-            distance_layers(g)
-            try:
-                again = geodesic_avoiding(g, u, v, blocked)
-            except GraphInputError:
-                again = None
-            assert again == verdict, (g.edges(), u, v, blocked)
-        assert {verdict for *_, verdict in asked} == {True, False, None}
 
 
 class TestSees:

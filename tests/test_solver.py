@@ -621,23 +621,52 @@ def test_a_resumed_search_is_the_uninterrupted_search(n):
     assert stops > 0
 
 
+class _CountingBudget:
+    """A budget that counts the charges made to it, the one that raises too."""
+
+    def __init__(self, budget):
+        self.budget, self.charged = budget, 0
+
+    def tick(self, n=1):
+        self.charged += n
+        self.budget.tick(n)
+
+
 def test_a_stalled_level_resumes_its_quick_search(monkeypatch):
     """The level of random:18,0.2,3 at k = 5 outlasts its quick slice; pi and
-    the iterated greedy run in between, and one search object answers."""
-    built = []
+    the iterated greedy run in between, and the full search goes on from the
+    node where the slice stopped: the level builds one search object, its
+    second run starts below the root, and the two runs charge together the
+    nodes of one uninterrupted search."""
+    built, starts, charged = [], [], []
+    search = solver._PartitionSearch
 
-    class Counted(solver._PartitionSearch):
+    class Recorded(search):
         __slots__ = ()
 
         def __init__(self, *args):
-            built.append(args[2])
+            built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(solver, "_PartitionSearch", Counted)
+        def run(self, budget):
+            starts.append((self._next, len(self._stack)))
+            counting = _CountingBudget(budget)
+            try:
+                return super().run(counting)
+            finally:
+                charged.append(counting.charged)
+
+    monkeypatch.setattr(solver, "_PartitionSearch", Recorded)
     g = graph6_decode("Q??ELCm?A?BO?e?A@C???`?g?_O")  # random:18,0.2,3, chi_mono = 6
-    charged = _charged_nodes(monkeypatch)
     assert feasible_position_colouring(g, K.MONO, 5) is None
-    assert built == [5] and sum(charged) > solver._QUICK_NODES
+    assert len(built) == 1 and built[0][2] == 5
+    root = ((1 << g.n) - 1, 0)
+    assert starts[0] == (root, 0) and len(starts) == 2
+    assert starts[1][0] != root and starts[1][1] > 0
+    assert charged[0] == solver._QUICK_NODES + 1
+    whole = _CountingBudget(UNLIMITED.ticker())
+    assert search(*built[0]).run(whole) is None
+    assert sum(charged) == whole.charged
 
 
 class TestDeepInputs:
