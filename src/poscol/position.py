@@ -634,23 +634,39 @@ def completions(
 
     Yields at each completion, with the set in ``state``; the members added
     follow ``cands``'s order, and a branch stops when too few candidates
-    remain.  Each node charges ``ticker`` one tick.  Every member added is
-    popped before the walk returns; one stopped early keeps its last set.
+    remain.  Each node charges ``ticker`` one tick.  The path is an explicit
+    stack of ``[candidates, next index]`` frames, one per member added, so no
+    set is too large for it.  Every member added is popped before the walk
+    returns; one stopped early keeps its last set.
     """
-    ticker.tick()
-    need = size - len(state.members)
-    if not need:
+    members = state.members
+    ticker.tick()  # the root
+    if len(members) == size:
         yield
         return
-    for idx, v in enumerate(cands):
-        if len(cands) - idx < need:
-            return
-        if state.try_add(v):
+    stack = [[cands, 0]]
+    while stack:
+        frame = stack[-1]
+        cands, idx = frame
+        need = size - len(members)
+        while len(cands) - idx >= need:
+            v = cands[idx]
+            idx += 1
+            if not state.try_add(v):
+                continue
+            ticker.tick()
+            if need == 1:
+                yield
+                state.pop()
+                continue
             forbidden = state.forbidden
-            yield from completions(
-                state, [u for u in cands[idx + 1 :] if not forbidden >> u & 1], size, ticker
-            )
-            state.pop()
+            frame[1] = idx
+            stack.append([[u for u in cands[idx:] if not forbidden >> u & 1], 0])
+            break
+        else:
+            stack.pop()
+            if stack:
+                state.pop()
 
 
 def position_sets_of_size(

@@ -37,6 +37,10 @@ deepening starts at the largest.  A level that a quick slice of its search
 does not settle computes the position number pi, which may refute it, and
 then gives Culberson's iterated greedy a short slice to find the colouring
 by recolouring before the same search resumes where the slice stopped.
+Once pi is known, the level's search is capped at pi: it also fails a node
+whose classes cannot hold its unassigned vertices with at most pi members
+each, the paper's bound n/pi applied to the room every class has left.
+The packing and its walk keep their paths on explicit stacks too.
 Each top-level call starts one budget,
 and every phase but the distance layers and the final verification draws
 from it; the greedy's first fit only reads its clock.  A search pays once,
@@ -166,9 +170,10 @@ class _PartitionSearch:
     no class fails the node.  Otherwise the node branches on the unassigned
     vertex with the fewest feasible classes (deterministic tie-break: first
     in ``order``), trying its classes in order; the vertices are counted
-    one by one only when each fits three classes or more.  No capacity
-    prune: with every class a position set it could only test k*pi < n,
-    which ``_level`` decides first.
+    one by one only when each fits three classes or more.  A ``run`` given
+    a cap on the class size also fails a node that ``_can_hold`` rejects.
+    Those nodes have no colouring below them, so the cap changes neither
+    the answer nor the colouring found, only the nodes charged.
 
     The depth-first search keeps its path on an explicit stack, one frame
     ``[v, fit, c, free, opened]`` per branching node: the vertex branched
@@ -180,8 +185,8 @@ class _PartitionSearch:
     node whose charge raised, without charging that node again.
     """
 
-    __slots__ = ("_states", "_fits", "_runs", "_pairs", "_assignment", "_stack", "_next",
-                 "_charge_next", "_result")
+    __slots__ = ("_states", "_fits", "_sizes", "_runs", "_pairs", "_assignment", "_stack",
+                 "_next", "_charge_next", "_result")
 
     def __init__(
         self,
@@ -192,6 +197,7 @@ class _PartitionSearch:
         n = len(order)
         self._states = [new_class() for _ in range(k)]
         self._fits = [st.fits for st in self._states]
+        self._sizes = [0] * k  # the members of each class
         self._pairs = [(v, 1 << v) for v in order]
         self._runs: list[int] = []  # the masks of the maximal id-ascending runs of ``order``
         last = n
@@ -210,12 +216,17 @@ class _PartitionSearch:
         elif k <= 0:
             self._stack = None
 
-    def run(self, budget: BudgetTicker) -> Colouring | None:
-        """The colouring found, or None once the search has refuted ``k``."""
+    def run(self, budget: BudgetTicker, cap: int | None = None) -> Colouring | None:
+        """The colouring found, or None once the search has refuted ``k``.
+
+        ``cap``, when given, bounds the size of every class that can occur
+        (the position number, for a position kind), and the nodes this run
+        expands must also pass ``_can_hold``.
+        """
         stack = self._stack
         if stack is None:
             return self._result
-        states, fits, assignment = self._states, self._fits, self._assignment
+        states, fits, sizes, assignment = self._states, self._fits, self._sizes, self._assignment
         runs, pairs = self._runs, self._pairs
         tick = budget.tick
         free, opened = self._next
@@ -235,7 +246,7 @@ class _PartitionSearch:
                 three |= two & a
                 two |= one & a
                 one |= a
-            if not free & ~one:
+            if not free & ~one and (cap is None or self._can_hold(fit, free, two, opened, cap)):
                 fewest = free & ~two or free & ~three
                 if fewest:  # its first vertex in order: the lowest of its first run
                     for run in runs:
@@ -263,6 +274,7 @@ class _PartitionSearch:
                 bit = 1 << v
                 if c >= 0:
                     states[c].pop()
+                    sizes[c] -= 1
                 for c in range(c + 1, len(fit)):
                     if fit[c] & bit:
                         break
@@ -270,6 +282,7 @@ class _PartitionSearch:
                     stack.pop()
                     continue
                 states[c].try_add(v)  # ``fits`` vetted it
+                sizes[c] += 1
                 assignment[v] = c
                 frame[2] = c
                 free ^= bit
@@ -285,6 +298,28 @@ class _PartitionSearch:
                 self._stack = None
                 return None
 
+    def _can_hold(self, fit: list[int], free: int, two: int, opened: int, cap: int) -> bool:
+        """Whether classes of at most ``cap`` members each can still hold ``free``.
+
+        ``fit`` holds the masks the open classes and the empty one take, and
+        ``two`` the vertices that fit two classes or more.  An open class has
+        room for ``cap`` less its members, the empty class for ``cap`` in
+        each of the classes not yet opened.  The node fails when the vertices
+        that fit only one class outnumber its room, or when the classes,
+        each taking no more than its room of the vertices it fits, cannot
+        take every vertex of ``free``.
+        """
+        sizes, unopened = self._sizes, len(self._states) - opened
+        alone = ~two  # with ``a``, the vertices that fit only that class
+        held = 0
+        for c, a in enumerate(fit):
+            room = cap - sizes[c] if c < opened else unopened * cap
+            if (a & alone).bit_count() > room:
+                return False
+            a = a.bit_count()
+            held += room if room < a else a  # not min(): its call doubled the cost here
+        return held >= free.bit_count()
+
 
 def _perfect_packing(
     n: int, new_class: Callable[[], SetState], pi: int, budget: BudgetTicker
@@ -294,32 +329,28 @@ def _perfect_packing(
     Exact-cover style search: the lowest unassigned vertex anchors the next
     class, and :func:`~poscol.position.completions` grows it to ``pi``
     members from the later unassigned vertices, in increasing id order, so
-    class symmetry disappears entirely.
+    class symmetry disappears entirely.  The path is an explicit stack with
+    one class and its walk per frame, so no partition is too deep for it.
     """
-    classes: list[SetState] = []
-
-    def fill(free: int) -> bool:
-        budget.tick()
-        if not free:
-            return True
+    classes: list[tuple[SetState, int, Iterator[None]]] = []  # with the vertices free before it
+    free = (1 << n) - 1
+    budget.tick()  # the root
+    while free:
         anchor = (free & -free).bit_length() - 1
         state = new_class()
         state.try_add(anchor)
-        classes.append(state)
         allowed = free & ~state.forbidden
         cands = [v for v in range(anchor + 1, n) if allowed >> v & 1]
-        for _ in completions(state, cands, pi, budget):
-            if fill(free & ~state.mask):
-                return True
-        classes.pop()
-        return False
-
-    try:
-        if not fill((1 << n) - 1):
-            return None
-    finally:
-        del fill  # a recursive closure is a reference cycle; free it now
-    return Colouring.from_classes(n, [st.members for st in classes])
+        classes.append((state, free, completions(state, cands, pi, budget)))
+        # the next completion of the deepest class that has one left
+        while next(classes[-1][2], False) is not None:  # None at a completion
+            classes.pop()
+            if not classes:
+                return None
+        state, before, _ = classes[-1]
+        free = before & ~state.mask
+        budget.tick()
+    return Colouring.from_classes(n, [st.members for st, _, _ in classes])
 
 
 def _first_fit(
@@ -523,7 +554,9 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
     refutes the level and k*pi == n calls ``_perfect_packing``.  Otherwise
     ``_iterated_greedy`` gets a slice of ``_QUICK_NODES`` nodes to find the
     colouring, and if it does not, the search resumes where its slice
-    stopped, on the rest of the budget, so no node is searched twice.
+    stopped, on the rest of the budget, so no node is searched twice.  That
+    run, or the only one when pi was cached before the level, is capped at
+    pi when pi is known.
     """
     new_class = partial(SetState, compiled(g, kind, budget), kind.independent)
     order = degree_order(g)
@@ -548,7 +581,7 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
             return _iterated_greedy(order, new_class, k, budget)
     except BudgetExceededError:
         pass
-    return search.run(budget)
+    return search.run(budget, pi)
 
 
 def feasible_position_colouring(

@@ -576,18 +576,40 @@ def test_the_packing_agrees_with_the_partition_search(n):
                     )
 
 
-def _run_in_slices(search, cap):
-    """Run ``search`` to its answer in slices of at most ``cap`` nodes of one
-    budget; return the answer, the nodes charged and the number of stops."""
+def _run_in_slices(search, nodes, cap=None):
+    """Run ``search`` to its answer, with class-size cap ``cap``, in slices of
+    at most ``nodes`` nodes of one budget; return the answer, the nodes
+    charged and the number of stops."""
     budget = Limits(node_limit=10**9).ticker()
     stops = 0
     while True:
         try:
-            with budget.capped(cap):
-                found = search.run(budget)
+            with budget.capped(nodes):
+                found = search.run(budget, cap)
             return found, 10**9 - budget.nodes_left, stops
         except BudgetExceededError:
             stops += 1
+
+
+def _position_cases(g):
+    """A class factory of each kind on ``g``, with chi and pi of the kind."""
+    for kind in ALL_KINDS:
+        new_class = partial(SetState, compiled(g, kind), kind.independent)
+        yield new_class, chromatic_position_number(g, kind).k, position_number(g, kind).value
+
+
+def _resumes_as_uninterrupted(order, new_class, k, cap=None):
+    """Slices of 1, 7 and 100 nodes against one uninterrupted run; the stops."""
+    whole = _run_in_slices(solver._PartitionSearch(order, new_class, k), 10**9, cap)
+    assert whole[2] == 0
+    stops = 0
+    for nodes in (1, 7, 100):
+        found, charged, stopped = _run_in_slices(
+            solver._PartitionSearch(order, new_class, k), nodes, cap
+        )
+        assert (found, charged) == whole[:2], (k, nodes, cap)
+        stops += stopped
+    return whole[0], stops
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -605,20 +627,83 @@ def test_a_resumed_search_is_the_uninterrupted_search(n):
             (partial(solver._CliqueOrIndependent, graphs.adjacency_masks(g), clique), value)
             for clique, value in ((False, chromatic_number(g)), (True, cochromatic_number(g)))
         ]
-        for kind in ALL_KINDS:
-            cases.append((partial(SetState, compiled(g, kind), kind.independent),
-                          chromatic_position_number(g, kind).k))
+        cases += [(new_class, chi) for new_class, chi, _ in _position_cases(g)]
         for new_class, chi in cases:
             for k in (chi - 1, chi):
-                whole = _run_in_slices(solver._PartitionSearch(order, new_class, k), 10**9)
-                assert (whole[0] is None) == (k < chi) and whole[2] == 0
-                for cap in (1, 7, 100):
-                    found, charged, stopped = _run_in_slices(
-                        solver._PartitionSearch(order, new_class, k), cap
-                    )
-                    assert (found, charged) == whole[:2], (g.edges(), k, cap)
-                    stops += stopped
+                found, stopped = _resumes_as_uninterrupted(order, new_class, k)
+                assert (found is None) == (k < chi), (g.edges(), k)
+                stops += stopped
     assert stops > 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_resumed_capped_search_is_the_uninterrupted_capped_search(n):
+    """The same with the class size capped at pi: the slices that stop and
+    resume a capped search charge the nodes of one uninterrupted capped run
+    and give its answer.  Every catalogue graph of order n, the six kinds at
+    k = chi - 1 and chi."""
+    stops = 0
+    for g in graphs_of_order(n):
+        order = degree_order(g)
+        for new_class, chi, pi in _position_cases(g):
+            for k in (chi - 1, chi):
+                found, stopped = _resumes_as_uninterrupted(order, new_class, k, pi)
+                assert (found is None) == (k < chi), (g.edges(), k)
+                stops += stopped
+    assert stops > 0
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_capacity_prune_cuts_only_subtrees_without_a_colouring(n):
+    """Capped at pi, the partition search finds the colouring the uncapped
+    search finds, or refutes k as it does, and charges no more nodes: the
+    prune fails only nodes below which no colouring has classes of at most
+    pi vertices, and every position colouring has.  Every catalogue graph of
+    order n, the six kinds at k = chi - 1 and chi; from order 4 on, some
+    search is cut short."""
+    pruned = 0
+    for g in graphs_of_order(n):
+        order = degree_order(g)
+        for new_class, chi, pi in _position_cases(g):
+            for k in (chi - 1, chi):
+                plain, nodes = _run_in_slices(solver._PartitionSearch(order, new_class, k), 10**9)[:2]
+                capped, fewer = _run_in_slices(
+                    solver._PartitionSearch(order, new_class, k), 10**9, pi
+                )[:2]
+                assert capped == plain and fewer <= nodes, (g.edges(), k, pi)
+                pruned += fewer < nodes
+    assert pruned > 0 or n < 4
+
+
+def test_a_node_fails_when_its_classes_cannot_hold_its_free_vertices():
+    """The two capacity tests of a node, each failing on its own: (i) the
+    rooms of the classes, each no more than the vertices the class fits,
+    sum to less than the free vertices; (ii) the vertices that fit only one
+    class outnumber its room, which for the empty class is the cap in each
+    class not yet opened."""
+
+    def can_hold(k, sizes, fit, cap):
+        new_class = partial(solver._CliqueOrIndependent, (0,) * 8, False)
+        search = solver._PartitionSearch(list(range(8)), new_class, k)
+        search._sizes[: len(sizes)] = sizes
+        one = two = 0
+        for a in fit:
+            two |= one & a
+            one |= a
+        return search._can_hold(fit, one, two, len(sizes), cap)
+
+    # (i): class 0 is full, and the one class left has room for two of three vertices
+    assert not can_hold(2, [2], [0b001, 0b111], 2)
+    assert can_hold(2, [2], [0b001, 0b111], 3)
+    # (i): class 0 has room for two but fits one vertex, class 2 fits two but is full
+    assert not can_hold(3, [1, 2, 3], [0b001, 0b111, 0b110], 3)
+    assert can_hold(3, [1, 2, 3], [0b011, 0b111, 0b110], 3)
+    # (ii): two vertices fit only class 0, which has room for one, or for two
+    assert not can_hold(3, [3, 1, 1], [0b00011, 0b11100, 0b11100], 4)
+    assert can_hold(3, [3, 1, 1], [0b00011, 0b11100, 0b11100], 5)
+    # (ii): three vertices fit only the empty class, with room for two per class
+    assert can_hold(3, [1], [0b0001, 0b1111], 2)
+    assert not can_hold(2, [1], [0b0001, 0b1111], 2)
 
 
 class _CountingBudget:
@@ -648,11 +733,11 @@ def test_a_stalled_level_resumes_its_quick_search(monkeypatch):
             built.append(args)
             super().__init__(*args)
 
-        def run(self, budget):
+        def run(self, budget, cap=None):
             starts.append((self._next, len(self._stack)))
             counting = _CountingBudget(budget)
             try:
-                return super().run(counting)
+                return super().run(counting, cap)
             finally:
                 charged.append(counting.charged)
 
@@ -664,8 +749,12 @@ def test_a_stalled_level_resumes_its_quick_search(monkeypatch):
     assert starts[0] == (root, 0) and len(starts) == 2
     assert starts[1][0] != root and starts[1][1] > 0
     assert charged[0] == solver._QUICK_NODES + 1
-    whole = _CountingBudget(UNLIMITED.ticker())
-    assert search(*built[0]).run(whole) is None
+    # the level's protocol in one go: a quick slice, then the run capped at pi
+    reference, ticker = search(*built[0]), UNLIMITED.ticker()
+    whole = _CountingBudget(ticker)
+    with pytest.raises(BudgetExceededError), ticker.capped(solver._QUICK_NODES):
+        reference.run(whole)
+    assert reference.run(whole, position_number(g, K.MONO).value) is None
     assert sum(charged) == whole.charged
 
 
@@ -679,6 +768,14 @@ class TestDeepInputs:
     def test_position_number_of_a_large_clique(self):
         r = position_number(complete(1100), K.GP)
         assert r.value == 1100 and r.witness == frozenset(range(1100))
+
+    def test_a_feasible_colouring_of_a_large_clique_packs_one_class(self):
+        c = feasible_position_colouring(complete(1100), K.GP, 1)
+        assert c is not None and c.k == 1
+
+    def test_the_one_largest_position_set_of_a_large_clique(self):
+        s = next(position.position_sets_of_size(complete(1100), K.GP, 1100))
+        assert s == frozenset(range(1100))
 
     def test_a_mono_class_along_a_long_path_is_rejected(self):
         g = path(1500)
@@ -702,10 +799,11 @@ def test_iterated_greedy_settles_the_grid_within_budget(spec):
 
 
 def test_forward_checking_settles_the_three_by_seven_grid_within_budget():
-    """A vertex that fits no open class fails its node at once, so the search
-    finds the 6-colouring of P3 x P7 within 12000 nodes."""
+    """A vertex that fits no open class fails its node at once, and once pi
+    is known so does a node whose classes cannot hold its free vertices, so
+    the search finds the 6-colouring of P3 x P7 within 7000 nodes."""
     g = generate(parse_family("cartesian(path:3,path:7)"))
-    r = chromatic_position_number(g, K.GP, Limits(node_limit=12000))
+    r = chromatic_position_number(g, K.GP, Limits(node_limit=7000))
     assert (r.k, r.optimality) == (6, "exact") and verify_colouring(g, r.colouring, K.GP)
 
 
