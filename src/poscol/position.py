@@ -16,8 +16,8 @@ The properties are decided twice here, on purpose.  The searches
 (``position_number``, ``position_sets_of_size`` and the solver's) run on
 :class:`Constraints`, the bitmask form of one graph and base kind, cached on
 the graph.  Each search compiles it once, on its own budget, and grows
-:class:`SetState` objects that wrap it; ``position_sets_of_size`` and the
-solver's packing share one fixed-size walk, :func:`completions`.
+:class:`SetState` objects that wrap it; all three share one set walk,
+:func:`completions`, which ``position_number`` drives with a rising target.
 The verifier, ``are_position_sets`` (and ``is_position_set``, the same on
 one set), works from the distances among the members alone and the
 induced-path oracle and never touches the compiled form, so it re-verifies
@@ -577,73 +577,57 @@ class SetState:
 # -- exact maxima -------------------------------------------------------------
 
 
+def known_position_number(g: Graph, kind: PositionKind) -> PositionWitness | None:
+    """The position number and witness if an earlier search has cached them."""
+    return g._memo.get(("pi_witness", kind))
+
+
 def position_number(
     g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
 ) -> PositionWitness:
     """Exact maximum size of a ``kind`` position set, with one witness.
 
-    Branch and bound over vertex inclusion in descending-degree order;
-    subset closure lets infeasible extensions be filtered permanently.  A
-    node's candidates are the later vertices that still fit; it is pruned
-    once its members and the candidates left cannot beat the best set.
-    The path is an explicit stack of ``[candidates, next index]`` frames,
-    one per member, so no graph is too deep for it.  The result is cached
-    on the graph.
+    Branch and bound over vertex inclusion in descending-degree order: the
+    rising walk of :func:`completions`, whose target is always one more than
+    the best set so far, so a node is pruned once its members and the
+    candidates left cannot beat that set.  Subset closure lets infeasible
+    extensions be filtered permanently.  The result is cached on the graph
+    (:func:`known_position_number`); a budget stop caches nothing.
     """
-    cached = g._memo.get(("pi_witness", kind))
+    cached = known_position_number(g, kind)
     if cached is not None:
         return cached
     ticker = limits.ticker()
     state = SetState(compiled(g, kind, ticker), kind.independent)
-    members = state.members
     best: list[int] = []
-    ticker.tick()  # the root
-    stack = [[degree_order(g), 0]]
-    while stack:
-        frame = stack[-1]
-        cands, idx = frame
-        size = len(members)
-        while idx < len(cands) and size + len(cands) - idx > len(best):
-            v = cands[idx]
-            idx += 1
-            if not state.try_add(v):
-                continue
-            forbidden = state.forbidden
-            below = [u for u in cands[idx:] if not forbidden >> u & 1]
-            ticker.tick()
-            if size + 1 > len(best):
-                best = members[:]
-            if size + 1 + len(below) > len(best):
-                frame[1] = idx
-                stack.append([below, 0])
-                break
-            state.pop()
-        else:
-            stack.pop()
-            if stack:
-                state.pop()
-    result = PositionWitness(len(best), frozenset(best), kind)
-    g._memo[("pi_witness", kind)] = result
+    for _ in completions(state, degree_order(g), 1, ticker, rising=True):
+        best = state.members[:]
+    result = g._memo[("pi_witness", kind)] = PositionWitness(len(best), frozenset(best), kind)
     return result
 
 
 def completions(
-    state: SetState, cands: list[int], size: int, ticker: BudgetTicker
+    state: SetState, cands: list[int], size: int, ticker: BudgetTicker, rising: bool = False
 ) -> Iterator[None]:
     """Grow ``state`` to ``size`` members from ``cands``, each way once.
 
-    Yields at each completion, with the set in ``state``; the members added
-    follow ``cands``'s order, and a branch stops when too few candidates
-    remain.  Each node charges ``ticker`` one tick.  The path is an explicit
-    stack of ``[candidates, next index]`` frames, one per member added, so no
-    set is too large for it.  Every member added is popped before the walk
-    returns; one stopped early keeps its last set.
+    The one set walk of ``position_number``, ``position_sets_of_size`` and
+    the solver's packing.  Yields at each completion, with the set in
+    ``state``; the members added follow ``cands``'s order, and a branch
+    stops when too few candidates remain.  When ``rising``, each completion
+    raises ``size`` by one and the walk goes on down from it, so each set
+    yielded is one larger.  Each node charges ``ticker`` one tick.  The path
+    is an explicit stack of ``[candidates, next index]`` frames, one per
+    member added, so no set is too large for it.  Every member added is
+    popped before the walk returns; one stopped early keeps its last set.
     """
     members = state.members
     ticker.tick()  # the root
     if len(members) == size:
         yield
-        return
+        if not rising:
+            return
+        size += 1
     stack = [[cands, 0]]
     while stack:
         frame = stack[-1]
@@ -657,8 +641,10 @@ def completions(
             ticker.tick()
             if need == 1:
                 yield
-                state.pop()
-                continue
+                if not rising:
+                    state.pop()
+                    continue
+                size += 1
             forbidden = state.forbidden
             frame[1] = idx
             stack.append([[u for u in cands[idx:] if not forbidden >> u & 1], 0])

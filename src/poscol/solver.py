@@ -16,7 +16,8 @@ sets or cliques.  The greedy bound, ``position_number``, the partition search
 and the exact-cover packing run on the compiled bitmask constraints of
 :mod:`poscol.position`, compiled once per entry point: the private searches
 get the vertex order and a factory of classes that wrap the core, never the
-graph, and the packing completes its classes with the fixed-size walk of
+graph, and the packing completes its classes with ``completions``, the
+one set walk, which also serves ``position_number`` and
 ``position_sets_of_size``.  Each class answers ``fits``, the mask of the
 unassigned vertices it takes (for gp, mono and the classic families one AND
 with its ``forbidden`` mask), and a node of the partition search folds those
@@ -77,6 +78,7 @@ from .position import (
     are_position_sets,
     compiled,
     completions,
+    known_position_number,
     position_number,
 )
 
@@ -520,20 +522,14 @@ def chromatic_position_number(
             lower += 1
     except BudgetExceededError:
         pass
-    pi = _known_position_number(g, kind)
-    if pi is not None:
-        lower = max(lower, -(-g.n // pi))
+    known = known_position_number(g, kind)
+    if known is not None:
+        lower = max(lower, -(-g.n // known.value))
     if not verify_colouring(g, best, kind, UNLIMITED):
         raise AssertionError("solver produced an invalid colouring")
     return CertifiedColouring(
         best, kind, True, "solver", "exact" if lower >= best.k else "upper_bound_only"
     )
-
-
-def _known_position_number(g: Graph, kind: PositionKind) -> int | None:
-    """The position number if an earlier search has already cached it."""
-    cached = g._memo.get(("pi_witness", kind))
-    return cached.value if cached is not None else None
 
 
 # the slice of a level's quick search, and again of its iterated greedy: benchmark
@@ -561,17 +557,18 @@ def _level(g: Graph, kind: PositionKind, k: int, budget: BudgetTicker) -> Colour
     new_class = partial(SetState, compiled(g, kind, budget), kind.independent)
     order = degree_order(g)
     search = _PartitionSearch(order, new_class, k)
-    pi = _known_position_number(g, kind)
-    if pi is None:
+    known = known_position_number(g, kind)
+    if known is None:
         try:
             with budget.capped(_QUICK_NODES):
                 return search.run(budget)
         except BudgetExceededError:
             try:
                 with budget.capped(200_000):
-                    pi = position_number(g, kind, budget).value
+                    known = position_number(g, kind, budget)
             except BudgetExceededError:
                 pass
+    pi = None if known is None else known.value
     if pi is not None and k * pi < g.n:
         return None
     if pi and k * pi == g.n:  # pi is 0 only on the empty graph
@@ -717,6 +714,8 @@ def total_dominating_set(
 ) -> tuple[int, frozenset[int]]:
     """Exact minimum total dominating set by set-cover branch and bound.
 
+    A node fails when its dominators plus ceil(uncovered / max degree), the
+    fewest more that can cover the rest, cannot beat the best set so far.
     Undefined when any vertex is isolated (its open neighbourhood is empty).
     """
     if any(not g.adj[v] for v in range(g.n)):
@@ -725,24 +724,26 @@ def total_dominating_set(
         return 0, frozenset()
     ticker = limits.ticker()
     n = g.n
+    most = max(len(nbrs) for nbrs in g.adj)
     cover_count = [0] * n  # how many chosen dominators cover each vertex
     chosen: list[int] = []
     best: list[object] = [n + 1, frozenset()]
 
-    def uncovered_hardest() -> int | None:
-        worst, worst_options = None, math.inf
+    def uncovered_hardest() -> tuple[int | None, int]:
+        worst, worst_options, left = None, math.inf, 0
         for v in range(n):
             if cover_count[v] == 0:
+                left += 1
                 options = len(g.adj[v])
                 if options < worst_options:
                     worst, worst_options = v, options
-        return worst
+        return worst, left
 
     def bt() -> None:
         ticker.tick()
-        if len(chosen) >= best[0]:
+        v, left = uncovered_hardest()
+        if len(chosen) + -(-left // most) >= best[0]:
             return
-        v = uncovered_hardest()
         if v is None:
             best[0] = len(chosen)
             best[1] = frozenset(chosen)

@@ -15,11 +15,13 @@ from oracles import (
     row_layers,
 )
 from poscol.catalogue import graphs_of_order
-from poscol.errors import BudgetExceededError, GraphInputError, Limits
+from poscol.errors import UNLIMITED, BudgetExceededError, GraphInputError, Limits
 from poscol.graph6 import graph6_decode
 from poscol.constructions import construct_colouring
 from poscol.families import generate, kneser2_graph, parse_family
-from poscol.graphs import build_graph, disjoint_union, distance_layers, product, relabel
+from poscol.graphs import (
+    build_graph, degree_order, disjoint_union, distance_layers, product, relabel,
+)
 from poscol.reduction import NaeInstance, build_reduction, normalize
 from poscol.solver import Colouring, chromatic_position_number, verify_colouring
 from poscol.position import (
@@ -28,10 +30,12 @@ from poscol.position import (
     SetState,
     are_position_sets,
     compiled,
+    completions,
     exists_induced_path_through,
     geodesic_avoiding,
     is_maximal_position_set,
     is_position_set,
+    known_position_number,
     parse_kind,
     position_number,
     position_sets_of_size,
@@ -448,6 +452,22 @@ class TestSetStateAgainstOracles:
                         mask = sum(1 << name[w] for w in expect)
                         assert core.line(x, y) == core.line(y, x) == mask, (g.edges(), kind, a, b)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_behind_masks_are_the_later_ends_of_geodesics_through_v(self, n):
+        """On every catalogue graph of order n, ``_behind(a, v)`` holds the
+        vertices b > a, b != v, with d(a, v) + d(v, b) = d(a, b) finite."""
+        for g in graphs_of_order(n):
+            dist = floyd_warshall(g)
+            core = compiled(g, K.MU)
+            for a, v in itertools.permutations(range(n), 2):
+                if dist[a][v] == float("inf"):
+                    continue
+                expect = sum(
+                    1 << b for b in range(a + 1, n)
+                    if b != v and dist[a][v] + dist[v][b] == dist[a][b] < float("inf")
+                )
+                assert core._behind(a, v) == expect, (g.edges(), a, v)
+
     @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
     def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):
         assert compiled(petersen, independent) is compiled(petersen, kind)
@@ -501,6 +521,41 @@ class TestPositionNumber:
         for n in range(2, 9):
             assert position_number(path(n), K.GP).value == 2
         assert position_number(cycle(4), K.GP).value == 2
+
+    def test_the_empty_graph_costs_its_root_alone(self):
+        for kind in ALL_KINDS:
+            ticker = Limits(node_limit=10).ticker()
+            assert position_number(build_graph(0, []), kind, ticker).witness == frozenset()
+            assert ticker.nodes_left == 9
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_a_stop_inside_the_walk_caches_nothing(self, kind):
+        """Compiled first, so the 50-node stop falls inside the walk, which
+        needs at least 238 nodes on P4xP6 for every kind."""
+        g = generate(parse_family("cartesian(path:4,path:6)"))
+        compiled(g, kind)
+        with pytest.raises(BudgetExceededError):
+            position_number(g, kind, Limits(node_limit=50))
+        assert ("pi_witness", kind) not in g._memo and known_position_number(g, kind) is None
+        found = position_number(g, kind)
+        assert found.value == {"gp": 4, "mono": 2, "mu": 8}[kind.base.value]
+        assert known_position_number(g, kind) is found
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_rising_walk_yields_one_larger_set_each_time(n):
+    """On every catalogue graph of order n and for all six kinds, the rising
+    walk yields position sets of sizes 1, 2, ..., pi in turn, and pops every
+    member before it returns."""
+    for g in graphs_of_order(n):
+        for kind in ALL_KINDS:
+            state = SetState(compiled(g, kind), kind.independent)
+            sizes = []
+            for _ in completions(state, degree_order(g), 1, UNLIMITED.ticker(), rising=True):
+                assert oracle_is_position_set(g, state.members, kind), (g.edges(), kind)
+                sizes.append(len(state.members))
+            assert sizes == list(range(1, oracle_position_number(g, kind) + 1)), (g.edges(), kind)
+            assert state.members == [] and state.mask == 0
 
 
 class TestDownwardClosureAndChain:

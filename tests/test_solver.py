@@ -257,6 +257,16 @@ class TestClassicParameters:
         g = product("cartesian", path(2), path(7))
         assert total_domination_number(g) == 6
 
+    def test_total_domination_of_paths_and_cycles(self):
+        """gamma_t = floor(n/2) + ceil(n/4) - floor(n/4) on P_n and C_n; the
+        bound ceil(uncovered / max degree) keeps all of them within 20 s."""
+        budget = Limits(time_limit=20).ticker()
+        for n in range(2, 101):
+            expect = n // 2 + -(-n // 4) - n // 4
+            assert total_domination_number(path(n), budget) == expect, n
+            if n >= 3:
+                assert total_domination_number(cycle(n), budget) == expect, n
+
     def test_total_domination_isolated_rejected(self):
         with pytest.raises(GraphInputError):
             total_domination_number(build_graph(3, [(0, 1)]))
