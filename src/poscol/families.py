@@ -63,6 +63,12 @@ class FamilySpec:
 
 def parse_family(text: str) -> FamilySpec:
     """Parse the CLI family grammar, e.g. ``cartesian(path:4,path:6)``."""
+    if text.count("(") > 100:  # one "(" per composite; no useful spec nests 100 deep
+        raise GraphInputError("a family spec holds at most 100 composites")
+    return _parse(text)
+
+
+def _parse(text: str) -> FamilySpec:
     text = text.strip()
     if not text:
         raise GraphInputError("empty family spec")
@@ -76,11 +82,11 @@ def parse_family(text: str) -> FamilySpec:
         if name in ("cartesian", "strong"):
             if len(parts) != 2:
                 raise GraphInputError(f"{name} expects two factor specs")
-            return FamilySpec(name, tuple(parse_family(p) for p in parts))
+            return FamilySpec(name, tuple(_parse(p) for p in parts))
         if name == "complementary_prism":
             if len(parts) != 1:
                 raise GraphInputError("complementary_prism expects one base spec")
-            return FamilySpec(name, (parse_family(parts[0]),))
+            return FamilySpec(name, (_parse(parts[0]),))
         raise GraphInputError(f"unknown composite family {name!r}")
     name, _, argtext = text.partition(":")
     name = name.strip().lower()

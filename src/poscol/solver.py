@@ -41,8 +41,8 @@ by recolouring before the same search resumes where the slice stopped.
 Once pi is known, the level's search is capped at pi: it also fails a node
 whose classes cannot hold its unassigned vertices with at most pi members
 each, the paper's bound n/pi applied to the room every class has left.
-The packing and its walk keep their paths on explicit stacks too.
-Each top-level call starts one budget,
+The packing, its walk and the total domination search keep their paths
+on explicit stacks too.  Each top-level call starts one budget,
 and every phase but the distance layers and the final verification draws
 from it; the greedy's first fit only reads its clock.  A search pays once,
 up front, to compile its constraints (for the mono kinds, the walk over
@@ -714,55 +714,48 @@ def total_dominating_set(
 ) -> tuple[int, frozenset[int]]:
     """Exact minimum total dominating set by set-cover branch and bound.
 
-    A node fails when its dominators plus ceil(uncovered / max degree), the
-    fewest more that can cover the rest, cannot beat the best set so far.
-    Undefined when any vertex is isolated (its open neighbourhood is empty).
+    A node, charged one tick, fails when its dominators plus ceil(uncovered
+    / max degree), the fewest more that can cover the rest, cannot beat the
+    best set so far.  Else each neighbour of its first uncovered vertex in
+    (degree, id) order becomes a dominator in turn, lowest first, with the
+    path on an explicit stack of masks.  Undefined when a vertex is isolated.
     """
     if any(not g.adj[v] for v in range(g.n)):
         raise GraphInputError("total domination undefined: isolated vertex present")
     if g.n == 0:
         return 0, frozenset()
-    ticker = limits.ticker()
-    n = g.n
-    most = max(len(nbrs) for nbrs in g.adj)
-    cover_count = [0] * n  # how many chosen dominators cover each vertex
-    chosen: list[int] = []
-    best: list[object] = [n + 1, frozenset()]
-
-    def uncovered_hardest() -> tuple[int | None, int]:
-        worst, worst_options, left = None, math.inf, 0
-        for v in range(n):
-            if cover_count[v] == 0:
-                left += 1
-                options = len(g.adj[v])
-                if options < worst_options:
-                    worst, worst_options = v, options
-        return worst, left
-
-    def bt() -> None:
-        ticker.tick()
-        v, left = uncovered_hardest()
-        if len(chosen) + -(-left // most) >= best[0]:
-            return
-        if v is None:
-            best[0] = len(chosen)
-            best[1] = frozenset(chosen)
-            return
-        # some neighbour of v must be a dominator
-        for u in sorted(g.adj[v]):
-            chosen.append(u)
-            for w in g.adj[u]:
-                cover_count[w] += 1
-            bt()
-            for w in g.adj[u]:
-                cover_count[w] -= 1
-            chosen.pop()
-
-    try:
-        bt()
-    finally:
-        del bt  # a recursive closure is a reference cycle; free it now
-    return int(best[0]), best[1]  # type: ignore[arg-type]
+    tick = limits.ticker().tick
+    n, adj = g.n, adjacency_masks(g)
+    by_degree: dict[int, int] = {}  # the mask of the vertices of each degree
+    for v, nbrs in enumerate(g.adj):
+        by_degree[len(nbrs)] = by_degree.get(len(nbrs), 0) | 1 << v
+    most, buckets = max(by_degree), [by_degree[d] for d in sorted(by_degree)]
+    stack: list[list[int]] = []  # [covered before u, options left, u] per dominator u
+    best, witness, covered = n + 1, frozenset(), 0
+    while True:  # the node with the dominators on ``stack``
+        tick()
+        left = n - covered.bit_count()
+        if len(stack) - (-left // most) < best:
+            if not left:
+                best, witness = len(stack), frozenset(frame[2] for frame in stack)
+            else:
+                for bucket in buckets:  # its first uncovered vertex in (degree, id) order
+                    bucket &= ~covered
+                    if bucket:
+                        v = (bucket & -bucket).bit_length() - 1
+                        break
+                stack.append([covered, adj[v], -1])
+        while stack:  # the next dominator of the deepest frame with one left
+            covered, options, _ = frame = stack[-1]
+            if options:
+                low = options & -options
+                frame[1] = options ^ low
+                frame[2] = u = low.bit_length() - 1
+                covered |= adj[u]
+                break
+            stack.pop()
+        else:
+            return best, witness
 
 
 def total_domination_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:

@@ -132,6 +132,14 @@ class TestMalformedInputExits2:
         """Arguments are integers, bar the edge probability of random; petersen takes none."""
         self.assert_input_error(run(capsys, ["family", spec]))
 
+    def test_family_spec_of_more_than_100_composites(self, capsys):
+        """A spec nested 1200 deep is bad input, found before any recursion;
+        one of 100 composites still parses."""
+        deep = "complementary_prism(" * 1200 + "path:2" + ")" * 1200
+        self.assert_input_error(run(capsys, ["family", deep]))
+        code, out, _ = run(capsys, ["family", "cartesian(path:1," * 100 + "path:2" + ")" * 100])
+        assert code == 0 and out.strip() == graph6_encode(generate(parse_family("path:2")))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec", ["petersen:3", "turan:3", "h:5", "turan:0,5", "kneser2:3"])
     def test_construct_rejects_a_bad_spec(self, capsys, spec):

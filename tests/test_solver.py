@@ -59,6 +59,7 @@ from poscol.solver import (
     colouring_from_dict,
     colouring_to_dict,
     feasible_position_colouring,
+    total_dominating_set,
     total_domination_number,
     verify_colouring,
 )
@@ -266,6 +267,18 @@ class TestClassicParameters:
             assert total_domination_number(path(n), budget) == expect, n
             if n >= 3:
                 assert total_domination_number(cycle(n), budget) == expect, n
+
+    @pytest.mark.parametrize(
+        "spec, value, used",
+        [("path:50", 26, 865), ("cycle:60", 30, 1265), ("cartesian(path:5,path:8)", 14, 28464)],
+    )
+    def test_total_domination_charges_one_tick_per_node(self, spec, value, used):
+        """The branch and bound charges each node it expands, the root
+        included: a node limit of ``used`` answers, one fewer stops it."""
+        g = generate(parse_family(spec))
+        assert total_domination_number(g, Limits(node_limit=used)) == value
+        with pytest.raises(BudgetExceededError):
+            total_domination_number(g, Limits(node_limit=used - 1))
 
     def test_total_domination_isolated_rejected(self):
         with pytest.raises(GraphInputError):
@@ -786,6 +799,12 @@ class TestDeepInputs:
     def test_the_one_largest_position_set_of_a_large_clique(self):
         s = next(position.position_sets_of_size(complete(1100), K.GP, 1100))
         assert s == frozenset(range(1100))
+
+    def test_total_domination_of_a_long_s_tree(self):
+        g = generate(parse_family("s:2,1200"))
+        value, dominators = total_dominating_set(g, Limits(time_limit=60))
+        assert value == len(dominators) == 1202
+        assert all(g.adj[v] & dominators for v in range(g.n))
 
     def test_a_mono_class_along_a_long_path_is_rejected(self):
         g = path(1500)
