@@ -8,7 +8,9 @@ producing a plausible-looking bound.
 The metric comes from two breadth-first searches on bitmask neighbourhoods:
 ``distance_layers`` sweeps from every vertex at once and is cached, and
 ``layer_walk`` walks from one vertex for the callers that need only a few.
-Visibility past a set of vertices is read off these layers by ``position.sees``.
+The sweep also yields the components, as the balls it ends with, and so the
+diameters, as the longest layer list in each component.  Visibility past a
+set of vertices is read off these layers by ``position.sees``.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ def distance_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
     ball around v; each round ORs the balls of v's neighbours into it, and
     the new bits are v's next layer.  A vertex whose ball stops growing has
     reached its whole component and drops out.  ``len(layers[v]) - 1`` is
-    the eccentricity of v within its component.
+    the eccentricity of v within its component.  The final balls are the
+    components, and become the graph's ``component_masks`` unless it has them.
     """
     layers = g._memo.get("distance_layers")
     if layers is None:
@@ -162,11 +165,13 @@ def distance_layers(g: Graph) -> tuple[tuple[int, ...], ...]:
                     still.append(v)
             growing = still
         layers = g._memo["distance_layers"] = tuple(map(tuple, rows))
+        g._memo.setdefault("component_masks", tuple(reached))
     return layers
 
 
 def component_masks(g: Graph) -> tuple[int, ...]:
-    """Entry v is the mask of the component of v (cached); one walk per component."""
+    """Entry v is the mask of the component of v (cached): the final balls of
+    :func:`distance_layers` when it has run, else one walk per component."""
     masks = g._memo.get("component_masks")
     if masks is None:
         adj = adjacency_masks(g)
@@ -230,19 +235,17 @@ def is_connected(g: Graph) -> bool:
 
 
 def diameter(g: Graph) -> ComponentStructure:
-    """Per-component diameters and their maximum ``diam_star``."""
+    """Per-component diameters, components by least vertex, and their maximum ``diam_star``."""
     key = "component_structure"
     cached = g._memo.get(key)
     if cached is not None:
         return cached
-    layers = distance_layers(g)
-    comp_id = [0] * g.n
-    diams = []
-    for idx, comp in enumerate(components(g)):
-        for u in comp:
-            comp_id[u] = idx
-        diams.append(max(len(layers[u]) for u in comp) - 1)
-    result = ComponentStructure(tuple(comp_id), tuple(diams))
+    layers, masks = distance_layers(g), component_masks(g)
+    index = {comp: i for i, comp in enumerate(dict.fromkeys(masks))}  # first seen, least vertex
+    comp_id, diams = tuple(index[comp] for comp in masks), [0] * len(index)
+    for v, i in enumerate(comp_id):  # a diameter is the largest eccentricity in its component
+        diams[i] = max(diams[i], len(layers[v]) - 1)
+    result = ComponentStructure(comp_id, tuple(diams))
     g._memo[key] = result
     return result
 
@@ -419,9 +422,13 @@ def is_diamond_free(g: Graph) -> bool:
     return True
 
 
-def degree_order(g: Graph) -> list[int]:
-    """Vertices by descending degree, ties by id: the searches' branching order."""
-    return sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+def degree_order(g: Graph) -> tuple[int, ...]:
+    """Vertices by descending degree, ties by id: the searches' branching order (cached)."""
+    order = g._memo.get("degree_order")
+    if order is None:
+        order = tuple(sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)))
+        g._memo["degree_order"] = order
+    return order
 
 
 def complete_graph_edges(n: int) -> list[Edge]:

@@ -34,6 +34,8 @@ over every induced path of the graph, while the verifier asks
 Both take the metric from :mod:`poscol.graphs`: the cached distance layers,
 built by one sweep from every vertex at once, and the component masks.  The
 compiled forms of gp and mu read the layers, mono only the component masks;
+the gp and mono forms fill their lines per join, every line between the
+joining vertex and the members in one call of ``Constraints.lines_through``;
 the gp verifier masks the layers down to the later members when the graph
 already has them, and otherwise walks from each member only as far as the
 later members, with the single-source ``layer_walk``.  The mu sweep reads
@@ -385,12 +387,14 @@ class Constraints:
     one graph share them.  For gp and mono three vertices are in conflict
     exactly when they are collinear: one of them lies between the other two,
     on a shortest path for gp and on an induced path for mono.  Collinearity
-    is a property of the unordered triple, so ``line(a, b)``, the mask of the
-    vertices collinear with a and b, describes every conflict of the pair;
-    it is filled lazily into ``lines``, where ``lines[a][b]`` and
-    ``lines[b][a]`` both hold it once it has been asked for.  It has one
-    shape for both: the vertices between a and b, those beyond b seen from
-    a, and those beyond a seen from b.  For
+    is a property of the unordered triple, so the line of a and b, the mask
+    of the vertices collinear with a and b, describes every conflict of the
+    pair.  It has one shape for both: the vertices between a and b, those
+    beyond b seen from a, and those beyond a seen from b.  Lines are filled
+    lazily into ``lines``, one join at a time: ``lines_through(v, members)``
+    fills every line still missing between a joining vertex v and the
+    members in one call, under both ends, so ``lines[a][b]`` and
+    ``lines[b][a]`` hold the same mask.  For
     mu, ``keeps_visibility`` hands the distance layers of one vertex to
     :func:`sees`, so one walk decides the visibility of many targets.
 
@@ -412,32 +416,37 @@ class Constraints:
         self.lines: list[dict[int, int]] = [{} for _ in range(g.n)]
         self._behind_masks: dict[int, int] = {}
 
-    def line(self, a: int, b: int) -> int:
-        """Mask of the vertices w for which one of a, b, w lies between the others."""
-        found = self.lines[a].get(b)
-        if found is None:
-            found = self._collinear(a, b) if self.component[a] >> b & 1 else 0
-            self.lines[a][b] = self.lines[b][a] = found
-        return found
+    def lines_through(self, a: int, members: Iterable[int]) -> int:
+        """The OR over b in ``members`` of the line of a and b: the mask of the
+        vertices w for which one of a, b, w lies between the other two.
 
-    def _collinear(self, a: int, b: int) -> int:
-        paths = self.paths
-        if paths is not None:
-            out = paths.between[a][b] | paths.beyond[a][b] | paths.beyond[b][a]
-            return out & ~(1 << a | 1 << b)
-        la, lb = self.layers[a], self.layers[b]
-        bit, d = 1 << b, 1
-        while not la[d] & bit:
-            d += 1
-        out = 0
-        for t in range(1, d):  # w between a and b
-            out |= la[t] & lb[d - t]
-        # the eccentricities of a and b differ by at most d, so lb[t] and
-        # la[t] exist wherever la[d + t] and lb[d + t] do
-        for t in range(1, len(la) - d):  # b between a and w
-            out |= lb[t] & la[d + t]
-        for t in range(1, len(lb) - d):  # a between b and w
-            out |= la[t] & lb[d + t]
+        Each line not yet in ``lines`` is filled in, under both of its ends.
+        """
+        known, comp, paths, out = self.lines[a], self.component[a], self.paths, 0
+        for b in members:
+            found = known.get(b)
+            if found is None:
+                if not comp >> b & 1:
+                    found = 0
+                elif paths is not None:
+                    found = paths.between[a][b] | paths.beyond[a][b] | paths.beyond[b][a]
+                    found &= ~(1 << a | 1 << b)
+                else:
+                    la, lb = self.layers[a], self.layers[b]
+                    bit, d = 1 << b, 1
+                    while not la[d] & bit:
+                        d += 1
+                    found = 0
+                    for t in range(1, d):  # w between a and b
+                        found |= la[t] & lb[d - t]
+                    # the eccentricities of a and b differ by at most d, so lb[t]
+                    # and la[t] exist wherever la[d + t] and lb[d + t] do
+                    for t in range(1, len(la) - d):  # b between a and w
+                        found |= lb[t] & la[d + t]
+                    for t in range(1, len(lb) - d):  # a between b and w
+                        found |= la[t] & lb[d + t]
+                known[b] = self.lines[b][a] = found
+            out |= found
         return out
 
     def keeps_visibility(self, mask: int, v: int) -> bool:
@@ -554,11 +563,8 @@ class SetState:
                 len(self.members) < 2 or self.ok >> v & 1 or core.keeps_visibility(self.mask, v)
             ):
                 return False
-        else:  # ``core.line``, read from its filled row first
-            known = core.lines[v]
-            for b in self.members:
-                found = known.get(b)
-                grown |= core.line(v, b) if found is None else found
+        else:
+            grown |= core.lines_through(v, self.members)
         if self.independent:
             grown |= core.adj[v]
         self._saved.append((self.forbidden, self.ok))
@@ -607,7 +613,7 @@ def position_number(
 
 
 def completions(
-    state: SetState, cands: list[int], size: int, ticker: BudgetTicker, rising: bool = False
+    state: SetState, cands: Sequence[int], size: int, ticker: BudgetTicker, rising: bool = False
 ) -> Iterator[None]:
     """Grow ``state`` to ``size`` members from ``cands``, each way once.
 

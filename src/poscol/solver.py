@@ -18,10 +18,11 @@ and the exact-cover packing run on the compiled bitmask constraints of
 get the vertex order and a factory of classes that wrap the core, never the
 graph, and the packing completes its classes with ``completions``, the
 one set walk, which also serves ``position_number`` and
-``position_sets_of_size``.  Each class answers ``fits``, the mask of the
-unassigned vertices it takes (for gp, mono and the classic families one AND
-with its ``forbidden`` mask), and a node of the partition search folds those
-masks into the vertices that fit at least one, two and three classes: a
+``position_sets_of_size``.  A node of the partition search takes, for each
+class, the mask of the unassigned vertices it would accept: one AND with the
+class's ``forbidden`` mask, except that a mu class answers ``fits``, since it
+completes that mask only when asked.  The node folds those masks into the
+vertices that fit at least one, two and three classes: a
 vertex that fits none fails the node, and the search branches on a vertex
 with the fewest classes (Brelaz's DSATUR rule, with forward checking as in
 Haralick & Elliott).  Every position colouring is re-verified by
@@ -166,7 +167,8 @@ class _PartitionSearch:
     for the classic parameters.  Every such family is closed under subsets, so a class only
     ever has to check the vertex that joins it, and a vertex that fits no
     class fits none below the node either.  A node asks each open class
-    which unassigned vertices it takes (``fits``, one mask per class) and
+    which unassigned vertices it takes (one AND with its ``forbidden`` mask,
+    or ``fits`` for a mu class, which completes that mask lazily) and
     folds the answers into the masks of the vertices that fit at least one,
     two and three classes.  Forward checking on every vertex: one that fits
     no class fails the node.  Otherwise the node branches on the unassigned
@@ -187,18 +189,19 @@ class _PartitionSearch:
     node whose charge raised, without charging that node again.
     """
 
-    __slots__ = ("_states", "_fits", "_sizes", "_runs", "_pairs", "_assignment", "_stack",
+    __slots__ = ("_states", "_lazy", "_sizes", "_runs", "_pairs", "_assignment", "_stack",
                  "_next", "_charge_next", "_result")
 
     def __init__(
         self,
-        order: list[int],
+        order: Sequence[int],
         new_class: Callable[[], SetState | _CliqueOrIndependent],
         k: int,
     ):
         n = len(order)
         self._states = [new_class() for _ in range(k)]
-        self._fits = [st.fits for st in self._states]
+        # mu classes complete their ``forbidden`` mask only when ``fits`` asks
+        self._lazy = k > 0 and isinstance(self._states[0], SetState) and self._states[0].core.mu
         self._sizes = [0] * k  # the members of each class
         self._pairs = [(v, 1 << v) for v in order]
         self._runs: list[int] = []  # the masks of the maximal id-ascending runs of ``order``
@@ -228,7 +231,7 @@ class _PartitionSearch:
         stack = self._stack
         if stack is None:
             return self._result
-        states, fits, sizes, assignment = self._states, self._fits, self._sizes, self._assignment
+        states, lazy, sizes, assignment = self._states, self._lazy, self._sizes, self._assignment
         runs, pairs = self._runs, self._pairs
         tick = budget.tick
         free, opened = self._next
@@ -242,8 +245,8 @@ class _PartitionSearch:
                 return self._result
             fit = []
             one = two = three = 0
-            for f in fits[: opened + 1]:  # the open classes and one empty one, if left
-                a = f(free)
+            for st in states[: opened + 1]:  # the open classes and one empty one, if left
+                a = st.fits(free) if lazy else free & ~st.forbidden
                 fit.append(a)
                 three |= two & a
                 two |= one & a
@@ -283,7 +286,7 @@ class _PartitionSearch:
                 else:
                     stack.pop()
                     continue
-                states[c].try_add(v)  # ``fits`` vetted it
+                states[c].try_add(v)  # its mask in ``fit`` vetted it
                 sizes[c] += 1
                 assignment[v] = c
                 frame[2] = c
@@ -356,7 +359,7 @@ def _perfect_packing(
 
 
 def _first_fit(
-    order: list[int],
+    order: Sequence[int],
     new_class: Callable[[], SetState | _CliqueOrIndependent],
     budget: BudgetTicker,
     assignment: list[int],
@@ -421,7 +424,7 @@ def greedy_position_colouring(
 
 
 def _iterated_greedy(
-    order: list[int],
+    order: Sequence[int],
     new_class: Callable[[], SetState | _CliqueOrIndependent],
     k: int,
     budget: BudgetTicker,
@@ -621,10 +624,6 @@ class _CliqueOrIndependent:
         self.forbidden = 0
         self._saved: list[tuple[int, int]] = []  # both masks before each addition
 
-    def fits(self, free: int) -> int:
-        """The mask of the vertices of ``free`` that ``try_add`` would accept."""
-        return free & ~self.forbidden
-
     def try_add(self, v: int) -> bool:
         """Add ``v`` if the class stays a clique or an independent set."""
         if self.forbidden >> v & 1:
@@ -657,9 +656,11 @@ def _fewest_classes(
 
 def _greedy_clique(g: Graph) -> list[int]:
     clique: list[int] = []
+    common, adj = -1, adjacency_masks(g)  # ``common``: the vertices adjacent to every member
     for v in degree_order(g):
-        if all(v in g.adj[u] for u in clique):
+        if common >> v & 1:
             clique.append(v)
+            common &= adj[v]
     return clique
 
 
@@ -719,11 +720,15 @@ def total_dominating_set(
     best set so far.  Else each neighbour of its first uncovered vertex in
     (degree, id) order becomes a dominator in turn, lowest first, with the
     path on an explicit stack of masks.  Undefined when a vertex is isolated.
+    The answer is cached on the graph; a budget stop caches nothing.
     """
     if any(not g.adj[v] for v in range(g.n)):
         raise GraphInputError("total domination undefined: isolated vertex present")
     if g.n == 0:
         return 0, frozenset()
+    cached = g._memo.get("total_domination")
+    if cached is not None:
+        return cached
     tick = limits.ticker().tick
     n, adj = g.n, adjacency_masks(g)
     by_degree: dict[int, int] = {}  # the mask of the vertices of each degree
@@ -755,7 +760,8 @@ def total_dominating_set(
                 break
             stack.pop()
         else:
-            return best, witness
+            found = g._memo["total_domination"] = best, witness
+            return found
 
 
 def total_domination_number(g: Graph, limits: Limits | BudgetTicker = DEFAULT_LIMITS) -> int:

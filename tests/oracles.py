@@ -54,6 +54,13 @@ def _distances(g: Graph) -> list[list[float]]:
     return _DISTANCES[key]
 
 
+def oracle_components(g: Graph) -> list[list[int]]:
+    """The vertices of each component, ascending, components by least vertex:
+    the vertices at finite Floyd-Warshall distance."""
+    dist = _distances(g)
+    return sorted({tuple(u for u in range(g.n) if dist[v][u] is not INF) for v in range(g.n)})
+
+
 def all_geodesics(g: Graph, u: int, v: int) -> list[list[int]]:
     """Every shortest u-v path, by distance layering plus backtracking."""
     dist = _distances(g)

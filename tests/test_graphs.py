@@ -7,17 +7,21 @@ from conftest import PETERSEN_EDGES, complete, cycle, metric_graphs, path, rando
 from oracles import (
     all_induced_paths,
     floyd_warshall,
+    oracle_components,
     oracle_is_block_graph,
     oracle_monophonic_diameter,
     row_layers,
 )
+from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graphs import (
     INF,
     build_graph,
     all_pairs_distances,
     complement,
+    component_masks,
     components,
+    degree_order,
     diameter,
     disjoint_union,
     distance_layers,
@@ -135,6 +139,47 @@ class TestLayerWalk:
                     assert layer_walk(adj, a, targets) == self.expected(layers, targets), (
                         g.edges(), a, targets,
                     )
+
+
+def sweep_graphs():
+    """Every catalogue graph of order 1 to 7, and the catalogue graphs of order
+    at most 4 with isolated vertices beside them, before and after."""
+    out = [g for n in range(1, 8) for g in graphs_of_order(n)]
+    for n in range(1, 5):
+        for g in graphs_of_order(n):
+            out += [disjoint_union(build_graph(1, []), g), disjoint_union(g, build_graph(2, []))]
+    return out
+
+
+class TestSweepByProducts:
+    """What the one sweep of ``distance_layers`` leaves behind besides the
+    layers: the component masks, the diameters, and the cached degree order."""
+
+    @pytest.mark.parametrize("part", range(4))
+    def test_components_and_diameters(self, part):
+        for g in sweep_graphs()[part::4]:
+            n = g.n
+            walked = component_masks(build_graph(n, g.edges()))  # a fresh graph, no sweep
+            distance_layers(g)
+            swept = component_masks(g)
+            comps = oracle_components(g)
+            expect = [0] * n
+            for comp in comps:
+                for v in comp:
+                    expect[v] = sum(1 << u for u in comp)
+            assert swept == walked == tuple(expect), g.edges()
+            dist = floyd_warshall(g)
+            structure = diameter(g)
+            assert structure.count == len(comps)
+            for idx, comp in enumerate(comps):
+                assert all(structure.component[v] == idx for v in comp), g.edges()
+                assert structure.diameters[idx] == max(dist[u][w] for u in comp for w in comp)
+
+    def test_degree_order_is_one_tuple(self):
+        for g in sweep_graphs():
+            order = degree_order(g)
+            assert isinstance(order, tuple) and degree_order(g) is order
+            assert list(order) == sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
 class TestDiameter:

@@ -450,7 +450,9 @@ class TestSetStateAgainstOracles:
                         core = compiled(h, kind)
                         x, y = name[a], name[b]
                         mask = sum(1 << name[w] for w in expect)
-                        assert core.line(x, y) == core.line(y, x) == mask, (g.edges(), kind, a, b)
+                        assert core.lines_through(x, [y]) == core.lines_through(y, [x]) == mask, (
+                            g.edges(), kind, a, b,
+                        )
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_behind_masks_are_the_later_ends_of_geodesics_through_v(self, n):
@@ -467,6 +469,41 @@ class TestSetStateAgainstOracles:
                     if b != v and dist[a][v] + dist[v][b] == dist[a][b] < float("inf")
                 )
                 assert core._behind(a, v) == expect, (g.edges(), a, v)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lines_through_a_joining_vertex_are_the_collinear_sets(self, n):
+        """On every catalogue graph of order n, for the gp and mono cores, a
+        vertex v and every member set of at most three other vertices:
+        ``lines_through(v, members)`` is the union over members b of the
+        vertices collinear with v and b, and each of those lines is then
+        stored under both of its ends."""
+        for g in graphs_of_order(n):
+            for kind, triples in ((K.GP, geodesic_betweenness_triples(g)),
+                                  (K.MONO, induced_path_triples(g))):
+
+                def between(x, y, z):
+                    return (min(x, z), y, max(x, z)) in triples
+
+                def line(a, b):
+                    return sum(
+                        1 << w for w in range(n)
+                        if w not in (a, b)
+                        and (between(a, w, b) or between(w, a, b) or between(a, b, w))
+                    )
+
+                core = compiled(g, kind)
+                for v in range(n):
+                    others = [b for b in range(n) if b != v]
+                    for size in range(4):
+                        for members in itertools.combinations(others, size):
+                            expect = 0
+                            for b in members:
+                                expect |= line(v, b)
+                            assert core.lines_through(v, members) == expect, (
+                                g.edges(), kind, v, members,
+                            )
+                            for b in members:
+                                assert core.lines[b].get(v) == core.lines[v][b], (g.edges(), kind)
 
     @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
     def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):

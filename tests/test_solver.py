@@ -274,11 +274,21 @@ class TestClassicParameters:
     )
     def test_total_domination_charges_one_tick_per_node(self, spec, value, used):
         """The branch and bound charges each node it expands, the root
-        included: a node limit of ``used`` answers, one fewer stops it."""
-        g = generate(parse_family(spec))
-        assert total_domination_number(g, Limits(node_limit=used)) == value
+        included: a node limit of ``used`` answers, one fewer stops it.  Each
+        call gets a fresh graph, since an answer is cached on its graph."""
+        assert total_domination_number(generate(parse_family(spec)), Limits(node_limit=used)) == value
         with pytest.raises(BudgetExceededError):
-            total_domination_number(g, Limits(node_limit=used - 1))
+            total_domination_number(generate(parse_family(spec)), Limits(node_limit=used - 1))
+
+    def test_total_domination_after_a_budget_stop(self):
+        """A stopped search caches nothing, so the next call gives the
+        oracle's value; that answer is cached, and a spent budget reads it."""
+        g = cycle(9)
+        with pytest.raises(BudgetExceededError):
+            total_dominating_set(g, Limits(node_limit=3))
+        value, witness = total_dominating_set(g)
+        assert value == len(witness) == oracle_total_domination(g)
+        assert total_dominating_set(g, Limits(node_limit=0)) == (value, witness)
 
     def test_total_domination_isolated_rejected(self):
         with pytest.raises(GraphInputError):
@@ -415,6 +425,23 @@ class TestInequalitySuite:
         monkeypatch.setattr(solver, "chromatic_number_with_colouring", counting_solve)
         check_inequality_suite(petersen)
         assert len(calls) == 2
+
+    def test_total_domination_searched_once(self, monkeypatch):
+        """cycle:9 is diamond-free with no isolated vertex, so the suite asks
+        for gamma_t in the gp bounds and again for mu; only the first call
+        charges any search node."""
+        charged = []
+        dominate = solver.total_dominating_set
+
+        def counting_dominate(g, limits):
+            ticker = Limits(node_limit=10**9).ticker()
+            found = dominate(g, ticker)
+            charged.append(10**9 - ticker.nodes_left)
+            return found
+
+        monkeypatch.setattr(solver, "total_dominating_set", counting_dominate)
+        check_inequality_suite(cycle(9))
+        assert len(charged) == 2 and charged[0] > 0 and charged[1] == 0
 
     def test_clique(self):
         assert check_inequality_suite(complete(5)).all_hold
