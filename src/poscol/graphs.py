@@ -8,9 +8,10 @@ producing a plausible-looking bound.
 The metric comes from two breadth-first searches on bitmask neighbourhoods:
 ``distance_layers`` sweeps from every vertex at once and is cached, and
 ``layer_walk`` walks from one vertex for the callers that need only a few.
-The sweep also yields the components, as the balls it ends with, and so the
-diameters, as the longest layer list in each component.  Visibility past a
-set of vertices is read off these layers by ``position.sees``.
+The sweep also yields the components, as the balls it ends with, the
+diameters, as the longest layer lists, and the adjacency masks, as layer 1
+when it runs first.  Visibility past a set of vertices is read off these
+layers by ``position.sees``.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -103,10 +101,16 @@ class Graph:
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Neighbourhoods as int bitmasks, bit u of entry v set iff uv is an edge (cached)."""
+    """Neighbourhoods as int bitmasks, bit u of entry v set iff uv is an edge (cached):
+    layer 1 of each vertex when :func:`distance_layers` has run, else summed."""
     masks = g._memo.get("adjacency_masks")
     if masks is None:
-        masks = g._memo["adjacency_masks"] = tuple(sum(1 << u for u in nb) for nb in g.adj)
+        layers = g._memo.get("distance_layers")
+        if layers is None:
+            masks = tuple(sum(1 << u for u in nb) for nb in g.adj)
+        else:  # an isolated vertex has no layer 1
+            masks = tuple(sum(row[1:2]) for row in layers)
+        g._memo["adjacency_masks"] = masks
     return masks
 
 

@@ -416,13 +416,24 @@ class Constraints:
         self.lines: list[dict[int, int]] = [{} for _ in range(g.n)]
         self._behind_masks: dict[int, int] = {}
 
-    def lines_through(self, a: int, members: Iterable[int]) -> int:
+    def lines_through(self, a: int, members: Sequence[int]) -> int:
         """The OR over b in ``members`` of the line of a and b: the mask of the
         vertices w for which one of a, b, w lies between the other two.
 
         Each line not yet in ``lines`` is filled in, under both of its ends.
         """
-        known, comp, paths, out = self.lines[a], self.component[a], self.paths, 0
+        known, out = self.lines[a], 0
+        for b in members:
+            found = known.get(b)
+            if found is None:
+                break
+            out |= found
+        else:  # every line is known
+            return out
+        comp, paths, layers = self.component[a], self.paths, self.layers
+        if paths is None:
+            la = layers[a]
+            na = len(la)
         for b in members:
             found = known.get(b)
             if found is None:
@@ -432,19 +443,20 @@ class Constraints:
                     found = paths.between[a][b] | paths.beyond[a][b] | paths.beyond[b][a]
                     found &= ~(1 << a | 1 << b)
                 else:
-                    la, lb = self.layers[a], self.layers[b]
-                    bit, d = 1 << b, 1
-                    while not la[d] & bit:
+                    lb, d = layers[b], 1
+                    while not la[d] >> b & 1:
                         d += 1
                     found = 0
                     for t in range(1, d):  # w between a and b
                         found |= la[t] & lb[d - t]
                     # the eccentricities of a and b differ by at most d, so lb[t]
                     # and la[t] exist wherever la[d + t] and lb[d + t] do
-                    for t in range(1, len(la) - d):  # b between a and w
-                        found |= lb[t] & la[d + t]
-                    for t in range(1, len(lb) - d):  # a between b and w
-                        found |= la[t] & lb[d + t]
+                    if na > d + 1:
+                        for t in range(1, na - d):  # b between a and w
+                            found |= lb[t] & la[d + t]
+                    if len(lb) > d + 1:
+                        for t in range(1, len(lb) - d):  # a between b and w
+                            found |= la[t] & lb[d + t]
                 known[b] = self.lines[b][a] = found
             out |= found
         return out

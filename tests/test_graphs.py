@@ -16,6 +16,7 @@ from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graphs import (
     INF,
+    adjacency_masks,
     build_graph,
     all_pairs_distances,
     complement,
@@ -174,6 +175,19 @@ class TestSweepByProducts:
             for idx, comp in enumerate(comps):
                 assert all(structure.component[v] == idx for v in comp), g.edges()
                 assert structure.diameters[idx] == max(dist[u][w] for u in comp for w in comp)
+
+    @pytest.mark.parametrize("part", range(4))
+    def test_adjacency_masks_are_the_same_on_both_routes(self, part):
+        """Masks summed on a fresh graph, masks read off the sweep, and the
+        bits of ``g.adj`` agree, isolated vertices included."""
+        for g in sweep_graphs()[part::4]:
+            summed = adjacency_masks(build_graph(g.n, g.edges()))  # a fresh graph, no sweep
+            distance_layers(g)
+            assert "adjacency_masks" not in g._memo
+            read = adjacency_masks(g)
+            assert summed == read == tuple(sum(1 << u for u in g.adj[v]) for v in range(g.n)), (
+                g.edges(),
+            )
 
     def test_degree_order_is_one_tuple(self):
         for g in sweep_graphs():

@@ -22,7 +22,7 @@ from poscol.families import generate, kneser2_graph, parse_family
 from poscol.graphs import (
     build_graph, degree_order, disjoint_union, distance_layers, product, relabel,
 )
-from poscol.reduction import NaeInstance, build_reduction, normalize
+from poscol.reduction import NaeInstance, build_reduction, normalize, random_nae_instance
 from poscol.solver import Colouring, chromatic_position_number, verify_colouring
 from poscol.position import (
     ALL_KINDS,
@@ -504,6 +504,47 @@ class TestSetStateAgainstOracles:
                             )
                             for b in members:
                                 assert core.lines[b].get(v) == core.lines[v][b], (g.edges(), kind)
+
+    @pytest.mark.parametrize("case", [
+        *(f"nae {p} {q}" for p in range(3, 6) for q in range(3, 5)),
+        "path:9", "cartesian(path:3,path:5)", "complete:4 with a path:5 tail",
+    ])
+    def test_gp_lines_through_on_gadgets_and_uneven_eccentricities(self, case):
+        """On the reduction gadgets (n = 20 to 42, diameter 2) and on graphs
+        where one end of a line has eccentricity equal to the distance while
+        the other goes further, ``lines_through(v, members)`` for seeded
+        member sets of at most four vertices is the union of the oracle's
+        lines, and each line is then stored under both of its ends."""
+        if case.startswith("nae"):
+            p, q = map(int, case.split()[1:])
+            g = build_reduction(normalize(random_nae_instance(p, q, 10 * p + q))).graph
+        elif case.startswith("complete"):
+            edges = [(a, b) for a, b in itertools.combinations(range(4), 2)]
+            g = build_graph(9, edges + [(v, v + 1) for v in range(3, 8)])
+        else:
+            g = generate(parse_family(case))
+        n, triples = g.n, geodesic_betweenness_triples(g)
+
+        def line(a, b):
+            return sum(
+                1 << w for w in range(n)
+                if w not in (a, b) and any(
+                    (min(x, z), y, max(x, z)) in triples
+                    for x, y, z in ((a, w, b), (w, a, b), (a, b, w))
+                )
+            )
+
+        core = compiled(g, K.GP)
+        rng = random.Random(case)
+        for _ in range(8):
+            for v in range(n):
+                members = rng.sample([b for b in range(n) if b != v], rng.randint(0, 4))
+                expect = 0
+                for b in members:
+                    expect |= line(v, b)
+                assert core.lines_through(v, members) == expect, (case, v, members)
+                for b in members:
+                    assert core.lines[b][v] == core.lines[v][b] == line(v, b), (case, v, b)
 
     @pytest.mark.parametrize("kind, independent", [(K.GP, K.GP_I), (K.MONO, K.MONO_I), (K.MU, K.MU_I)])
     def test_a_kind_and_its_independent_variant_share_one_core(self, petersen, kind, independent):

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from poscol import reduction, solver
 from poscol.catalogue import fig6_cnf_text
 from poscol.errors import GraphInputError
 from poscol.graphs import diameter
@@ -221,6 +223,60 @@ class TestEquivalence:
             q = 3 + seed % 2
             rep = check_equivalence(random_nae_instance(p, q, seed))
             assert rep.agree
+
+
+def count_verifications(monkeypatch) -> list[int]:
+    """Route ``verify_colouring`` in the solver and the reduction through one
+    counter; the returned list holds the count."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return verify_colouring(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "verify_colouring", counted)
+    monkeypatch.setattr(reduction, "verify_colouring", counted)
+    return calls
+
+
+class TestEquivalenceVerification:
+    """The recipe colouring is verified only when its partition differs from
+    the solver colouring that ``feasible_position_colouring`` verified."""
+
+    def test_a_recipe_with_another_partition_that_is_no_gp_colouring_raises(self, monkeypatch):
+        recipe = assignment_to_colouring
+
+        def all_true(norm, rg, assignment):
+            # all-True makes clause 1 of fig6 = {x1, x3, x4} monochromatic
+            return recipe(norm, rg, (True,) * norm.p)
+
+        monkeypatch.setattr(reduction, "assignment_to_colouring", all_true)
+        with pytest.raises(AssertionError, match="recipe colouring failed verification"):
+            check_equivalence(fig6())
+
+    def test_a_recipe_with_the_solvers_partition_is_verified_once(self, monkeypatch):
+        norm = normalize(random_nae_instance(6, 16, 1))
+        rg = build_reduction(norm)
+        solved = feasible_position_colouring(rg.graph, K.GP, 3)
+        recipe = assignment_to_colouring(norm, rg, nae_brute_force(norm))
+        assert {frozenset(c) for c in solved.classes()} == {frozenset(c) for c in recipe.classes()}
+        calls = count_verifications(monkeypatch)
+        rep = check_equivalence(random_nae_instance(6, 16, 1))
+        assert rep.agree and rep.colouring_from_assignment == recipe
+        assert calls[0] == 1
+
+    def test_the_reduction_suite_takes_both_branches(self, monkeypatch):
+        """``pos suite reduction --count 200`` (seed 7): 86 recipes share the
+        solver's partition (one verification), 112 do not (two), and 2
+        instances are unsatisfiable (none: the solver finds no colouring)."""
+        calls = count_verifications(monkeypatch)
+        tally = Counter()
+        for seed in range(7, 207):
+            before = calls[0]
+            rep = check_equivalence(random_nae_instance(3 + seed % 3, 3 + seed % 2, seed))
+            assert rep.agree, seed
+            tally[calls[0] - before] += 1
+        assert tally == {1: 86, 2: 112, 0: 2}
 
 
 class TestCnfFormat:
