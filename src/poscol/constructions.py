@@ -7,8 +7,13 @@ test instead of BFS, once per class shape, since its classes are translates;
 Cartesian distance additivity is checked separately in the graph tests).  A
 failed verification is a construction bug and raises.
 
-Colourings are tagged ``exact`` only for parameter ranges where a matching
-lower bound is proven; otherwise ``upper_bound_only``.
+The family constructions only build classes.  ``construct_colouring``
+generates the graph first, so malformed arguments raise an input error
+before any class is built, and it tags a colouring ``exact`` exactly when
+:func:`~poscol.formulas.predicted_chi`, the one owner of the optimality
+claims for named families, is exact with its class count; otherwise it is
+``upper_bound_only``.  The graph-level constructions (block-graph peeling,
+clique cover, total domination) state their own tags.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 
 from .errors import DEFAULT_LIMITS, GraphInputError, Limits
 from .families import FamilySpec, generate, pair_ids, part_ranges, resolve, turan_parts
-from .formulas import multipartite_chi_gp
+from .formulas import multipartite_chi_gp, predicted_chi
 from .graphs import Graph, diameter, extreme_vertices, induced_subgraph, is_block_graph, is_diamond_free
 from .kirkman import kirkman_triple_system
 from .position import PositionKind, has_collinear_triple
@@ -58,40 +63,40 @@ def _certify(
 # -- paths and cycles ----------------------------------------------------------
 
 
-def _cycle_gp_classes(n: int) -> tuple[list[list[int]], bool]:
+def _cycle_gp_classes(n: int) -> list[list[int]]:
     if n == 3:
-        return [[0, 1, 2]], True
+        return [[0, 1, 2]]
     if n == 4:
-        return [[0, 2], [1, 3]], True
+        return [[0, 2], [1, 3]]
     if n == 5:
-        return [[0, 2, 3], [1, 4]], True
+        return [[0, 2, 3], [1, 4]]
     if n == 8:
         # the generic {i, q+i, 2q+i} template is collinear when q <= n mod 3
         # (only n = 5 and n = 8); use arc gaps (2,3,3) instead
-        return [[0, 2, 5], [1, 3, 6], [4, 7]], True
+        return [[0, 2, 5], [1, 3, 6], [4, 7]]
     q, r = divmod(n, 3)
     classes = [[i, q + i, 2 * q + i] for i in range(q)]
     if r:
         classes.append(list(range(3 * q, n)))
-    return classes, True
+    return classes
 
 
-def _cycle_mono_classes(n: int) -> tuple[list[list[int]], bool]:
+def _cycle_mono_classes(n: int) -> list[list[int]]:
     if n == 3:
-        return [[0, 1, 2]], True
-    return _pack_pairs(list(range(n))), True
+        return [[0, 1, 2]]
+    return _pack_pairs(list(range(n)))
 
 
 # -- Kneser and line graphs ----------------------------------------------------
 
 
-def _kneser_gp_classes(n: int) -> tuple[list[list[int]], bool]:
+def _kneser_gp_classes(n: int) -> list[list[int]]:
     idx = pair_ids(n)
     first = [idx[p] for p in itertools.combinations(range(1, 5), 2)]
     classes = [first]
     for m in range(5, n + 1):
         classes.append([idx[(a, m)] for a in range(1, m)])
-    return classes, True
+    return classes
 
 
 def _triangle(idx, triple) -> list[int]:
@@ -112,54 +117,54 @@ def _restrict_class(idx, cls, dropped: set[int]) -> list[int]:
     return out
 
 
-def _line_complete_gp_classes(n: int) -> tuple[list[list[int]], bool]:
+def _line_complete_gp_classes(n: int) -> list[list[int]]:
     idx = pair_ids(n)
     r = n % 6
     if r == 3:
         ts = kirkman_triple_system(n)
-        return [_restrict_class(idx, cls, set()) for cls in ts.classes], True
+        return [_restrict_class(idx, cls, set()) for cls in ts.classes]
     if r == 4:
         ts = kirkman_triple_system(n - 1)
         classes = [_restrict_class(idx, cls, set()) for cls in ts.classes]
         classes.append([idx[(a, n)] for a in range(1, n)])
-        return classes, True
+        return classes
     if r == 5:
         x, y = n, n - 1
         ts = kirkman_triple_system(n - 2)
         classes = [_restrict_class(idx, cls, set()) for cls in ts.classes]
         classes.append([idx[(a, y)] for a in range(1, y)])
         classes.append([idx[(a, x)] for a in range(1, x)])
-        return classes, True
+        return classes
     if r == 2:
         ts = kirkman_triple_system(n + 1)
-        return [_restrict_class(idx, cls, {n + 1}) for cls in ts.classes], True
+        return [_restrict_class(idx, cls, {n + 1}) for cls in ts.classes]
     if r == 1:
         ts = kirkman_triple_system(n + 2)
-        return [_restrict_class(idx, cls, {n + 1, n + 2}) for cls in ts.classes], True
-    # r == 0: one colour over the n/2+1 lower bound; optimal only for n in {6,12}
+        return [_restrict_class(idx, cls, {n + 1, n + 2}) for cls in ts.classes]
+    # r == 0: n/2 + 1 classes, optimal only for n in {6, 12}
     x, y, z = n - 2, n - 1, n
     ts = kirkman_triple_system(n - 3)
     classes = [_restrict_class(idx, cls, set()) for cls in ts.classes]
     classes[0] = classes[0] + _triangle(idx, (x, y, z))
     for v in (x, y, z):
         classes.append([idx[(min(a, v), max(a, v))] for a in range(1, n - 2)])
-    return classes, n in (6, 12)
+    return classes
 
 
 # -- complete multipartite -----------------------------------------------------
 
 
-def _multipartite_gp_classes(parts: tuple[int, ...]) -> tuple[list[list[int]], bool]:
+def _multipartite_gp_classes(parts: tuple[int, ...]) -> list[list[int]]:
     r = len(parts)
     part_vertices = [list(part) for part in part_ranges(parts)]
     value = multipartite_chi_gp(parts)
     if value == r:
-        return part_vertices, True
+        return part_vertices
     i = next(i for i in range(r) if parts[i] + i == value)  # 0-based split
     classes = [part_vertices[j] for j in range(i)]
     for t in range(parts[i]):
         classes.append([part_vertices[j][t] for j in range(i, r) if parts[j] > t])
-    return classes, True
+    return classes
 
 
 # -- Cartesian grids -----------------------------------------------------------
@@ -194,7 +199,7 @@ def _p2_grid_classes(n: int) -> list[list[Cell]]:
     return classes
 
 
-def _p3_grid_classes(n: int) -> tuple[list[list[Cell]], bool]:
+def _p3_grid_classes(n: int) -> list[list[Cell]]:
     if n % 4:
         raise UnsupportedConstruction("P3-grid pattern needs 4 | n")
     classes: list[list[Cell]] = []
@@ -216,7 +221,7 @@ def _p3_grid_classes(n: int) -> tuple[list[list[Cell]], bool]:
         classes.append([(1, b + 1), (1, b + 5), (3, b + 4)])
         classes.append([(1, b + 4), (3, b + 1), (3, b + 5)])
         classes.append([(1, b + 8), (3, b + 8)])
-    return classes, tail == 0
+    return classes
 
 
 def _p4_grid_classes(n: int) -> list[list[Cell]]:
@@ -342,23 +347,23 @@ def _strong_gp_classes(m: int, n: int) -> list[list[Cell]]:
     return classes
 
 
-def _strong_mu_classes(m: int, n: int) -> tuple[list[list[Cell]], bool]:
+def _strong_mu_classes(m: int, n: int) -> list[list[Cell]]:
     def row(i: int) -> list[Cell]:
         return [(i, j) for j in range(1, n + 1)]
 
     if m == 1:
         # a path: its mu-sets have at most two vertices
-        return _pack_pairs(row(1)), True
+        return _pack_pairs(row(1))
     if m == 2:
         # two single-row classes; optimal unless the grid is K_4
-        return [row(1), row(2)], n >= 3
+        return [row(1), row(2)]
     if m % 2 == 0:
         r = m // 2
-        return [row(i) + row(r + i) for i in range(1, r + 1)], True
+        return [row(i) + row(r + i) for i in range(1, r + 1)]
     r = m // 2
     classes = [row(i) + row(r + 1 + i) for i in range(1, r + 1)]
     classes.append(row(r + 1))
-    return classes, True
+    return classes
 
 
 # -- realisation families ---------------------------------------------------------
@@ -398,124 +403,113 @@ def _h_mono_classes(r: int, s: int) -> list[list[int]]:
 def construct_colouring(
     spec: FamilySpec, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
 ) -> CertifiedColouring:
-    """The paper construction for (family, kind); verified before returning."""
+    """The paper construction for (family, kind); verified before returning.
+
+    The graph is generated before any class is built, so malformed arguments
+    raise :class:`~poscol.errors.GraphInputError`; a torus generates only its
+    two cycle factors.  The colouring is ``exact`` exactly when
+    :func:`~poscol.formulas.predicted_chi` proves its class count.
+    """
     spec = resolve(spec)
-    name = spec.name
-    if name == "path" and kind in (PositionKind.GP, PositionKind.MONO):
-        n = spec.args[0]
-        classes = _pack_pairs(list(range(n)))
-        return _certify(generate(spec), classes, kind, "path-pairing", True, limits)
-    if name == "cycle":
-        n = spec.args[0]
-        if kind is PositionKind.GP:
-            classes, exact = _cycle_gp_classes(n)
-        elif kind is PositionKind.MONO:
-            classes, exact = _cycle_mono_classes(n)
-        else:
-            raise UnsupportedConstruction(f"no cycle construction for {kind.value}")
-        return _certify(generate(spec), classes, kind, "cycle-arcs", exact, limits)
-    if name == "kneser2" and kind is PositionKind.GP:
-        g = generate(spec)  # rejects n < 5 before the pair ids are read
-        classes, exact = _kneser_gp_classes(spec.args[0])
-        return _certify(g, classes, kind, "kneser-4set-and-stars", exact, limits)
-    if name == "line_complete" and kind is PositionKind.GP:
-        classes, exact = _line_complete_gp_classes(spec.args[0])
-        return _certify(
-            generate(spec), classes, kind, "kirkman-triangle-classes", exact, limits
-        )
-    if name in ("multipartite", "turan") and kind is PositionKind.GP:
-        parts = tuple(spec.args) if name == "multipartite" else turan_parts(*spec.args)
-        classes, exact = _multipartite_gp_classes(parts)
-        return _certify(
-            generate(spec), classes, kind, "multipartite-cochromatic", exact, limits
-        )
-    if name == "turan":
-        a, n = spec.args
-        if kind in (PositionKind.GP_I, PositionKind.MONO_I, PositionKind.MONO):
-            parts = turan_parts(a, n)
-            classes = [list(part) for part in part_ranges(parts)]
-            exact = kind.independent or multipartite_chi_gp(parts) == a
-            return _certify(generate(spec), classes, kind, "turan-partite-sets", exact, limits)
-        raise UnsupportedConstruction(f"no turan construction for {kind.value}")
-    if name == "h":
-        r, s = spec.args
-        if kind is PositionKind.GP:
-            classes = _h_gp_classes(r, s)
-        elif kind is PositionKind.MONO:
-            classes = _h_mono_classes(r, s)
-        else:
-            raise UnsupportedConstruction(f"no H(r,s) construction for {kind.value}")
-        return _certify(generate(spec), classes, kind, "h-family-layers", True, limits)
+    torus = _is_torus(spec, kind)
+    if torus:
+        for factor in spec.args:
+            generate(factor)
+    else:
+        g = generate(spec)
+    classes, provenance = _family_classes(spec, kind)
+    prediction = predicted_chi(spec, kind)
+    exact = prediction.status == "exact" and prediction.value == len(classes)
+    if not torus:
+        return _certify(g, classes, kind, provenance, exact, limits)
+    n1, n2 = (factor.args[0] for factor in spec.args)
+    _verify_torus_colouring(n1, n2, classes)
+    col = Colouring.from_classes(n1 * n2, classes)
+    return CertifiedColouring(col, kind, True, provenance, "exact" if exact else "upper_bound_only")
+
+
+def _is_torus(spec: FamilySpec, kind: PositionKind) -> bool:
+    return (
+        kind is PositionKind.GP
+        and spec.name == "cartesian"
+        and all(factor.name == "cycle" for factor in spec.args)
+    )
+
+
+def _family_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:
+    """The classes of the construction for a resolved, generated spec, and
+    their provenance."""
+    name, args = spec.name, spec.args
+    K = PositionKind
+    if name == "path" and kind in (K.GP, K.MONO):
+        return _pack_pairs(list(range(args[0]))), "path-pairing"
+    if name == "cycle" and kind in (K.GP, K.MONO):
+        make = _cycle_gp_classes if kind is K.GP else _cycle_mono_classes
+        return make(args[0]), "cycle-arcs"
+    if name == "kneser2" and kind is K.GP:
+        return _kneser_gp_classes(args[0]), "kneser-4set-and-stars"
+    if name == "line_complete" and kind is K.GP:
+        return _line_complete_gp_classes(args[0]), "kirkman-triangle-classes"
+    if name in ("multipartite", "turan"):
+        parts = tuple(args) if name == "multipartite" else turan_parts(*args)
+        if kind is K.GP:
+            return _multipartite_gp_classes(parts), "multipartite-cochromatic"
+        if name == "turan" and kind in (K.GP_I, K.MONO_I, K.MONO):
+            return [list(part) for part in part_ranges(parts)], "turan-partite-sets"
+    if name == "h" and kind in (K.GP, K.MONO):
+        make = _h_gp_classes if kind is K.GP else _h_mono_classes
+        return make(*args), "h-family-layers"
     if name in ("cartesian", "strong"):
-        return _construct_product(spec, kind, limits)
+        return _product_classes(spec, kind)
     raise UnsupportedConstruction(f"no construction for family {name!r}, kind {kind.value}")
 
 
-def _construct_product(
-    spec: FamilySpec, kind: PositionKind, limits: Limits
-) -> CertifiedColouring:
+def _product_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:
     a, b = spec.args
     kinds = (a.name, b.name)
-    if spec.name == "cartesian" and kinds == ("cycle", "cycle") and kind is PositionKind.GP:
+    if _is_torus(spec, kind):
         n1, n2 = a.args[0], b.args[0]
         if n1 % 7 or n2 % 7:
             raise UnsupportedConstruction("torus tessellation needs 7 | n1 and 7 | n2")
-        classes = _torus_classes(n1, n2)
-        _verify_torus_colouring(n1, n2, classes)
-        col = Colouring.from_classes(n1 * n2, classes)
-        exact = min(n1, n2) >= 49
-        return CertifiedColouring(
-            col,
-            kind,
-            True,
-            "torus-tessellation (cyclic-metric verified)",
-            "exact" if exact else "upper_bound_only",
-        )
+        return _torus_classes(n1, n2), "torus-tessellation (cyclic-metric verified)"
     if spec.name == "cartesian" and set(kinds) == {"path", "cycle"} and kind is PositionKind.GP:
         if kinds == ("cycle", "path"):
             raise UnsupportedConstruction("write cylinders as cartesian(path:n1,cycle:n2)")
         n1, n2 = a.args[0], b.args[0]
         cells = _cylinder_classes(n1, n2)
-        to_id = lambda r, c: (r - 1) * n2 + c
-        classes = [[to_id(r, c) for r, c in cls] for cls in cells]
-        g = generate(spec)
-        return _certify(g, classes, kind, "cylinder-seed-rotation", False, limits)
+        return [[(r - 1) * n2 + c for r, c in cls] for cls in cells], "cylinder-seed-rotation"
     if kinds != ("path", "path"):
         raise UnsupportedConstruction(f"no product construction for {kinds}")
     n1, n2 = a.args[0], b.args[0]
 
-    def finish(cells: list[list[Cell]], provenance: str, exact: bool, transposed: bool):
-        gspec = spec
+    def finish(cells: list[list[Cell]], provenance: str, transposed: bool):
         if transposed:
             cells = [[(j, i) for i, j in cls] for cls in cells]
         to_id = _grid_id(n2)
-        classes = [[to_id(i, j) for i, j in cls] for cls in cells]
-        return _certify(generate(gspec), classes, kind, provenance, exact, limits)
+        return [[to_id(i, j) for i, j in cls] for cls in cells], provenance
 
     if spec.name == "strong":
         if kind is PositionKind.GP:
-            return finish(_strong_gp_classes(n1, n2), "strong-grid-clique-blocks", False, False)
+            return finish(_strong_gp_classes(n1, n2), "strong-grid-clique-blocks", False)
         if kind is PositionKind.MU:
             m, n, transposed = (n1, n2, False) if n1 <= n2 else (n2, n1, True)
-            cells, exact = _strong_mu_classes(m, n)
-            return finish(cells, "strong-grid-row-pairing", exact, transposed)
+            return finish(_strong_mu_classes(m, n), "strong-grid-row-pairing", transposed)
         raise UnsupportedConstruction(f"no strong-grid construction for {kind.value}")
     if kind is not PositionKind.GP:
         raise UnsupportedConstruction(f"no Cartesian-grid construction for {kind.value}")
     for m, n, transposed in ((n1, n2, False), (n2, n1, True)):
         if m == 1:
             cells = _pack_pairs([(1, j) for j in range(1, n + 1)])
-            return finish(cells, "path-pairing", True, transposed)
+            return finish(cells, "path-pairing", transposed)
         if m == 2 and n >= 2:
-            return finish(_p2_grid_classes(n), "ladder-neighbourhoods", True, transposed)
+            return finish(_p2_grid_classes(n), "ladder-neighbourhoods", transposed)
         if m == 3 and n % 4 == 0:
-            cells, exact = _p3_grid_classes(n)
-            return finish(cells, "p3-grid-12-period", exact, transposed)
+            return finish(_p3_grid_classes(n), "p3-grid-12-period", transposed)
         if m == 4 and n >= 4:
-            return finish(_p4_grid_classes(n), "p4-grid-diagonals", True, transposed)
+            return finish(_p4_grid_classes(n), "p4-grid-diagonals", transposed)
     for m, n, transposed in ((n1, n2, False), (n2, n1, True)):
         if m % 2 == 1 and m >= 3 and n % 4 == 0:
-            return finish(_tessellation_classes(m, n), "grid-neighbourhood-tessellation", False, transposed)
+            return finish(_tessellation_classes(m, n), "grid-neighbourhood-tessellation", transposed)
     raise UnsupportedConstruction(f"no Cartesian-grid pattern for {n1}x{n2}")
 
 

@@ -99,7 +99,7 @@ def _grid_chi_gp(m: int, n: int) -> Prediction:
         if n % 4 == 0:
             from .constructions import _p3_grid_classes
 
-            hi = len(_p3_grid_classes(n)[0])
+            hi = len(_p3_grid_classes(n))
             return Prediction.bounds(lo, hi, "central-layer count vs pattern")
         return Prediction.unknown()
     if m == 4:
@@ -156,6 +156,12 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
             return Prediction.exact(multipartite_chi_gp(parts), "cochromatic formula")
         if kind in (K.GP_I, K.MU_I):
             return Prediction.exact(len(parts), "diameter <= 2: equals chromatic number")
+        if kind is K.MONO_I:
+            # independent classes, so at least the chromatic number; the parts are mono_i sets
+            return Prediction.exact(len(parts), "independent parts: equals chromatic number")
+        if kind is K.MONO and multipartite_chi_gp(parts) == len(parts):
+            # every mono set is a gp set, and the parts are mono sets
+            return Prediction.exact(len(parts), "parts, as many as the gp classes")
     if name == "turan":
         return predicted_chi(FamilySpec("multipartite", turan_parts(*args)), kind)
     if name == "kneser2":
@@ -166,6 +172,8 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
             return Prediction.exact(n - 2, "diameter two: equals chromatic number")
     if name == "line_complete":
         n = args[0]
+        if kind is K.GP and n == 2:
+            return Prediction.exact(1, "L(K_2) is K_1")
         if kind is K.GP and n >= 3:
             return Prediction.exact(line_complete_chi_gp(n), "Kirkman-system classes")
     if name == "h":

@@ -40,8 +40,9 @@ the gp verifier masks the layers down to the later members when the graph
 already has them, and otherwise walks from each member only as far as the
 later members, with the single-source ``layer_walk``.  The mu sweep reads
 only the component masks.  Whether one vertex sees some targets past a set
-is one walk along its distance layers, :func:`sees`, which the mu search,
-the mu maximality test and :func:`geodesic_avoiding` share.
+is one walk along its distance layers, :func:`sees`, which the mu search
+runs.  Maximality grows one :class:`SetState` through a verified set and
+asks which vertices still fit.
 """
 
 from __future__ import annotations
@@ -196,21 +197,6 @@ def sees(adj: Sequence[int], layers: Sequence[int], a: int, targets: int, blocke
         targets &= ~reach
         frontier = reach & free
     return not targets
-
-
-def geodesic_avoiding(g: Graph, u: int, v: int, blocked: Iterable[int]) -> bool:
-    """True iff some shortest u-v path has its interior disjoint from ``blocked``.
-
-    :func:`sees` on one :func:`~poscol.graphs.layer_walk` over u's component.
-    """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphInputError("u, v must be vertices of the graph")
-    comp = component_masks(g)[u]
-    if not comp >> v & 1:
-        raise GraphInputError("geodesic_avoiding requires u, v in one component")
-    blocked_mask = sum(1 << x for x in set(blocked) if 0 <= x < g.n)  # others are ignored
-    adj = adjacency_masks(g)
-    return sees(adj, layer_walk(adj, u, comp), u, 1 << v, blocked_mask)
 
 
 def has_collinear_triple(ids: Sequence[int], found, width: int) -> bool:
@@ -691,24 +677,15 @@ def is_maximal_position_set(
     """True iff ``s`` is a ``kind`` position set no single vertex can extend.
 
     Single-vertex extensions suffice: the properties are subset-closed, so a
-    larger superset would extend through one of them.  For mu and mu_i, a
-    candidate that does not see every member of its component past the set
-    (:func:`sees`, on the graph's cached distance layers) is rejected before
-    the sweep of :func:`is_position_set`.
+    larger superset would extend through one of them.  Once the verifier
+    accepts ``s``, one :class:`SetState` on the compiled core grows through
+    it and ``fits`` decides every extension at once.
     """
     s = set(s)
     ticker = limits.ticker()
     if not is_position_set(g, s, kind, ticker):
         raise GraphInputError("is_maximal_position_set requires a valid position set")
-    mu = kind.base is PositionKind.MU
-    if mu:
-        adj, comp, layers = adjacency_masks(g), component_masks(g), distance_layers(g)
-        mask = sum(1 << v for v in s)
-    for v in range(g.n):
-        if v in s:
-            continue
-        if mu and not sees(adj, layers[v], v, mask & comp[v], mask):
-            continue
-        if is_position_set(g, s | {v}, kind, ticker):
-            return False
-    return True
+    state = SetState(compiled(g, kind, ticker), kind.independent)
+    for v in sorted(s):
+        state.try_add(v)
+    return not state.fits((1 << g.n) - 1 & ~state.mask)

@@ -145,6 +145,15 @@ class TestMalformedInputExits2:
     def test_construct_rejects_a_bad_spec(self, capsys, spec):
         self.assert_input_error(run(capsys, ["construct", spec, "gp"]))
 
+    @pytest.mark.parametrize("spec, kind", [
+        ("h:3,-1", "gp"), ("h:-1,2", "mono"),
+        ("cartesian(cycle:-7,cycle:7)", "gp"), ("cartesian(cycle:0,cycle:7)", "gp"),
+    ])
+    def test_construct_checks_the_arguments_before_any_class(self, capsys, spec, kind):
+        """These used to end in a traceback, or in an empty colouring of a
+        graph that ``pos family`` rejects."""
+        self.assert_input_error(run(capsys, ["construct", spec, kind]))
+
     @pytest.mark.parametrize("n", ["1e300", "Infinity"])
     def test_colouring_size_not_an_integer(self, capsys, tmp_path, petersen_g6, n):
         gfile = tmp_path / "g.g6"

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 
@@ -312,12 +313,18 @@ def _sweep_specs() -> list[str]:
     specs += [f"cartesian(path:{a},cycle:{b})" for a in (1, 2, 5) for b in (3, 7, 9)]
     specs += [f"cartesian(cycle:{b},path:{a})" for a in (1, 5) for b in (3, 7, 9)]
     specs += [f"cartesian(cycle:{a},cycle:{b})" for a, b in [(7, 7), (7, 14), (14, 7), (3, 5)]]
-    return specs
+    # each spec again with one of its arguments made 0, -1 or -7
+    bad = {
+        text[: m.start()] + arg + text[m.end() :]
+        for text in specs for m in re.finditer(r"\d+", text) for arg in ("0", "-1", "-7")
+    }
+    return specs + sorted(bad - set(specs))
 
 
 @pytest.mark.parametrize("text", _sweep_specs())
 def test_construction_sweep(text):
-    """Every construction either gives a verified colouring or an input error.
+    """Every construction either gives a verified colouring of the graph its
+    spec names or an input error, malformed arguments included.
 
     An ``exact`` colouring has as many classes as an exact prediction and,
     up to 12 vertices, as the exact solver; any other has at least as many.

@@ -6,7 +6,7 @@ from conftest import cycle, partitions_descending, path
 from oracles import canonical_key, oracle_cochromatic
 from poscol.catalogue import graphs_of_order
 from poscol.errors import GraphInputError
-from poscol.families import generate, parse_family
+from poscol.families import generate, parse_family, turan_parts
 from poscol.formulas import (
     chi_gp_two_characterization,
     large_value_characterization,
@@ -54,6 +54,11 @@ class TestPredictedChi:
             ("strong(path:2,path:2)", K.MU, 1),
             ("strong(path:2,path:6)", K.MU, 2),
             ("turan:3,8", K.GP_I, 3),
+            ("turan:3,8", K.MONO_I, 3),
+            ("multipartite:3,1", K.MONO_I, 2),
+            ("turan:3,7", K.MONO, 3),
+            ("multipartite:3,3,1", K.MONO, 3),
+            ("line_complete:2", K.GP, 1),
             ("split_random:8,1", K.GP, 2),
             ("complementary_prism(split_random:8,1)", K.GP, 2),
         ],
@@ -61,6 +66,22 @@ class TestPredictedChi:
     def test_exact_values(self, text, kind, value):
         p = predicted_chi(parse_family(text), kind)
         assert p.status == "exact" and p.value == value
+
+    def test_turan_mono_claims_match_the_solver(self):
+        """The mono_i claim holds on every Turán graph of order <= 8, and the
+        mono claim wherever chi_gp equals the number of parts; elsewhere mono
+        stays unknown."""
+        for n in range(1, 9):
+            for a in range(1, n + 1):
+                spec = parse_family(f"turan:{a},{n}")
+                g = generate(spec)
+                for kind in (K.MONO_I, K.MONO):
+                    p = predicted_chi(spec, kind)
+                    if kind is K.MONO and multipartite_chi_gp(turan_parts(a, n)) < a:
+                        assert p.status == "unknown", (a, n)
+                        continue
+                    assert p.status == "exact" and p.value == a, (a, n, kind)
+                    assert chromatic_position_number(g, kind).k == a, (a, n, kind)
 
     def test_unknown_is_honest(self):
         assert predicted_chi(parse_family("k_gadget:5"), K.MU).status == "unknown"

@@ -32,7 +32,6 @@ from poscol.position import (
     compiled,
     completions,
     exists_induced_path_through,
-    geodesic_avoiding,
     is_maximal_position_set,
     is_position_set,
     known_position_number,
@@ -302,45 +301,6 @@ class TestInducedPathThrough:
                     assert exists_induced_path_through(g, u, w, v) == (
                         (u, w, v) in arrangements
                     )
-
-
-class TestGeodesicAvoiding:
-    def test_two_disjoint_geodesics(self):
-        assert geodesic_avoiding(cycle(6), 0, 3, {1, 2})
-
-    def test_both_blocked(self):
-        assert not geodesic_avoiding(cycle(6), 0, 3, {1, 4})
-
-    def test_unique_geodesic_blocked(self):
-        assert not geodesic_avoiding(path(4), 0, 3, {1})
-
-    def test_blocked_non_vertices_are_ignored(self):
-        assert geodesic_avoiding(path(4), 0, 3, {-1, 4, 9})
-
-    def test_disconnected_pair_rejected(self):
-        g = build_graph(2, [])
-        with pytest.raises(GraphInputError):
-            geodesic_avoiding(g, 0, 1, set())
-
-    @pytest.mark.parametrize("u, v", [(5, 0), (0, 4), (-1, 2), (2, -1)])
-    def test_vertices_out_of_range_are_rejected(self, u, v):
-        with pytest.raises(GraphInputError, match="vertices of the graph"):
-            geodesic_avoiding(path(4), u, v, [])
-
-    @pytest.mark.parametrize("index", range(9))
-    def test_matches_geodesic_enumeration(self, index):
-        g = _differential_graphs()[index]
-        rng = random.Random(index)
-        for u, v in itertools.product(range(g.n), repeat=2):
-            paths = all_geodesics(g, u, v)
-            for _ in range(4):
-                blocked = set(rng.sample(range(g.n), rng.randint(0, g.n)))
-                if not paths:
-                    with pytest.raises(GraphInputError):
-                        geodesic_avoiding(g, u, v, blocked)
-                    continue
-                expect = any(not blocked & set(p[1:-1]) for p in paths)
-                assert geodesic_avoiding(g, u, v, blocked) == expect, (g.edges(), u, v, blocked)
 
 
 class TestSees:
