@@ -8,8 +8,10 @@ Cartesian distance additivity is checked separately in the graph tests).  A
 failed verification is a construction bug and raises.
 
 The family constructions only build classes.  ``construct_colouring``
-generates the graph first, so malformed arguments raise an input error
-before any class is built, and it tags a colouring ``exact`` exactly when
+resolves the spec first, so malformed arguments raise an input error before
+any class is built, and finds the classes before it generates the graph, so
+an unsupported (family, kind) pair builds no graph.  It tags a colouring
+``exact`` exactly when
 :func:`~poscol.formulas.predicted_chi`, the one owner of the optimality
 claims for named families, is exact with its class count; otherwise it is
 ``upper_bound_only``.  The graph-level constructions (block-graph peeling,
@@ -405,23 +407,19 @@ def construct_colouring(
 ) -> CertifiedColouring:
     """The paper construction for (family, kind); verified before returning.
 
-    The graph is generated before any class is built, so malformed arguments
-    raise :class:`~poscol.errors.GraphInputError`; a torus generates only its
-    two cycle factors.  The colouring is ``exact`` exactly when
-    :func:`~poscol.formulas.predicted_chi` proves its class count.
+    ``resolve`` checks the arguments, so malformed ones raise
+    :class:`~poscol.errors.GraphInputError`; then the classes are built, so a
+    pair with no construction raises :class:`UnsupportedConstruction` before
+    the graph is generated.  A torus never generates its graph.  The
+    colouring is ``exact`` exactly when :func:`~poscol.formulas.predicted_chi`
+    proves its class count.
     """
     spec = resolve(spec)
-    torus = _is_torus(spec, kind)
-    if torus:
-        for factor in spec.args:
-            generate(factor)
-    else:
-        g = generate(spec)
     classes, provenance = _family_classes(spec, kind)
     prediction = predicted_chi(spec, kind)
     exact = prediction.status == "exact" and prediction.value == len(classes)
-    if not torus:
-        return _certify(g, classes, kind, provenance, exact, limits)
+    if not _is_torus(spec, kind):
+        return _certify(generate(spec), classes, kind, provenance, exact, limits)
     n1, n2 = (factor.args[0] for factor in spec.args)
     _verify_torus_colouring(n1, n2, classes)
     col = Colouring.from_classes(n1 * n2, classes)
@@ -437,8 +435,7 @@ def _is_torus(spec: FamilySpec, kind: PositionKind) -> bool:
 
 
 def _family_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:
-    """The classes of the construction for a resolved, generated spec, and
-    their provenance."""
+    """The classes of the construction for a resolved spec, and their provenance."""
     name, args = spec.name, spec.args
     K = PositionKind
     if name == "path" and kind in (K.GP, K.MONO):

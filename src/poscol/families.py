@@ -5,9 +5,12 @@ looks each leaf name up in one name -> generator table; the composites
 (``cartesian``, ``strong``, ``complementary_prism``) nest child specs.
 ``resolve`` expands the one alias, ``petersen`` (which takes no arguments)
 to ``kneser2:5``, and applies the argument rule: every argument is an
-integer, except the edge probability of ``random``.  ``generate``,
-``predicted_chi``, ``predicted_position_number`` and ``construct_colouring``
-all read a spec through ``resolve``.
+integer, except the edge probability of ``random``.  It then tests each
+leaf's arguments against the family's ranges, all kept in one table, so the
+generators assume them.  ``generate``, ``predicted_chi``,
+``predicted_position_number`` and ``construct_colouring`` all read a spec
+through ``resolve``, so each rejects a malformed spec the same way, without
+building any graph.
 
 Every generator fixes a documented vertex numbering so that the pattern
 colourings built elsewhere are reproducible bit-exactly, and the numberings
@@ -139,20 +142,14 @@ def _split_specs(text: str) -> list[str]:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphInputError("path needs n >= 1")
     return build_graph(n, [(i, i + 1) for i in range(n - 1)], labels=range(1, n + 1))
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphInputError("cycle needs n >= 3")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)], labels=range(n))
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphInputError("complete needs n >= 1")
     return build_graph(n, itertools.combinations(range(n), 2), labels=range(1, n + 1))
 
 
@@ -166,10 +163,6 @@ def part_ranges(parts: tuple[int, ...]) -> list[range]:
 
 
 def multipartite_graph(parts: tuple[int, ...]) -> Graph:
-    if not parts or any(p < 1 for p in parts):
-        raise GraphInputError("multipartite parts must be positive")
-    if list(parts) != sorted(parts, reverse=True):
-        raise GraphInputError("multipartite parts must be in descending order")
     ranges = part_ranges(parts)
     labels = [idx for idx, part in enumerate(ranges) for _ in part]
     edges = [
@@ -183,8 +176,6 @@ def multipartite_graph(parts: tuple[int, ...]) -> Graph:
 
 def turan_parts(a: int, n: int) -> tuple[int, ...]:
     """Part sizes of the Turán graph T(n, a): a parts as equal as possible, descending."""
-    if not 1 <= a <= n:
-        raise GraphInputError("turan needs 1 <= a <= n")
     q, r = divmod(n, a)
     return tuple([q + 1] * r + [q] * (a - r))
 
@@ -211,22 +202,16 @@ def _pair_graph(n: int, adjacent) -> Graph:
 
 def kneser2_graph(n: int) -> Graph:
     """K(n, 2): 2-subsets of [n], adjacent when disjoint."""
-    if n < 5:
-        raise GraphInputError("kneser2 needs n >= 5")
     return _pair_graph(n, lambda common: not common)
 
 
 def line_complete_graph(n: int) -> Graph:
     """L(K_n): 2-subsets of [n], adjacent when they share an element."""
-    if n < 2:
-        raise GraphInputError("line_complete needs n >= 2")
     return _pair_graph(n, bool)
 
 
 def tree_leaves_graph(a: int, leaves: int) -> Graph:
     """Path on 2a-1 vertices (labelled 0..2a-2) plus extra leaves at 2a-3."""
-    if a < 2 or leaves < 0:
-        raise GraphInputError("tree_leaves needs a >= 2, leaves >= 0")
     n = 2 * a - 1
     edges = [(i, i + 1) for i in range(n - 1)]
     edges += [(2 * a - 3, n + i) for i in range(leaves)]
@@ -236,8 +221,6 @@ def tree_leaves_graph(a: int, leaves: int) -> Graph:
 
 def t_tree_graph(a: int, b: int) -> Graph:
     """Tree with gp-chromatic number a and clique cover number b."""
-    if not 2 <= a <= b:
-        raise GraphInputError("t needs 2 <= a <= b")
     return tree_leaves_graph(a, b - a)
 
 
@@ -247,8 +230,6 @@ def h_graph(r: int, s: int) -> Graph:
     Vertices: x_1..x_r are 0..r-1, y_1..y_r are r..2r-1, z_j is 2r+j for
     0 <= j <= s.
     """
-    if r < 3 or s < 0:
-        raise GraphInputError("h needs r >= 3, s >= 0")
     edges = [(i, r + j) for i in range(r) for j in range(r) if i != j]
     z0 = 2 * r
     edges += [(z0, i) for i in range(r)]
@@ -263,8 +244,6 @@ def h_graph(r: int, s: int) -> Graph:
 
 def k_gadget_graph(r: int) -> Graph:
     """K_{r,r} minus the perfect matching x_i y_i."""
-    if r < 3:
-        raise GraphInputError("k_gadget needs r >= 3")
     edges = [(i, r + j) for i in range(r) for j in range(r) if i != j]
     labels = [("x", i + 1) for i in range(r)] + [("y", i + 1) for i in range(r)]
     return build_graph(2 * r, edges, labels=labels)
@@ -272,8 +251,6 @@ def k_gadget_graph(r: int) -> Graph:
 
 def j_graph(r: int, s: int) -> Graph:
     """Strong grid P_2 x P_2r with a path of order 2s-1 hung off its last column."""
-    if r < 1 or s < 1:
-        raise GraphInputError("j needs r >= 1, s >= 1")
     grid = product("strong", path_graph(2), path_graph(2 * r))
     tail = 2 * s - 1
     n0 = grid.n
@@ -288,8 +265,6 @@ def j_graph(r: int, s: int) -> Graph:
 
 def g_star_graph(a: int, n: int) -> Graph:
     """Clique K_a with n-a pendant leaves on its first vertex."""
-    if a < 1 or n < a:
-        raise GraphInputError("g_star needs 1 <= a <= n")
     edges = list(itertools.combinations(range(a), 2))
     edges += [(0, a + i) for i in range(n - a)]
     labels = [("k", i + 1) for i in range(a)] + [("leaf", i + 1) for i in range(n - a)]
@@ -298,8 +273,6 @@ def g_star_graph(a: int, n: int) -> Graph:
 
 def g_graph(a: int, b: int) -> Graph:
     """Path of order 2b-a with one leaf identified into a vertex of K_a."""
-    if not 2 <= a <= b:
-        raise GraphInputError("g needs 2 <= a <= b")
     path_len = 2 * b - a
     # path vertices 0..path_len-1; vertex 0 doubles as a clique vertex
     edges = [(i, i + 1) for i in range(path_len - 1)]
@@ -314,8 +287,6 @@ def g_graph(a: int, b: int) -> Graph:
 
 def s_tree_graph(r: int, t: int) -> Graph:
     """Star-like tree: hub x, t pendant edges x_i y_i, and a path u_1..u_r."""
-    if r < 0 or t < 1:
-        raise GraphInputError("s needs r >= 0, t >= 1")
     # ids: 0 = x; 1..t = x_i; t+1..2t = y_i; 2t+1..2t+r = u_i
     edges = [(0, i) for i in range(1, t + 1)]
     edges += [(i, t + i) for i in range(1, t + 1)]
@@ -333,8 +304,6 @@ def s_tree_graph(r: int, t: int) -> Graph:
 
 def q_graph(r: int) -> Graph:
     """Path u_1..u_r plus an extra vertex x adjacent to u_1 and u_3."""
-    if r < 4:
-        raise GraphInputError("q needs r >= 4")
     edges = [(i, i + 1) for i in range(r - 1)]
     edges += [(r, 0), (r, 2)]
     labels = [("u", i + 1) for i in range(r)] + [("x",)]
@@ -343,11 +312,6 @@ def q_graph(r: int) -> Graph:
 
 def complete_minus_cliques_graph(n: int, a: int) -> Graph:
     """K_n minus the edges of vertex-disjoint K_2, K_3, ..., K_a."""
-    if a < 2:
-        raise GraphInputError("complete_minus_cliques needs a >= 2")
-    need = a * (a + 1) // 2 - 1
-    if n < need:
-        raise GraphInputError(f"complete_minus_cliques needs n >= {need} for a={a}")
     removed = set()
     labels: list = [("w",)] * n
     start = 0
@@ -368,8 +332,6 @@ def complete_minus_cliques_graph(n: int, a: int) -> Graph:
 
 def cycle_join_clique_graph(a: int, n: int) -> Graph:
     """The join of C_{2a-1} with K_{n-2a+1}."""
-    if a < 2 or n < 2 * a:
-        raise GraphInputError("cycle_join_clique needs a >= 2 and n >= 2a")
     return join(cycle_graph(2 * a - 1), complete_graph(n - 2 * a + 1))
 
 
@@ -384,8 +346,6 @@ def complementary_prism(base: Graph) -> Graph:
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
-    if n < 1 or not 0 <= p <= 1:
-        raise GraphInputError("random needs n >= 1 and 0 <= p <= 1")
     rng = random.Random(seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
@@ -408,8 +368,6 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
 
 def random_block_graph(n: int, seed: int) -> Graph:
     """Random cliques glued one cut vertex at a time; always a block graph."""
-    if n < 1:
-        raise GraphInputError("block_random needs n >= 1")
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
     cur = 1
@@ -424,8 +382,6 @@ def random_block_graph(n: int, seed: int) -> Graph:
 
 def random_split_graph(n: int, seed: int) -> Graph:
     """Random connected non-complete split graph (clique part + independent part)."""
-    if n < 1:
-        raise GraphInputError("split_random needs n >= 1")
     if n == 1:
         return build_graph(1, [], labels=[("clique", 0)])
     if n == 2:
@@ -472,6 +428,53 @@ _GENERATORS = {
 
 _SIGNATURES = {name: inspect.signature(make) for name, make in _GENERATORS.items()}
 
+
+def _cliques_need(a: int) -> int:
+    """The vertices that the disjoint K_2, K_3, ..., K_a of complete_minus_cliques take."""
+    return a * (a + 1) // 2 - 1
+
+
+# leaf family name -> the ranges its arguments must lie in, each a test over
+# the arguments and the message (or a function of them giving it) when it fails;
+# the generators trust them, so they are tested once, here, in ``resolve``
+_RANGES = {
+    "path": ((lambda n: n >= 1, "path needs n >= 1"),),
+    "cycle": ((lambda n: n >= 3, "cycle needs n >= 3"),),
+    "complete": ((lambda n: n >= 1, "complete needs n >= 1"),),
+    "multipartite": (
+        (lambda *parts: parts and min(parts) >= 1, "multipartite parts must be positive"),
+        (lambda *parts: list(parts) == sorted(parts, reverse=True),
+         "multipartite parts must be in descending order"),
+    ),
+    "turan": ((lambda a, n: 1 <= a <= n, "turan needs 1 <= a <= n"),),
+    "kneser2": ((lambda n: n >= 5, "kneser2 needs n >= 5"),),
+    "line_complete": ((lambda n: n >= 2, "line_complete needs n >= 2"),),
+    "tree_leaves": (
+        (lambda a, leaves: a >= 2 and leaves >= 0, "tree_leaves needs a >= 2, leaves >= 0"),
+    ),
+    "t": ((lambda a, b: 2 <= a <= b, "t needs 2 <= a <= b"),),
+    "h": ((lambda r, s: r >= 3 and s >= 0, "h needs r >= 3, s >= 0"),),
+    "j": ((lambda r, s: r >= 1 and s >= 1, "j needs r >= 1, s >= 1"),),
+    "g_star": ((lambda a, n: 1 <= a <= n, "g_star needs 1 <= a <= n"),),
+    "g": ((lambda a, b: 2 <= a <= b, "g needs 2 <= a <= b"),),
+    "s": ((lambda r, t: r >= 0 and t >= 1, "s needs r >= 0, t >= 1"),),
+    "q": ((lambda r: r >= 4, "q needs r >= 4"),),
+    "k_gadget": ((lambda r: r >= 3, "k_gadget needs r >= 3"),),
+    "complete_minus_cliques": (
+        (lambda n, a: a >= 2, "complete_minus_cliques needs a >= 2"),
+        (lambda n, a: n >= _cliques_need(a),
+         lambda n, a: f"complete_minus_cliques needs n >= {_cliques_need(a)} for a={a}"),
+    ),
+    "cycle_join_clique": (
+        (lambda a, n: a >= 2 and n >= 2 * a, "cycle_join_clique needs a >= 2 and n >= 2a"),
+    ),
+    "split_random": ((lambda n, seed: n >= 1, "split_random needs n >= 1"),),
+    "block_random": ((lambda n, seed: n >= 1, "block_random needs n >= 1"),),
+    "random": (
+        (lambda n, p, seed: n >= 1 and 0 <= p <= 1, "random needs n >= 1 and 0 <= p <= 1"),
+    ),
+}
+
 _ALIASES = {"petersen": FamilySpec("kneser2", (5,))}
 
 
@@ -484,7 +487,8 @@ def _allowed(name: str, position: int, arg) -> bool:
 
 def resolve(spec: FamilySpec) -> FamilySpec:
     """``spec`` with the alias expanded, its name known and its arguments
-    checked: their count against the generator, each against the rule."""
+    checked: their count against the generator, each against the rule, and
+    all of them against the family's ranges."""
     name, args = spec.name, spec.args
     if name in _COMPOSITES:
         return FamilySpec(name, tuple(resolve(a) for a in args))
@@ -501,6 +505,9 @@ def resolve(spec: FamilySpec) -> FamilySpec:
     for position, arg in enumerate(args):
         if not _allowed(name, position, arg):
             raise GraphInputError(f"bad argument {arg!r} for family {name!r}")
+    for test, message in _RANGES[name]:
+        if not test(*args):
+            raise GraphInputError(message if isinstance(message, str) else message(*args))
     return spec
 
 

@@ -41,8 +41,13 @@ already has them, and otherwise walks from each member only as far as the
 later members, with the single-source ``layer_walk``.  The mu sweep reads
 only the component masks.  Whether one vertex sees some targets past a set
 is one walk along its distance layers, :func:`sees`, which the mu search
-runs.  Maximality grows one :class:`SetState` through a verified set and
-asks which vertices still fit.
+runs for the one vertex that joins a class.  Which candidates can join a mu
+class is one batch, ``Constraints.visible_joins``: one such walk from each
+member, going on only from non-members, gives what the member sees past the
+class at each distance, and the pairs of members read off those walks the
+vertices that every clear shortest path between them passes.  Maximality
+grows one :class:`SetState` through a verified set and asks which vertices
+still fit.
 """
 
 from __future__ import annotations
@@ -382,7 +387,9 @@ class Constraints:
     members in one call, under both ends, so ``lines[a][b]`` and
     ``lines[b][a]`` hold the same mask.  For
     mu, ``keeps_visibility`` hands the distance layers of one vertex to
-    :func:`sees`, so one walk decides the visibility of many targets.
+    :func:`sees`, so one walk decides the visibility of many targets, and
+    ``visible_joins`` answers for many candidates at once from one walk per
+    member of the class.
 
     Built once per graph and base kind by :func:`compiled` and cached in the
     graph's memo.
@@ -467,6 +474,54 @@ class Constraints:
                 return False
         return True
 
+    def visible_joins(self, members: Sequence[int], mask: int, cands: int) -> int:
+        """The vertices of ``cands`` (none of them in ``mask``) that can join
+        the mutual-visibility set ``mask`` of two or more ``members`` and
+        leave it one: ``keeps_visibility`` for all of them at once.
+
+        One walk from each member m along ``layers[m]``, going on only from
+        non-members, gives ``clear[t]``, the vertices at distance t that m
+        sees past the set; a candidate must be in one of them for every
+        member of its component.  For a member pair a, b at distance d >= 2,
+        ``clear_a[t] & clear_b[d - t]`` less the members holds the vertices at
+        position t of the shortest a-b paths that avoid the set, so a middle
+        set of one vertex is a candidate that would hide the pair.
+        """
+        adj, free, out = self.adj, ~mask, cands
+        walks = {}
+        for m in members:
+            layers = self.layers[m]
+            clear, frontier, seen = [1 << m], 1 << m, 0
+            for t in range(1, len(layers)):
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= adj[low.bit_length() - 1]
+                reach &= layers[t]
+                clear.append(reach)
+                seen |= reach
+                frontier = reach & free
+                if not frontier:
+                    break
+            out &= seen | ~self.component[m]
+            walks[m] = clear
+        later = mask
+        for a in members:
+            later ^= 1 << a
+            ca = walks[a]
+            for d in range(2, len(ca)):
+                ends = ca[d] & later  # the later members b with d(a, b) = d
+                while ends:
+                    low = ends & -ends
+                    ends ^= low
+                    cb = walks[low.bit_length() - 1]
+                    for t in range(1, d):
+                        middle = ca[t] & cb[d - t] & free
+                        if not middle & (middle - 1):
+                            out &= ~middle
+        return out
+
     def _behind(self, a: int, v: int) -> int:
         """Mask of the vertices b > a with ``v`` inside some shortest a-b path."""
         key = a * self.n + v
@@ -531,23 +586,19 @@ class SetState:
         """The mask of the vertices of ``free`` that ``try_add`` would accept.
 
         A set of at most one member takes any vertex its ``forbidden`` mask
-        allows, since a pair always sees itself.
+        allows, since a pair always sees itself.  A mu set of two or more
+        asks ``Constraints.visible_joins`` once about all the vertices it has
+        no answer for yet, one walk per member, and records the answers.
         """
         out = free & ~self.forbidden
         if not self.core.mu or len(self.members) < 2:
             return out
         unknown = out & ~self.ok
         if unknown:
-            core, mask, bad = self.core, self.mask, 0
-            while unknown:
-                low = unknown & -unknown
-                unknown ^= low
-                if core.keeps_visibility(mask, low.bit_length() - 1):
-                    self.ok |= low
-                else:
-                    bad |= low
-            self.forbidden |= bad
-            out &= ~bad
+            good = self.core.visible_joins(self.members, self.mask, unknown)
+            self.ok |= good
+            self.forbidden |= unknown & ~good
+            out &= ~unknown | good
         return out
 
     def try_add(self, v: int) -> bool:

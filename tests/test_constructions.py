@@ -6,7 +6,9 @@ import pytest
 from conftest import cycle, path
 from poscol.errors import GraphInputError
 from poscol.families import generate, parse_family, random_block_graph
-from poscol.formulas import line_complete_chi_gp, multipartite_chi_gp, predicted_chi
+from poscol.formulas import (
+    line_complete_chi_gp, multipartite_chi_gp, predicted_chi, predicted_position_number,
+)
 from poscol.graphs import diameter
 from poscol.kirkman import TripleSystem, audit_triple_system, kirkman_triple_system
 from poscol.position import PositionKind
@@ -313,23 +315,41 @@ def _sweep_specs() -> list[str]:
     specs += [f"cartesian(path:{a},cycle:{b})" for a in (1, 2, 5) for b in (3, 7, 9)]
     specs += [f"cartesian(cycle:{b},path:{a})" for a in (1, 5) for b in (3, 7, 9)]
     specs += [f"cartesian(cycle:{a},cycle:{b})" for a, b in [(7, 7), (7, 14), (14, 7), (3, 5)]]
-    # each spec again with one of its arguments made 0, -1 or -7
+    return specs
+
+
+def _malformed_variants(specs: list[str]) -> list[str]:
+    """Each spec again with one of its arguments made 0, -1 or -7, every one
+    outside its family's range."""
     bad = {
         text[: m.start()] + arg + text[m.end() :]
         for text in specs for m in re.finditer(r"\d+", text) for arg in ("0", "-1", "-7")
     }
-    return specs + sorted(bad - set(specs))
+    return sorted(bad - set(specs))
 
 
-@pytest.mark.parametrize("text", _sweep_specs())
+_SWEEP_SPECS = _sweep_specs()
+_MALFORMED = _malformed_variants(_SWEEP_SPECS)
+
+
+@pytest.mark.parametrize("text", _SWEEP_SPECS + _MALFORMED)
 def test_construction_sweep(text):
     """Every construction either gives a verified colouring of the graph its
     spec names or an input error, malformed arguments included.
 
     An ``exact`` colouring has as many classes as an exact prediction and,
     up to 12 vertices, as the exact solver; any other has at least as many.
+    A malformed variant is rejected by ``generate`` and, for every kind, by
+    both predictions, so neither claims a value for a graph that cannot exist.
     """
     spec = parse_family(text)
+    if text in _MALFORMED:
+        with pytest.raises(GraphInputError):
+            generate(spec)
+        for kind in PositionKind:
+            for predict in (predicted_chi, predicted_position_number):
+                with pytest.raises(GraphInputError):
+                    predict(spec, kind)
     for kind in PositionKind:
         try:
             built = construct_colouring(spec, kind)
@@ -371,3 +391,24 @@ def test_constructions_verify_without_the_distance_matrix(monkeypatch):
     for text, kind in cases:
         assert construct_colouring(parse_family(text), kind).verified
     assert computed == []
+
+
+def test_an_unsupported_pair_builds_no_graph(monkeypatch):
+    """A (family, kind) pair with no construction raises before any graph is
+    generated, however large the spec; a malformed one still raises an input
+    error first."""
+    import poscol.constructions
+    import poscol.formulas
+
+    def fail(spec):
+        raise AssertionError(f"generated {spec}")
+
+    for module in (poscol.constructions, poscol.formulas):
+        monkeypatch.setattr(module, "generate", fail)
+    for text, kind in [("complete:1500", K.GP), ("cartesian(path:300,path:300)", K.MU),
+                       ("cartesian(cycle:14,cycle:15)", K.GP), ("kneser2:40", K.MONO)]:
+        with pytest.raises(UnsupportedConstruction):
+            construct_colouring(parse_family(text), kind)
+    with pytest.raises(GraphInputError) as caught:
+        construct_colouring(parse_family("complete:0"), K.GP)
+    assert not isinstance(caught.value, UnsupportedConstruction)

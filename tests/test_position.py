@@ -385,6 +385,39 @@ class TestSetStateAgainstOracles:
             assert state.try_add(v) == bool(expect >> v & 1), (before, v)
             assert state.members == (before + [v] if expect >> v & 1 else before)
 
+    @pytest.mark.parametrize("graphs", [f"order{n}" for n in range(2, 7)] + [
+        f"differential{i}" for i in range(9)])
+    @pytest.mark.parametrize("kind", [K.MU, K.MU_I], ids=lambda k: k.value)
+    def test_mu_batch_fits_matches_try_add_and_the_oracle(self, graphs, kind):
+        """Every catalogue graph of order <= 6 and every differential graph:
+        for each set S of 2-4 vertices that the oracle accepts, grown in the
+        order S[1], ..., S[-1], S[0] (so its member pairs come in both id
+        orders), the batch answer ``fits(V \\ S)`` is exactly the vertices v
+        that ``try_add`` takes on a second state grown the same way, and those
+        with S + v a position set by the oracle."""
+        if graphs.startswith("order"):
+            cases = graphs_of_order(int(graphs.removeprefix("order")))
+        else:
+            cases = [_differential_graphs()[int(graphs.removeprefix("differential"))]]
+        for g in cases:
+            core = compiled(g, kind)
+            for size in range(2, 5):
+                for s in itertools.combinations(range(g.n), size):
+                    if not oracle_is_position_set(g, s, kind):
+                        continue
+                    batch, single = SetState(core, kind.independent), SetState(core, kind.independent)
+                    for v in s[1:] + s[:1]:
+                        assert batch.try_add(v) and single.try_add(v)
+                    rest = [v for v in range(g.n) if v not in s]
+                    by_try_add = by_oracle = 0
+                    for v in rest:
+                        if single.try_add(v):
+                            single.pop()
+                            by_try_add |= 1 << v
+                        by_oracle |= oracle_is_position_set(g, s + (v,), kind) << v
+                    got = batch.fits(sum(1 << v for v in rest))
+                    assert got == by_try_add == by_oracle, (g.edges(), s)
+
     @pytest.mark.parametrize("index", range(9))
     def test_lines_are_the_collinear_sets(self, index):
         """On differential graph ``index``, one ninth of the metric graphs and a
