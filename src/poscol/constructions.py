@@ -1,11 +1,14 @@
 """Explicit position colourings from the constructive proofs.
 
-Every construction re-verifies its output through the position oracles,
-which need no all-pairs distance matrix, before returning (the torus
-tessellation feeds the closed-form cyclic metric to the same collinear-triple
-test instead of BFS, once per class shape, since its classes are translates;
-Cartesian distance additivity is checked separately in the graph tests).  A
-failed verification is a construction bug and raises.
+Every construction re-verifies its output before returning; a failed
+verification is a construction bug and raises.  The gp constructions on a
+Cartesian or strong product of two path or cycle factors (grids, P3/P4
+grids, tessellations, cylinders, tori and strong-grid blocks) feed the
+product's closed-form metric, d1 + d2 or max(d1, d2) of the factor
+distances, to the collinear-triple test, once per class shape, and never
+generate the graph; the graph tests pin that metric against BFS.  Every other
+construction generates its graph and goes through the position oracles,
+which need no all-pairs distance matrix.
 
 The family constructions only build classes.  ``construct_colouring``
 resolves the spec first, so malformed arguments raise an input error before
@@ -21,6 +24,7 @@ clique cover, total domination) state their own tags.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import DEFAULT_LIMITS, GraphInputError, Limits
 from .families import FamilySpec, generate, pair_ids, part_ranges, resolve, turan_parts
@@ -286,11 +290,6 @@ def _cylinder_classes(n1: int, n2: int) -> list[list[Cell]]:
 # -- torus tessellation ---------------------------------------------------------
 
 
-def _cyc(n: int, a: int) -> int:
-    a %= n
-    return min(a, n - a)
-
-
 def _torus_classes(n1: int, n2: int) -> list[list[int]]:
     s, t = n1 // 7, n2 // 7
     base = [(i * s, (2 * i % 7) * t) for i in range(7)]
@@ -303,32 +302,51 @@ def _torus_classes(n1: int, n2: int) -> list[list[int]]:
     return classes
 
 
-def _verify_torus_colouring(n1: int, n2: int, classes: list[list[int]]) -> None:
-    """gp check with the closed-form metric d = cyc(dr) + cyc(dc).
+# -- closed-form product metric ----------------------------------------------------
 
-    That metric depends only on the differences between cells, so each class
-    shape, its cells' offsets from its first cell mod (n1, n2), is checked once.
+
+def _cyc(n: int, a: int) -> int:
+    a %= n
+    return min(a, n - a)
+
+
+def _product_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
+    """gp check of a product of two path or cycle factors by its closed-form metric.
+
+    Vertex v is the cell ``divmod(v, n2)``, the layout of
+    :func:`~poscol.graphs.product`.  On a cycle C_n a factor distance is the
+    cyclic distance mod n; on a path P_n it is the cyclic distance mod 2n,
+    which is |i - j| since no two cells are n or more apart.  A Cartesian
+    product adds the two, a strong product takes their max.  The metric
+    depends only on the differences between cells, so each class shape, its
+    cells' offsets from its first cell mod each axis's modulus, is tested
+    once for a collinear triple.  No graph is built; ``Colouring.from_classes``
+    checks the partition.
     """
-    seen = set()
+    f1, f2 = spec.args
+    n2 = f2.args[0]
+    m1, m2 = (f.args[0] if f.name == "cycle" else 2 * f.args[0] for f in (f1, f2))
+    combine = max if spec.name == "strong" else operator.add
     shapes: dict[tuple[Cell, ...], bool] = {}
     for cls in classes:
-        if len(cls) != 7:
-            raise AssertionError("torus class of wrong size")
-        seen.update(cls)
+        if len(cls) < 3:
+            continue
         r0, c0 = divmod(cls[0], n2)
-        shape = tuple(((v // n2 - r0) % n1, (v - c0) % n2) for v in cls)
+        shape = tuple([((v // n2 - r0) % m1, (v % n2 - c0) % m2) for v in cls])
         collinear = shapes.get(shape)
         if collinear is None:
-            by_dist = [[0] * (n1 // 2 + n2 // 2 + 1) for _ in shape]
-            for (a, (r, c)), (j, (q, e)) in itertools.product(enumerate(shape), repeat=2):
-                by_dist[a][_cyc(n1, r - q) + _cyc(n2, c - e)] |= 1 << j
+            dist = [[combine(_cyc(m1, r - q), _cyc(m2, c - e)) for q, e in shape] for r, c in shape]
+            top = max(map(max, dist))
+            by_dist = [[0] * (top + 1) for _ in shape]
+            for a, row in enumerate(dist):
+                for j, d in enumerate(row):
+                    by_dist[a][d] |= 1 << j
             collinear = shapes[shape] = has_collinear_triple(
-                range(7), lambda a, later: [m & later for m in by_dist[a]], 7
+                range(len(shape)), lambda a, later: [m & later for m in by_dist[a]], len(shape)
             )
         if collinear:
-            raise AssertionError("torus class is not in general position")
-    if len(seen) != n1 * n2 or len(classes) * 7 != n1 * n2:
-        raise AssertionError("torus classes do not partition the vertices")
+            raise AssertionError(f"product class {cls} is not in general position")
+    return Colouring.from_classes(f1.args[0] * n2, classes)
 
 
 # -- strong grids ----------------------------------------------------------------
@@ -410,7 +428,8 @@ def construct_colouring(
     ``resolve`` checks the arguments, so malformed ones raise
     :class:`~poscol.errors.GraphInputError`; then the classes are built, so a
     pair with no construction raises :class:`UnsupportedConstruction` before
-    the graph is generated.  A torus never generates its graph.  The
+    the graph is generated.  A gp product construction never generates its
+    graph: :func:`_product_colouring` checks it by the closed-form metric.  The
     colouring is ``exact`` exactly when :func:`~poscol.formulas.predicted_chi`
     proves its class count.
     """
@@ -418,20 +437,11 @@ def construct_colouring(
     classes, provenance = _family_classes(spec, kind)
     prediction = predicted_chi(spec, kind)
     exact = prediction.status == "exact" and prediction.value == len(classes)
-    if not _is_torus(spec, kind):
-        return _certify(generate(spec), classes, kind, provenance, exact, limits)
-    n1, n2 = (factor.args[0] for factor in spec.args)
-    _verify_torus_colouring(n1, n2, classes)
-    col = Colouring.from_classes(n1 * n2, classes)
-    return CertifiedColouring(col, kind, True, provenance, "exact" if exact else "upper_bound_only")
-
-
-def _is_torus(spec: FamilySpec, kind: PositionKind) -> bool:
-    return (
-        kind is PositionKind.GP
-        and spec.name == "cartesian"
-        and all(factor.name == "cycle" for factor in spec.args)
-    )
+    if kind is PositionKind.GP and spec.name in ("cartesian", "strong"):
+        # _product_classes only builds gp classes on path and cycle factors
+        col = _product_colouring(spec, classes)
+        return CertifiedColouring(col, kind, True, provenance, "exact" if exact else "upper_bound_only")
+    return _certify(generate(spec), classes, kind, provenance, exact, limits)
 
 
 def _family_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:
@@ -464,7 +474,7 @@ def _family_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int
 def _product_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:
     a, b = spec.args
     kinds = (a.name, b.name)
-    if _is_torus(spec, kind):
+    if spec.name == "cartesian" and kinds == ("cycle", "cycle") and kind is PositionKind.GP:
         n1, n2 = a.args[0], b.args[0]
         if n1 % 7 or n2 % 7:
             raise UnsupportedConstruction("torus tessellation needs 7 | n1 and 7 | n2")

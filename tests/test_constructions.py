@@ -1,4 +1,5 @@
 import gc
+import random
 import re
 
 import pytest
@@ -12,7 +13,7 @@ from poscol.formulas import (
 from poscol.graphs import diameter
 from poscol.kirkman import TripleSystem, audit_triple_system, kirkman_triple_system
 from poscol.position import PositionKind
-from poscol.solver import chromatic_position_number, verify_colouring
+from poscol.solver import Colouring, chromatic_position_number, verify_colouring
 from poscol.constructions import (
     UnsupportedConstruction,
     colour_block_graph_peeling,
@@ -367,18 +368,61 @@ def test_construction_sweep(text):
             assert built.k == solved.k if exact else built.k >= solved.k, (kind, solved.k)
 
 
-def test_torus_verification_rejects_a_collinear_class():
-    from poscol.constructions import _verify_torus_colouring
+def test_product_check_rejects_a_collinear_class():
+    from poscol.constructions import _product_colouring
 
+    torus = parse_family("cartesian(cycle:7,cycle:7)")
     good = [[r * 7 + (2 * r + c) % 7 for r in range(7)] for c in range(7)]
-    _verify_torus_colouring(7, 7, good)
+    _product_colouring(torus, good)
     rows = [[r * 7 + c for c in range(7)] for r in range(7)]  # a row holds 0, 1, 2
     with pytest.raises(AssertionError, match="general position"):
-        _verify_torus_colouring(7, 7, rows)
+        _product_colouring(torus, rows)
     # each class shape is checked once: a collinear class that is not a
     # translate of the others must still be caught among them
     with pytest.raises(AssertionError, match="general position"):
-        _verify_torus_colouring(7, 7, good[:3] + rows[3:4] + good[4:])
+        _product_colouring(torus, good[:3] + rows[3:4] + good[4:])
+
+
+_GP_PRODUCT_SPECS = [text for text in _SWEEP_SPECS if text.startswith(("cartesian", "strong"))]
+
+
+def test_product_check_agrees_with_bfs_verification():
+    """On every gp product construction of the sweep (grids of both kinds,
+    cylinders, tori), moving 1-3 vertices between classes many times, the
+    closed-form product check raises exactly when ``verify_colouring`` on the
+    generated graph rejects the colouring."""
+    from poscol.constructions import _product_colouring
+
+    rng = random.Random(29)
+    outcomes = {True: 0, False: 0}
+    for text in _GP_PRODUCT_SPECS:
+        spec = parse_family(text)
+        try:
+            built = construct_colouring(spec, K.GP)
+        except UnsupportedConstruction:
+            continue
+        g = generate(spec)
+        classes = built.colouring.classes()
+        if len(classes) < 2:
+            continue
+        for _ in range(80):
+            moved = [list(cls) for cls in classes]
+            for _ in range(rng.randint(1, 3)):
+                source, target = rng.sample(range(len(moved)), 2)
+                if moved[source]:
+                    v = moved[source].pop(rng.randrange(len(moved[source])))
+                    moved[target].insert(rng.randint(0, len(moved[target])), v)
+            moved = [cls for cls in moved if cls]
+            expected = verify_colouring(g, Colouring.from_classes(g.n, moved), K.GP)
+            try:
+                _product_colouring(spec, moved)
+            except AssertionError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == expected, (text, moved)
+            outcomes[accepted] += 1
+    assert min(outcomes.values()) >= 400, outcomes
 
 
 def test_constructions_verify_without_the_distance_matrix(monkeypatch):
@@ -412,3 +456,20 @@ def test_an_unsupported_pair_builds_no_graph(monkeypatch):
     with pytest.raises(GraphInputError) as caught:
         construct_colouring(parse_family("complete:0"), K.GP)
     assert not isinstance(caught.value, UnsupportedConstruction)
+
+
+def test_a_gp_product_construction_builds_no_graph(monkeypatch):
+    """Grids, strong-grid blocks, cylinders and tori are checked by the
+    closed-form product metric, so none of them generates its graph."""
+    import poscol.constructions
+    import poscol.formulas
+
+    def fail(spec):
+        raise AssertionError(f"generated {spec}")
+
+    for module in (poscol.constructions, poscol.formulas):
+        monkeypatch.setattr(module, "generate", fail)
+    for text, k in [("cartesian(path:4,path:200)", 201), ("strong(path:30,path:30)", 225),
+                    ("cartesian(path:10,cycle:30)", 60), ("cartesian(cycle:98,cycle:98)", 1372)]:
+        built = construct_colouring(parse_family(text), K.GP)
+        assert built.verified and built.k == k, text

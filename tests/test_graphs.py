@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -319,6 +320,37 @@ class TestProducts:
                                 dg[u1 * b.n + v1][u2 * b.n + v2]
                                 == da[u1][u2] + db[v1][v2]
                             )
+
+    def test_strong_distance_is_the_max(self):
+        rng = random.Random(18)
+        for _ in range(50):
+            a = random_graph(rng.randint(1, 5), 0.6, rng)
+            b = random_graph(rng.randint(1, 5), 0.6, rng)
+            g = product("strong", a, b)
+            da, db, dg = a.distance_matrix(), b.distance_matrix(), g.distance_matrix()
+            for u1, v1, u2, v2 in itertools.product(range(a.n), range(b.n), range(a.n), range(b.n)):
+                assert dg[u1 * b.n + v1][u2 * b.n + v2] == max(da[u1][u2], db[v1][v2])
+
+    @pytest.mark.parametrize("kind", ["cartesian", "strong"])
+    def test_path_and_cycle_product_metrics(self, kind):
+        """In products of paths and cycles, in either order, vertex i * n2 + j
+        is the cell (i, j); a path factor measures |i - j|, a cycle factor
+        C_n the cyclic distance min(|i - j|, n - |i - j|), and the product
+        adds them (Cartesian) or takes their max (strong)."""
+        def factor_distance(name, n, i, j):
+            return abs(i - j) if name == "path" else min(abs(i - j), n - abs(i - j))
+
+        combine = max if kind == "strong" else (lambda x, y: x + y)
+        make = {"path": path, "cycle": cycle}
+        for (f1, n1), (f2, n2) in [
+            (("path", 4), ("cycle", 7)), (("cycle", 7), ("path", 4)),
+            (("path", 1), ("cycle", 6)), (("cycle", 5), ("cycle", 8)),
+            (("path", 6), ("path", 3)), (("cycle", 3), ("path", 5)),
+        ]:
+            dg = product(kind, make[f1](n1), make[f2](n2)).distance_matrix()
+            for (i, j), (p, q) in itertools.product(itertools.product(range(n1), range(n2)), repeat=2):
+                expected = combine(factor_distance(f1, n1, i, p), factor_distance(f2, n2, j, q))
+                assert dg[i * n2 + j][p * n2 + q] == expected, (f1, n1, f2, n2, i, j, p, q)
 
     def test_empty_factor_rejected(self):
         with pytest.raises(GraphInputError):
