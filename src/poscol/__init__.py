@@ -9,10 +9,7 @@ them, and an executable NAE3-SAT reduction showing gp-colouring is hard.
 
 from .errors import BudgetExceededError, GraphInputError, Limits
 from .graphs import (
-    ComponentStructure,
     Graph,
-    INF,
-    all_pairs_distances,
     build_graph,
     complement,
     diameter,
@@ -83,11 +80,9 @@ __all__ = [
     "BudgetExceededError",
     "CertifiedColouring",
     "Colouring",
-    "ComponentStructure",
     "FamilySpec",
     "Graph",
     "GraphInputError",
-    "INF",
     "Limits",
     "NaeInstance",
     "PositionKind",
@@ -96,7 +91,6 @@ __all__ = [
     "ReductionGraph",
     "TripleSystem",
     "TriviallyNo",
-    "all_pairs_distances",
     "assignment_to_colouring",
     "bounds",
     "build_graph",

@@ -540,7 +540,7 @@ def colour_block_graph_peeling(
         ext = extreme_vertices(sub)
         classes.append(sorted(alive[i] for i in ext))
         alive = [v for i, v in enumerate(alive) if i not in ext]
-    expected = -(-(diameter(g).diam_star + 1) // 2)
+    expected = -(-(diameter(g) + 1) // 2)
     if g.n and len(classes) != expected:
         raise AssertionError(
             f"peeling produced {len(classes)} classes, expected {expected}"

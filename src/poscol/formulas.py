@@ -235,7 +235,7 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
     if name in ("tree_leaves", "t", "s", "block_random", "g") and kind in (K.GP, K.MONO):
         g = generate(spec)
         if is_block_graph(g):
-            value = _ceil(diameter(g).diam_star + 1, 2)
+            value = _ceil(diameter(g) + 1, 2)
             if kind is K.GP:
                 return Prediction.exact(value, "block-graph diameter formula")
             if g.m == g.n - 1 and is_connected(g):
@@ -273,6 +273,8 @@ def predicted_position_number(spec: FamilySpec, kind: PositionKind) -> Predictio
             if {a.name, b.name} == {"path", "cycle"}:
                 n1 = a.args[0] if a.name == "path" else b.args[0]
                 n2 = b.args[0] if b.name == "cycle" else a.args[0]
+                if n1 == 1:  # P_1 x C_n is C_n
+                    return predicted_position_number(FamilySpec("cycle", (n2,)), kind)
                 if (n1, n2) == (2, 3):
                     return Prediction.exact(3, "cylinder gp numbers")
                 if n1 >= 5 and (n2 == 7 or n2 >= 9):
@@ -305,7 +307,7 @@ def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bo
     n = g.n
     if n < 2 or is_disjoint_union_of_cliques(g):
         return False
-    if diameter(g).diam_star > 3:
+    if diameter(g) > 3:
         return False
     at_two = [row[2] if len(row) > 2 else 0 for row in distance_layers(g)]
     ticker = limits.ticker()

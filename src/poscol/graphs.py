@@ -1,17 +1,19 @@
 """Immutable simple graphs with cached metric structure.
 
-Vertices are always the integers ``0..n-1``.  Distances use ``math.inf`` as
-the sentinel for pairs in distinct components, never a large integer, so any
-arithmetic on a disconnected pair stays infinite instead of silently
-producing a plausible-looking bound.
+Vertices are always the integers ``0..n-1``.  The metric is the distance
+layers: ``layers[v][d]`` is the bitmask of the vertices at distance d from
+v, so a pair in distinct components is in no layer at all, never at a large
+or infinite distance.
 
-The metric comes from two breadth-first searches on bitmask neighbourhoods:
+The layers come from two breadth-first searches on bitmask neighbourhoods:
 ``distance_layers`` sweeps from every vertex at once and is cached, and
 ``layer_walk`` walks from one vertex for the callers that need only a few.
-The sweep also yields the components, as the balls it ends with, the
-diameters, as the longest layer lists, and the adjacency masks, as layer 1
-when it runs first.  Visibility past a set of vertices is read off these
-layers by ``position.sees``.
+The sweep also yields the components, as the balls it ends with, diam*, as
+the longest layer list, and the adjacency masks, as layer 1 when it runs
+first.  Visibility past a set of vertices is read off these layers by
+``position.sees``.  ``Graph.distance_matrix`` reads a float matrix off the
+layers; nothing in the library calls it, and it stays only as the hook that
+the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from typing import Any, Iterable, Sequence
 
 from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
 
-INF = math.inf
-
 Edge = tuple[int, int]
 
 
@@ -31,9 +31,10 @@ class Graph:
     """A finite simple undirected graph on vertices ``0..n-1``.
 
     Instances are immutable after construction and safe to share across
-    threads.  The all-pairs distance matrix is computed on first use and then
-    cached; recomputation by a racing thread is harmless because the result
-    is deterministic and the final assignment is atomic.
+    threads.  Derived structure (the distance layers first) is computed on
+    first use and cached in ``_memo``; recomputation by a racing thread is
+    harmless because the result is deterministic and the final assignment is
+    atomic.  ``_dist`` caches only the float matrix of ``distance_matrix``.
     """
 
     __slots__ = ("n", "adj", "labels", "_dist", "_memo")
@@ -82,14 +83,15 @@ class Graph:
     # -- metric ------------------------------------------------------------
 
     def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        """All-pairs hop distances, ``INF`` across components (cached).
+        """All-pairs hop distances, ``math.inf`` across components (cached).
 
-        Row v is read off ``distance_layers(self)[v]``.
+        Row v is read off ``distance_layers(self)[v]``.  The library reads the
+        layers, never this matrix; it stays as the benchmark tracer's hook.
         """
         if self._dist is None:
             rows = []
             for by_dist in distance_layers(self):
-                row = [INF] * self.n
+                row = [math.inf] * self.n
                 for d, layer in enumerate(by_dist):
                     while layer:
                         low = layer & -layer
@@ -192,23 +194,14 @@ def component_masks(g: Graph) -> tuple[int, ...]:
     return masks
 
 
-@dataclass(frozen=True)
-class ComponentStructure:
-    """Connected components with per-component diameters.
+def is_connected(g: Graph) -> bool:
+    return not g.n or component_masks(g)[0] == (1 << g.n) - 1
 
-    ``diam_star`` is the maximum component diameter (0 for the empty graph).
-    """
 
-    component: tuple[int, ...]
-    diameters: tuple[int, ...]
-
-    @property
-    def diam_star(self) -> int:
-        return max(self.diameters, default=0)
-
-    @property
-    def count(self) -> int:
-        return len(self.diameters)
+def diameter(g: Graph) -> int:
+    """diam*, the largest diameter of a component: the longest layer list less
+    one, since a diameter is the largest eccentricity (0 for the empty graph)."""
+    return max(map(len, distance_layers(g)), default=1) - 1
 
 
 # -- construction ---------------------------------------------------------
@@ -217,41 +210,6 @@ class ComponentStructure:
 def build_graph(n: int, edges: Iterable[Edge], labels: Sequence[Any] | None = None) -> Graph:
     """Build a graph, collapsing duplicate edges; rejects loops and bad ids."""
     return Graph(n, edges, labels)
-
-
-def all_pairs_distances(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """BFS-exact hop distances, cached on the graph."""
-    return g.distance_matrix()
-
-
-def components(g: Graph) -> list[list[int]]:
-    """The vertices of each component in increasing order, components by least vertex."""
-    masks = component_masks(g)
-    return [
-        [u for u in range(v, g.n) if masks[v] >> u & 1]
-        for v in range(g.n)
-        if masks[v] & -masks[v] == 1 << v
-    ]
-
-
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
-
-
-def diameter(g: Graph) -> ComponentStructure:
-    """Per-component diameters, components by least vertex, and their maximum ``diam_star``."""
-    key = "component_structure"
-    cached = g._memo.get(key)
-    if cached is not None:
-        return cached
-    layers, masks = distance_layers(g), component_masks(g)
-    index = {comp: i for i, comp in enumerate(dict.fromkeys(masks))}  # first seen, least vertex
-    comp_id, diams = tuple(index[comp] for comp in masks), [0] * len(index)
-    for v, i in enumerate(comp_id):  # a diameter is the largest eccentricity in its component
-        diams[i] = max(diams[i], len(layers[v]) - 1)
-    result = ComponentStructure(comp_id, tuple(diams))
-    g._memo[key] = result
-    return result
 
 
 @dataclass(frozen=True)

@@ -474,7 +474,7 @@ def _lower_bounds(g: Graph, kind: PositionKind, budget: BudgetTicker) -> Iterato
     """
     yield 1, "trivial"
     if kind in (PositionKind.GP, PositionKind.GP_I):
-        yield -(-(diameter(g).diam_star + 1) // 2), "diameter"
+        yield -(-(diameter(g) + 1) // 2), "diameter"
     if kind in (PositionKind.MONO, PositionKind.MONO_I):
         yield -(-(monophonic_diameter(g, budget) + 1) // 2), "monophonic diameter"
 
@@ -489,7 +489,7 @@ def _solve_bound(g: Graph, kind: PositionKind) -> int:
     """
     if kind.independent:
         return len(_greedy_clique(g))
-    return 2 if kind is PositionKind.MU and diameter(g).diam_star >= 2 else 1
+    return 2 if kind is PositionKind.MU and diameter(g) >= 2 else 1
 
 
 def chromatic_position_number(
@@ -793,11 +793,11 @@ def bounds(
     pi = position_number(g, kind, budget).value
     lo = max(lo, (-(-n // pi), "ceil(n/pi)"))
     upper: list[tuple[int, str]] = [(n - pi + 1, "n-pi+1")]
-    comp = diameter(g)
     if kind.independent:
         # splitting a longest geodesic into independent pairs needs diam >= 2
-        if comp.diam_star >= 2:
-            upper.append((n - (comp.diam_star + 1) // 2, "geodesic split"))
+        diam = diameter(g)
+        if diam >= 2:
+            upper.append((n - (diam + 1) // 2, "geodesic split"))
     else:
         upper.append((-(-(n - pi + 2) // 2), "pairing"))
         upper.append((clique_cover_number(g, budget), "clique cover"))
@@ -846,7 +846,6 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
     K = PositionKind
     chrom = chromatic_number(g, budget)
     theta = clique_cover_number(g, budget)
-    comp = diameter(g)
 
     rep.check(
         "chain mu<=gp<=mono",
@@ -870,7 +869,7 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
             b.lower <= chi[kind] <= b.upper,
             f"{b.lower} ({b.lower_reason}) <= {chi[kind]} <= {b.upper} ({b.upper_reason})",
         )
-    if comp.diam_star <= 3:
+    if diameter(g) <= 3:
         zeta = cochromatic_number(g, budget)
         rep.check(
             "diam<=3: gpi equals chromatic",

@@ -8,9 +8,11 @@ exhaustive subset or partition scans.
 from __future__ import annotations
 
 import itertools
+import math
 
-from poscol.graphs import Graph, INF
-from poscol.position import PositionKind
+from poscol import Graph, PositionKind
+
+INF = math.inf  # the distance between two components
 
 
 def floyd_warshall(g: Graph) -> list[list[float]]:
@@ -30,9 +32,9 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
 
 def row_layers(row: list[float]) -> list[int]:
     """Entry d is the bitmask of the vertices at distance d in the distance row ``row``."""
-    layers = [0] * (1 + max(d for d in row if d is not INF))
+    layers = [0] * (1 + max(d for d in row if d != INF))
     for u, d in enumerate(row):
-        if d is not INF:
+        if d != INF:
             layers[d] |= 1 << u
     return layers
 

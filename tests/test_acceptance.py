@@ -84,7 +84,7 @@ def test_criterion_03_block_graphs():
     for seed in range(50):
         n = 2 + seed % 13  # orders 2..14
         g = random_block_graph(n, seed)
-        expected = -(-(diameter(g).diam_star + 1) // 2)
+        expected = -(-(diameter(g) + 1) // 2)
         assert chromatic_position_number(g, K.GP).k == expected
         peel = colour_block_graph_peeling(g)
         assert peel.verified and peel.k == expected

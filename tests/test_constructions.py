@@ -251,7 +251,7 @@ class TestGraphLevelConstructions:
             g = random_block_graph(14, seed)
             c = colour_block_graph_peeling(g)
             assert c.verified
-            assert c.k == -(-(diameter(g).diam_star + 1) // 2)
+            assert c.k == -(-(diameter(g) + 1) // 2)
             assert c.k == chromatic_position_number(g, K.GP).k
 
     def test_peeling_rejects_non_block(self):

@@ -198,6 +198,38 @@ def test_every_prediction_contains_the_solved_value():
     assert not wrong
 
 
+# small instances of every family that ``predicted_position_number`` covers,
+# products in both factor orders up to 24 vertices
+_POSITION_NUMBER_SPECS = (
+    [f"path:{n}" for n in range(1, 12)] + [f"cycle:{n}" for n in range(3, 14)]
+    + [f"kneser2:{n}" for n in range(5, 8)] + [f"line_complete:{n}" for n in range(2, 8)]
+    + [f"q:{r}" for r in range(4, 9)]
+    + [f"{prod}(path:{m},path:{n})"
+       for prod in ("cartesian", "strong") for m, n in product(range(1, 9), repeat=2) if m * n <= 24]
+    + [spec for m, n in product(range(1, 9), range(3, 9)) if m * n <= 24
+       for spec in (f"cartesian(path:{m},cycle:{n})", f"cartesian(cycle:{n},path:{m})")]
+)
+
+
+def test_every_position_number_prediction_is_the_solved_value():
+    """Each ``exact`` position-number claim, for all six kinds, is the exact π;
+    a one-vertex path factor makes a cylinder its cycle."""
+    wrong, claims = [], 0
+    for text in _POSITION_NUMBER_SPECS:
+        spec = parse_family(text)
+        for kind in K:
+            p = predicted_position_number(spec, kind)
+            if p.status == "unknown":
+                continue
+            assert p.status == "exact"
+            claims += 1
+            solved = position_number(generate(spec), kind).value
+            if p.value != solved:
+                wrong.append((text, kind.value, p.value, solved))
+    assert not wrong
+    assert claims == 155
+
+
 class TestPredictedPositionNumbers:
     @pytest.mark.parametrize("text,kind,value", [
         ("kneser2:5", K.GP, 6),

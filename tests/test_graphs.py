@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -6,6 +5,7 @@ import pytest
 
 from conftest import PETERSEN_EDGES, complete, cycle, metric_graphs, path, random_graph
 from oracles import (
+    INF,
     all_induced_paths,
     floyd_warshall,
     oracle_components,
@@ -16,13 +16,10 @@ from oracles import (
 from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
 from poscol.graphs import (
-    INF,
     adjacency_masks,
     build_graph,
-    all_pairs_distances,
     complement,
     component_masks,
-    components,
     degree_order,
     diameter,
     disjoint_union,
@@ -66,20 +63,22 @@ class TestBuildGraph:
 
 class TestDistances:
     def test_cycle_distance(self):
-        assert cycle(5).distance_matrix()[0][2] == 2
+        assert distance_layers(cycle(5))[0] == (0b1, 0b10010, 0b01100)
 
     def test_petersen_diameter_two(self):
         pet = build_graph(10, PETERSEN_EDGES)
-        dist = all_pairs_distances(pet)
-        assert max(max(row) for row in dist) == 2
+        assert all(len(row) == 3 for row in distance_layers(pet))
+        assert diameter(pet) == 2
 
     def test_disconnected_infinite(self):
+        """A pair in distinct components is in no layer of either vertex."""
         g = build_graph(2, [])
-        assert g.distance_matrix()[0][1] is INF
+        assert distance_layers(g) == ((0b01,), (0b10,))
+        assert component_masks(g) == (0b01, 0b10) and not is_connected(g)
 
     def test_matches_floyd_warshall(self):
-        """The matrix, the layers, the components and the diameters agree with
-        Floyd-Warshall, and so do those of a relabelled copy."""
+        """The layers, the component masks, the eccentricities and diam* agree
+        with Floyd-Warshall, and so do those of a relabelled copy."""
         rng = random.Random(12)
         for g in metric_graphs():
             perm = list(range(g.n))
@@ -98,21 +97,17 @@ class TestDistances:
             for u in reach[v]:
                 layers[dist[v][u]] |= 1 << name[u]
             assert distance_layers(h)[name[v]] == tuple(layers)
-            assert [h.distance_matrix()[name[v]][name[u]] for u in range(n)] == dist[v]
-        comps = sorted(sorted(name[u] for u in r) for r in {frozenset(r) for r in reach})
-        assert components(h) == comps
-        assert is_connected(h) == (len(comps) <= 1)
-        structure = diameter(h)
-        assert structure.count == len(comps)
-        for v in range(n):
-            comp = structure.component[name[v]]
-            assert name[v] in comps[comp]
-            assert structure.diameters[comp] == max(dist[u][w] for u in reach[v] for w in reach[u])
+            assert len(distance_layers(h)[name[v]]) - 1 == max(dist[v][u] for u in reach[v])
+            assert component_masks(h)[name[v]] == sum(1 << name[u] for u in reach[v])
+        assert is_connected(h) == (len({frozenset(r) for r in reach}) <= 1)
+        assert diameter(h) == max((dist[v][u] for v in range(n) for u in reach[v]), default=0)
 
     def test_infinity_is_not_an_integer(self):
+        """``Graph.distance_matrix``, read off the layers, is Floyd-Warshall's matrix."""
         g = build_graph(3, [(0, 1)])
         d = g.distance_matrix()[0][2]
         assert d == math.inf and not isinstance(d, int)
+        assert [list(row) for row in g.distance_matrix()] == floyd_warshall(g)
 
 
 class TestLayerWalk:
@@ -171,11 +166,10 @@ class TestSweepByProducts:
                     expect[v] = sum(1 << u for u in comp)
             assert swept == walked == tuple(expect), g.edges()
             dist = floyd_warshall(g)
-            structure = diameter(g)
-            assert structure.count == len(comps)
-            for idx, comp in enumerate(comps):
-                assert all(structure.component[v] == idx for v in comp), g.edges()
-                assert structure.diameters[idx] == max(dist[u][w] for u in comp for w in comp)
+            for comp in comps:  # a component's diameter is its largest eccentricity
+                for v in comp:
+                    assert len(distance_layers(g)[v]) - 1 == max(dist[v][w] for w in comp), g.edges()
+            assert diameter(g) == max(max(dist[u][w] for u in comp for w in comp) for comp in comps)
 
     @pytest.mark.parametrize("part", range(4))
     def test_adjacency_masks_are_the_same_on_both_routes(self, part):
@@ -199,17 +193,17 @@ class TestSweepByProducts:
 
 class TestDiameter:
     def test_path(self):
-        assert diameter(path(5)).diam_star == 4
+        assert diameter(path(5)) == 4
 
     def test_componentwise_max(self):
         g = disjoint_union(complete(3), path(3))
-        assert diameter(g).diam_star == 2
-        assert diameter(g).count == 2
+        assert diameter(g) == 2
+        assert len(set(component_masks(g))) == 2
 
     def test_h55(self):
         from poscol.families import h_graph
 
-        assert diameter(h_graph(5, 5)).diam_star == 7
+        assert diameter(h_graph(5, 5)) == 7
 
 
 class TestMonophonicDiameter:
@@ -303,33 +297,36 @@ class TestProducts:
 
     def test_grid_diameter(self):
         g = product("cartesian", path(4), path(6))
-        assert g.n == 24 and diameter(g).diam_star == 8
+        assert g.n == 24 and diameter(g) == 8
+
+    @staticmethod
+    def check_product_metric(g, n2, distance):
+        """Vertex i * n2 + j of ``g`` is the cell (i, j), and ``distance(i, j, p, q)``
+        is the distance between cells (i, j) and (p, q), ``INF`` across components."""
+        cells = [divmod(v, n2) for v in range(g.n)]
+        for v, (i, j) in enumerate(cells):
+            expected = row_layers([distance(i, j, p, q) for p, q in cells])
+            assert distance_layers(g)[v] == tuple(expected), (g.n, n2, i, j)
 
     def test_cartesian_distance_additivity(self):
         rng = random.Random(17)
         for _ in range(50):
             a = random_graph(rng.randint(1, 5), 0.6, rng)
             b = random_graph(rng.randint(1, 5), 0.6, rng)
-            g = product("cartesian", a, b)
-            da, db, dg = a.distance_matrix(), b.distance_matrix(), g.distance_matrix()
-            for u1 in range(a.n):
-                for v1 in range(b.n):
-                    for u2 in range(a.n):
-                        for v2 in range(b.n):
-                            assert (
-                                dg[u1 * b.n + v1][u2 * b.n + v2]
-                                == da[u1][u2] + db[v1][v2]
-                            )
+            da, db = floyd_warshall(a), floyd_warshall(b)
+            self.check_product_metric(
+                product("cartesian", a, b), b.n, lambda i, j, p, q: da[i][p] + db[j][q]
+            )
 
     def test_strong_distance_is_the_max(self):
         rng = random.Random(18)
         for _ in range(50):
             a = random_graph(rng.randint(1, 5), 0.6, rng)
             b = random_graph(rng.randint(1, 5), 0.6, rng)
-            g = product("strong", a, b)
-            da, db, dg = a.distance_matrix(), b.distance_matrix(), g.distance_matrix()
-            for u1, v1, u2, v2 in itertools.product(range(a.n), range(b.n), range(a.n), range(b.n)):
-                assert dg[u1 * b.n + v1][u2 * b.n + v2] == max(da[u1][u2], db[v1][v2])
+            da, db = floyd_warshall(a), floyd_warshall(b)
+            self.check_product_metric(
+                product("strong", a, b), b.n, lambda i, j, p, q: max(da[i][p], db[j][q])
+            )
 
     @pytest.mark.parametrize("kind", ["cartesian", "strong"])
     def test_path_and_cycle_product_metrics(self, kind):
@@ -347,10 +344,10 @@ class TestProducts:
             (("path", 1), ("cycle", 6)), (("cycle", 5), ("cycle", 8)),
             (("path", 6), ("path", 3)), (("cycle", 3), ("path", 5)),
         ]:
-            dg = product(kind, make[f1](n1), make[f2](n2)).distance_matrix()
-            for (i, j), (p, q) in itertools.product(itertools.product(range(n1), range(n2)), repeat=2):
-                expected = combine(factor_distance(f1, n1, i, p), factor_distance(f2, n2, j, q))
-                assert dg[i * n2 + j][p * n2 + q] == expected, (f1, n1, f2, n2, i, j, p, q)
+            self.check_product_metric(
+                product(kind, make[f1](n1), make[f2](n2)), n2,
+                lambda i, j, p, q: combine(factor_distance(f1, n1, i, p), factor_distance(f2, n2, j, q)),
+            )
 
     def test_empty_factor_rejected(self):
         with pytest.raises(GraphInputError):
@@ -360,7 +357,7 @@ class TestProducts:
 class TestJoinUnion:
     def test_butterfly(self):
         g = join(complete(1), disjoint_union(complete(2), complete(2)))
-        assert g.n == 5 and diameter(g).diam_star == 2
+        assert g.n == 5 and diameter(g) == 2
 
     def test_cycle_join_clique(self):
         g = join(cycle(5), complete(2))
@@ -368,7 +365,7 @@ class TestJoinUnion:
 
     def test_disjoint_union(self):
         g = disjoint_union(complete(3), complete(3))
-        assert g.n == 6 and g.m == 6 and diameter(g).count == 2
+        assert g.n == 6 and g.m == 6 and len(set(component_masks(g))) == 2
 
 
 class TestPredicates:
@@ -417,4 +414,4 @@ def test_relabel_preserves_structure():
     perm = [3, 1, 4, 0, 9, 2, 6, 8, 7, 5]
     h = relabel(g, perm)
     assert h.m == g.m
-    assert diameter(h).diam_star == diameter(g).diam_star
+    assert diameter(h) == diameter(g)

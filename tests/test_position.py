@@ -144,10 +144,10 @@ class TestVerifierAgainstOracle:
                     expected = oracle_is_position_set(g, s, kind)
                     fresh = build_graph(g.n, g.edges())
                     cached = build_graph(g.n, g.edges())
-                    cached.distance_matrix()
+                    distance_layers(cached)
                     assert is_position_set(fresh, s, kind) == expected, (g.edges(), s, kind)
                     assert is_position_set(cached, s, kind) == expected, (g.edges(), s, kind)
-                    assert fresh._dist is None
+                    assert "distance_layers" not in fresh._memo
                     # nor does it read the compiled form or the induced-path walk
                     assert {("constraints", kind.base), "induced_paths"}.isdisjoint(fresh._memo)
                     if expected:
