@@ -1,14 +1,16 @@
 """Explicit position colourings from the constructive proofs.
 
 Every construction re-verifies its output before returning; a failed
-verification is a construction bug and raises.  The gp constructions on a
-Cartesian or strong product of two path or cycle factors (grids, P3/P4
-grids, tessellations, cylinders, tori and strong-grid blocks) feed the
-product's closed-form metric, d1 + d2 or max(d1, d2) of the factor
-distances, to the collinear-triple test, once per class shape, and never
-generate the graph; the graph tests pin that metric against BFS.  Every other
-construction generates its graph and goes through the position oracles,
-which need no all-pairs distance matrix.
+verification is a construction bug and raises.  Three checks need no graph.
+The gp constructions on a Cartesian or strong product of two path or cycle
+factors (grids, P3/P4 grids, tessellations, cylinders, tori and strong-grid
+blocks) feed the product's closed-form metric, d1 + d2 or max(d1, d2) of the
+factor distances, to the collinear-triple test, once per class shape; the
+graph tests pin that metric against BFS.  The gp classes of K(n,2) and
+L(K_n) go to the same test with the metric of their pair labels, and the mu
+row pairing on a strong grid is checked by bit-parallel king walks.  Every
+other construction generates its graph and goes through the position
+oracles, which need no all-pairs distance matrix.
 
 The family constructions only build classes.  ``construct_colouring``
 resolves the spec first, so malformed arguments raise an input error before
@@ -302,12 +304,24 @@ def _torus_classes(n1: int, n2: int) -> list[list[int]]:
     return classes
 
 
-# -- closed-form product metric ----------------------------------------------------
+# -- closed-form metrics ----------------------------------------------------------
 
 
 def _cyc(n: int, a: int) -> int:
     a %= n
     return min(a, n - a)
+
+
+def _collinear(dist: list[list[int]]) -> bool:
+    """True iff, of the points with pairwise distances ``dist``, one lies on
+    a shortest path between two others."""
+    by_dist = [[0] * (max(row) + 1) for row in dist]
+    for a, row in enumerate(dist):
+        for j, d in enumerate(row):
+            by_dist[a][d] |= 1 << j
+    return has_collinear_triple(
+        range(len(dist)), lambda a, later: [m & later for m in by_dist[a]], len(dist)
+    )
 
 
 def _product_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
@@ -335,18 +349,88 @@ def _product_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
         shape = tuple([((v // n2 - r0) % m1, (v % n2 - c0) % m2) for v in cls])
         collinear = shapes.get(shape)
         if collinear is None:
-            dist = [[combine(_cyc(m1, r - q), _cyc(m2, c - e)) for q, e in shape] for r, c in shape]
-            top = max(map(max, dist))
-            by_dist = [[0] * (top + 1) for _ in shape]
-            for a, row in enumerate(dist):
-                for j, d in enumerate(row):
-                    by_dist[a][d] |= 1 << j
-            collinear = shapes[shape] = has_collinear_triple(
-                range(len(shape)), lambda a, later: [m & later for m in by_dist[a]], len(shape)
+            collinear = shapes[shape] = _collinear(
+                [[combine(_cyc(m1, r - q), _cyc(m2, c - e)) for q, e in shape] for r, c in shape]
             )
         if collinear:
             raise AssertionError(f"product class {cls} is not in general position")
     return Colouring.from_classes(f1.args[0] * n2, classes)
+
+
+def _pair_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
+    """gp check of K(n,2) or L(K_n) by the metric of the pair labels.
+
+    Vertex v is the v-th 2-subset of [n], as in
+    :func:`~poscol.families.pair_ids`.  Two pairs are adjacent when they are
+    disjoint in K(n,2), when they meet in L(K_n), and at distance 2
+    otherwise: both graphs have diameter at most 2 over the arguments
+    ``resolve`` admits (n >= 5 for K(n,2)).  No graph is built.
+    """
+    pairs = list(pair_ids(spec.args[0]))
+    disjoint = spec.name == "kneser2"
+    for cls in classes:
+        if len(cls) < 3:
+            continue
+        labels = [pairs[v] for v in cls]
+        dist = [
+            [0 if p == q else 1 if (p[0] in q or p[1] in q) != disjoint else 2 for q in labels]
+            for p in labels
+        ]
+        if _collinear(dist):
+            raise AssertionError(f"pair class {cls} is not in general position")
+    return Colouring.from_classes(len(pairs), classes)
+
+
+def _hides_downwards(rows: int, width: int, cells: list[Cell]) -> bool:
+    """True iff two of ``cells`` (0-based row, column) in a strong grid of
+    ``width`` columns, the lower at least as many rows down as columns across,
+    see each other along no shortest path past the rest.
+
+    The shortest paths between such a pair are the walks that go down one
+    row per step and move at most one column.  Every member gets a field of
+    ``width`` bits and a zero guard bit, all in one int: ``walk`` holds the
+    cells of the current row that a walk from the member reaches through
+    non-members, ``cone`` the cells at most as many columns across as rows
+    down.  A member of the row in some field's cone that the walk misses is
+    hidden from that field's member.
+    """
+    by_row = [0] * rows
+    for r, c in cells:
+        by_row[r] |= 1 << c
+    column_mask = (1 << width) - 1
+    ones = full = walk = cone = shift = 0
+    for here in by_row:
+        walk = (walk | walk << 1 | walk >> 1) & full
+        cone = (cone | cone << 1 | cone >> 1) & full
+        members = here * ones
+        if members & cone & ~walk:
+            return True
+        walk &= ~members
+        while here:
+            low = here & -here
+            here ^= low
+            walk |= low << shift
+            cone |= low << shift
+            ones |= 1 << shift
+            full |= column_mask << shift
+            shift += width + 1
+    return False
+
+
+def _strong_mu_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
+    """mu check of a strong grid P_n1 x P_n2 by row-by-row king walks.
+
+    On the strong grid d = max(|di|, |dj|), so a pair at least as far apart
+    in rows as in columns is checked by :func:`_hides_downwards` on the
+    cells, and any other pair by the same walk on the transposed cells.
+    Vertex v is the cell ``divmod(v, n2)``.  No graph is built.
+    """
+    n1, n2 = (f.args[0] for f in spec.args)
+    for cls in classes:
+        cells = [divmod(v, n2) for v in cls]
+        if _hides_downwards(n1, n2, cells) or _hides_downwards(n2, n1, [(c, r) for r, c in cells]):
+            raise AssertionError(f"strong-grid class {cls} is not a mutual-visibility set")
+    return Colouring.from_classes(n1 * n2, classes)
 
 
 # -- strong grids ----------------------------------------------------------------
@@ -420,6 +504,17 @@ def _h_mono_classes(r: int, s: int) -> list[list[int]]:
 # -- dispatch ----------------------------------------------------------------------
 
 
+# the checks that need no graph, by (family, kind); _product_classes only
+# builds gp classes on path and cycle factors and mu classes on path factors
+_CLOSED_FORM = {
+    ("cartesian", PositionKind.GP): _product_colouring,
+    ("strong", PositionKind.GP): _product_colouring,
+    ("strong", PositionKind.MU): _strong_mu_colouring,
+    ("kneser2", PositionKind.GP): _pair_colouring,
+    ("line_complete", PositionKind.GP): _pair_colouring,
+}
+
+
 def construct_colouring(
     spec: FamilySpec, kind: PositionKind, limits: Limits = DEFAULT_LIMITS
 ) -> CertifiedColouring:
@@ -428,20 +523,25 @@ def construct_colouring(
     ``resolve`` checks the arguments, so malformed ones raise
     :class:`~poscol.errors.GraphInputError`; then the classes are built, so a
     pair with no construction raises :class:`UnsupportedConstruction` before
-    the graph is generated.  A gp product construction never generates its
-    graph: :func:`_product_colouring` checks it by the closed-form metric.  The
-    colouring is ``exact`` exactly when :func:`~poscol.formulas.predicted_chi`
-    proves its class count.
+    the graph is generated.  Only the pairs without a closed-form check in
+    ``_CLOSED_FORM`` generate their graph: the gp products
+    (:func:`_product_colouring`), the mu strong grids
+    (:func:`_strong_mu_colouring`) and the gp classes of ``kneser2`` and
+    ``line_complete`` (:func:`_pair_colouring`) never do.  The colouring is
+    ``exact`` exactly when :func:`~poscol.formulas.predicted_chi` proves its
+    class count.
     """
     spec = resolve(spec)
     classes, provenance = _family_classes(spec, kind)
     prediction = predicted_chi(spec, kind)
     exact = prediction.status == "exact" and prediction.value == len(classes)
-    if kind is PositionKind.GP and spec.name in ("cartesian", "strong"):
-        # _product_classes only builds gp classes on path and cycle factors
-        col = _product_colouring(spec, classes)
-        return CertifiedColouring(col, kind, True, provenance, "exact" if exact else "upper_bound_only")
-    return _certify(generate(spec), classes, kind, provenance, exact, limits)
+    check = _CLOSED_FORM.get((spec.name, kind))
+    if check is None:
+        return _certify(generate(spec), classes, kind, provenance, exact, limits)
+    return CertifiedColouring(
+        check(spec, classes), kind, True, provenance, "exact" if exact else "upper_bound_only"
+    )
+
 
 
 def _family_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:

@@ -189,25 +189,26 @@ def pair_ids(n: int) -> dict[tuple[int, int], int]:
     return {p: i for i, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
 
 
-def _pair_graph(n: int, adjacent) -> Graph:
+def _pair_graph(n: int, disjoint: bool) -> Graph:
+    """The 2-subsets of [n]; two are adjacent when disjoint if ``disjoint``, else when they meet."""
     pairs = list(pair_ids(n))
     edges = [
         (i, j)
-        for i in range(len(pairs))
+        for i, (a, b) in enumerate(pairs)
         for j in range(i + 1, len(pairs))
-        if adjacent(set(pairs[i]) & set(pairs[j]))
+        if (a in pairs[j] or b in pairs[j]) != disjoint
     ]
     return build_graph(len(pairs), edges, labels=pairs)
 
 
 def kneser2_graph(n: int) -> Graph:
     """K(n, 2): 2-subsets of [n], adjacent when disjoint."""
-    return _pair_graph(n, lambda common: not common)
+    return _pair_graph(n, True)
 
 
 def line_complete_graph(n: int) -> Graph:
     """L(K_n): 2-subsets of [n], adjacent when they share an element."""
-    return _pair_graph(n, bool)
+    return _pair_graph(n, False)
 
 
 def tree_leaves_graph(a: int, leaves: int) -> Graph:

@@ -229,6 +229,11 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
         a, b = args
         if (a.name, b.name) == ("path", "path") and kind is K.MU:
             return _strong_mu(a.args[0], b.args[0])
+        if (a.name, b.name) == ("path", "path") and kind is K.GP:
+            m, n = sorted((a.args[0], b.args[0]))
+            if m <= 2:
+                # the diameter bound, ceil(n / 2), is the number of 2x2 blocks
+                return Prediction.exact(_ceil(n, 2), "diameter bound meets the 2x2 blocks")
         return Prediction.unknown()
     # generic block-graph clause: the diameter formula is exact for gp, and for
     # trees induced paths are geodesics so it covers mono as well

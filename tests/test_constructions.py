@@ -386,19 +386,17 @@ def test_product_check_rejects_a_collinear_class():
 _GP_PRODUCT_SPECS = [text for text in _SWEEP_SPECS if text.startswith(("cartesian", "strong"))]
 
 
-def test_product_check_agrees_with_bfs_verification():
-    """On every gp product construction of the sweep (grids of both kinds,
-    cylinders, tori), moving 1-3 vertices between classes many times, the
-    closed-form product check raises exactly when ``verify_colouring`` on the
-    generated graph rejects the colouring."""
-    from poscol.constructions import _product_colouring
-
-    rng = random.Random(29)
+def _agreement(texts: list[str], kind: PositionKind, check, seed: int) -> dict:
+    """Move 1-3 vertices between the classes of each construction of
+    ``texts``, 80 times, and require ``check(spec, classes)`` to raise
+    exactly when ``verify_colouring`` on the generated graph rejects; the
+    accepted and rejected counts."""
+    rng = random.Random(seed)
     outcomes = {True: 0, False: 0}
-    for text in _GP_PRODUCT_SPECS:
+    for text in texts:
         spec = parse_family(text)
         try:
-            built = construct_colouring(spec, K.GP)
+            built = construct_colouring(spec, kind)
         except UnsupportedConstruction:
             continue
         g = generate(spec)
@@ -413,16 +411,82 @@ def test_product_check_agrees_with_bfs_verification():
                     v = moved[source].pop(rng.randrange(len(moved[source])))
                     moved[target].insert(rng.randint(0, len(moved[target])), v)
             moved = [cls for cls in moved if cls]
-            expected = verify_colouring(g, Colouring.from_classes(g.n, moved), K.GP)
+            expected = verify_colouring(g, Colouring.from_classes(g.n, moved), kind)
             try:
-                _product_colouring(spec, moved)
+                check(spec, moved)
             except AssertionError:
                 accepted = False
             else:
                 accepted = True
             assert accepted == expected, (text, moved)
             outcomes[accepted] += 1
+    return outcomes
+
+
+def test_product_check_agrees_with_bfs_verification():
+    """On every gp product construction of the sweep (grids of both kinds,
+    cylinders, tori), moving 1-3 vertices between classes many times, the
+    closed-form product check raises exactly when ``verify_colouring`` on the
+    generated graph rejects the colouring."""
+    from poscol.constructions import _product_colouring
+
+    outcomes = _agreement(_GP_PRODUCT_SPECS, K.GP, _product_colouring, 29)
     assert min(outcomes.values()) >= 400, outcomes
+
+
+_MU_STRONG_SPECS = sorted(
+    {text for text in _SWEEP_SPECS if text.startswith("strong")}
+    | {f"strong(path:{m},path:{n})" for m in range(1, 9) for n in range(1, 9)}
+)
+
+
+def test_strong_mu_check_agrees_with_bfs_verification():
+    """On every mu strong-grid construction of the sweep and every strong
+    grid up to 8x8, moving 1-3 vertices between classes many times, the king
+    walks raise exactly when ``verify_colouring`` on the generated graph
+    rejects the colouring."""
+    from poscol.constructions import _strong_mu_colouring
+
+    outcomes = _agreement(_MU_STRONG_SPECS, K.MU, _strong_mu_colouring, 31)
+    assert min(outcomes.values()) >= 400, outcomes
+
+
+def test_pair_check_agrees_with_bfs_verification():
+    """On kneser2:5-12 and line_complete:2-15, moving 1-3 vertices between
+    classes many times, the check by the pair labels raises exactly when
+    ``verify_colouring`` on the generated graph rejects the colouring."""
+    from poscol.constructions import _pair_colouring
+
+    texts = [f"kneser2:{n}" for n in range(5, 13)] + [f"line_complete:{n}" for n in range(2, 16)]
+    outcomes = _agreement(texts, K.GP, _pair_colouring, 31)
+    # a moved pair mostly lands between two members of a large class
+    assert outcomes[True] >= 30 and outcomes[False] >= 1000, outcomes
+
+
+def test_strong_mu_check_agrees_with_the_oracle():
+    """Random sets on strong grids up to 6x7: the king walks accept a set
+    exactly when the explicit geodesic enumeration of ``tests/oracles.py``
+    finds every pair of it visible."""
+    from oracles import oracle_is_position_set
+    from poscol.constructions import _strong_mu_colouring
+
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for m in range(1, 7):
+        for n in range(1, 8):
+            spec = parse_family(f"strong(path:{m},path:{n})")
+            g = generate(spec)
+            for _ in range(25):
+                s = rng.sample(range(g.n), rng.randint(min(3, g.n), min(8, g.n)))
+                try:
+                    _strong_mu_colouring(spec, [s] + [[v] for v in range(g.n) if v not in s])
+                except AssertionError:
+                    accepted = False
+                else:
+                    accepted = True
+                assert accepted == oracle_is_position_set(g, s, K.MU), (m, n, s)
+                outcomes[accepted] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_constructions_verify_without_the_distance_matrix(monkeypatch):
@@ -458,9 +522,10 @@ def test_an_unsupported_pair_builds_no_graph(monkeypatch):
     assert not isinstance(caught.value, UnsupportedConstruction)
 
 
-def test_a_gp_product_construction_builds_no_graph(monkeypatch):
-    """Grids, strong-grid blocks, cylinders and tori are checked by the
-    closed-form product metric, so none of them generates its graph."""
+def test_a_closed_form_construction_builds_no_graph(monkeypatch):
+    """Grids, strong-grid blocks, cylinders and tori (gp), the strong-grid
+    row pairing (mu) and the Kneser and line-graph classes (gp) are checked
+    without their graph, so none of them generates it."""
     import poscol.constructions
     import poscol.formulas
 
@@ -469,7 +534,9 @@ def test_a_gp_product_construction_builds_no_graph(monkeypatch):
 
     for module in (poscol.constructions, poscol.formulas):
         monkeypatch.setattr(module, "generate", fail)
-    for text, k in [("cartesian(path:4,path:200)", 201), ("strong(path:30,path:30)", 225),
-                    ("cartesian(path:10,cycle:30)", 60), ("cartesian(cycle:98,cycle:98)", 1372)]:
-        built = construct_colouring(parse_family(text), K.GP)
+    for text, kind, k in [("cartesian(path:4,path:200)", K.GP, 201), ("strong(path:30,path:30)", K.GP, 225),
+                          ("cartesian(path:10,cycle:30)", K.GP, 60), ("cartesian(cycle:98,cycle:98)", K.GP, 1372),
+                          ("strong(path:20,path:30)", K.MU, 10), ("kneser2:12", K.GP, 9),
+                          ("line_complete:15", K.GP, 7)]:
+        built = construct_colouring(parse_family(text), kind)
         assert built.verified and built.k == k, text

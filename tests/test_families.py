@@ -65,6 +65,19 @@ class TestElementaryFamilies:
         for make in (line_complete_graph, kneser2_graph) if n >= 5 else (line_complete_graph,):
             assert list(make(n).labels) == list(ids)
 
+    def test_pair_graphs_match_their_definitions(self):
+        """K(n,2) joins disjoint 2-subsets of [n], L(K_n) those that meet."""
+        for n in range(2, 13):
+            pairs = list(pair_ids(n))
+            for make, disjoint in ((kneser2_graph, True), (line_complete_graph, False)):
+                if make is kneser2_graph and n < 5:
+                    continue
+                g = make(n)
+                assert list(g.labels) == pairs
+                for i, p in enumerate(pairs):
+                    assert g.adj[i] == {j for j, q in enumerate(pairs)
+                                        if j != i and (not set(p) & set(q)) == disjoint}, (n, p)
+
     @pytest.mark.parametrize("a, n", [(1, 1), (3, 8), (4, 4), (5, 7)])
     def test_turan_parts_and_ranges_number_the_turan_graph(self, a, n):
         parts = turan_parts(a, n)

@@ -198,6 +198,19 @@ def test_every_prediction_contains_the_solved_value():
     assert not wrong
 
 
+def test_a_strong_grid_of_one_or_two_rows_has_its_diameter_bound():
+    """gp on P_m x P_n with m <= 2, either order, is exactly ceil(n / 2): the
+    diameter bound meets the 2x2 blocks.  Three rows or more stay unknown."""
+    for m, n in product(range(1, 3), range(1, 11)):
+        for text in (f"strong(path:{m},path:{n})", f"strong(path:{n},path:{m})"):
+            spec = parse_family(text)
+            p = predicted_chi(spec, K.GP)
+            assert p.status == "exact" and p.value == -(-n // 2), text
+            assert chromatic_position_number(generate(spec), K.GP).k == p.value, text
+    for text in ("strong(path:3,path:3)", "strong(path:30,path:30)"):
+        assert predicted_chi(parse_family(text), K.GP).status == "unknown"
+
+
 # small instances of every family that ``predicted_position_number`` covers,
 # products in both factor orders up to 24 vertices
 _POSITION_NUMBER_SPECS = (
