@@ -1,13 +1,14 @@
 """Explicit position colourings from the constructive proofs.
 
 Every construction re-verifies its output before returning; a failed
-verification is a construction bug and raises.  Three checks need no graph.
-The gp constructions on a Cartesian or strong product of two path or cycle
-factors (grids, P3/P4 grids, tessellations, cylinders, tori and strong-grid
-blocks) feed the product's closed-form metric, d1 + d2 or max(d1, d2) of the
-factor distances, to the collinear-triple test, once per class shape; the
-graph tests pin that metric against BFS.  The gp classes of K(n,2) and
-L(K_n) go to the same test with the metric of their pair labels, and the mu
+verification is a construction bug and raises.  Two checks need no graph.
+One metric check, :func:`_check_in_line`, hands a closed-form metric to the
+collinear-triple test, once per distinct class of points: the gp
+constructions on a Cartesian or strong product of two path or cycle factors
+(grids, P3/P4 grids, tessellations, cylinders, tori and strong-grid blocks)
+give it each class's shape and d1 + d2 or max(d1, d2) of the factor
+distances, and the gp classes of K(n,2) and L(K_n) give it their pair labels
+and distance 1 or 2; the graph tests pin both metrics against BFS.  The mu
 row pairing on a strong grid is checked by bit-parallel king walks.  Every
 other construction generates its graph and goes through the position
 oracles, which need no all-pairs distance matrix.
@@ -107,55 +108,25 @@ def _kneser_gp_classes(n: int) -> list[list[int]]:
     return classes
 
 
-def _triangle(idx, triple) -> list[int]:
-    a, b, c = sorted(triple)
-    return [idx[(a, b)], idx[(a, c)], idx[(b, c)]]
-
-
-def _restrict_class(idx, cls, dropped: set[int]) -> list[int]:
-    """Line-graph class from a parallel class after deleting ``dropped`` points."""
-    out: list[int] = []
-    for triple in cls:
-        alive = [p for p in triple if p not in dropped]
-        if len(alive) == 3:
-            out.extend(_triangle(idx, alive))
-        elif len(alive) == 2:
-            a, b = sorted(alive)
-            out.append(idx[(a, b)])
-    return out
-
-
 def _line_complete_gp_classes(n: int) -> list[list[int]]:
+    """Take the Kirkman system of order m, the order = 3 (mod 6) nearest n,
+    delete the points past n from its triples, and add the star {a, v : a < v}
+    of each point v past m.  For n = 0 (mod 6) the three points past m form a
+    triangle in the first class and their stars reach only the first m points:
+    n/2 + 1 classes, optimal only for n in {6, 12}."""
+    if n >= 19:
+        raise UnsupportedConstruction("line_complete construction needs n <= 18")
     idx = pair_ids(n)
-    r = n % 6
-    if r == 3:
-        ts = kirkman_triple_system(n)
-        return [_restrict_class(idx, cls, set()) for cls in ts.classes]
-    if r == 4:
-        ts = kirkman_triple_system(n - 1)
-        classes = [_restrict_class(idx, cls, set()) for cls in ts.classes]
-        classes.append([idx[(a, n)] for a in range(1, n)])
-        return classes
-    if r == 5:
-        x, y = n, n - 1
-        ts = kirkman_triple_system(n - 2)
-        classes = [_restrict_class(idx, cls, set()) for cls in ts.classes]
-        classes.append([idx[(a, y)] for a in range(1, y)])
-        classes.append([idx[(a, x)] for a in range(1, x)])
-        return classes
-    if r == 2:
-        ts = kirkman_triple_system(n + 1)
-        return [_restrict_class(idx, cls, {n + 1}) for cls in ts.classes]
-    if r == 1:
-        ts = kirkman_triple_system(n + 2)
-        return [_restrict_class(idx, cls, {n + 1, n + 2}) for cls in ts.classes]
-    # r == 0: n/2 + 1 classes, optimal only for n in {6, 12}
-    x, y, z = n - 2, n - 1, n
-    ts = kirkman_triple_system(n - 3)
-    classes = [_restrict_class(idx, cls, set()) for cls in ts.classes]
-    classes[0] = classes[0] + _triangle(idx, (x, y, z))
-    for v in (x, y, z):
-        classes.append([idx[(min(a, v), max(a, v))] for a in range(1, n - 2)])
+    d = (n - 3) % 6
+    m = n - d if d <= 3 else n + 6 - d
+    classes = [
+        [idx[p] for t in cls for p in itertools.combinations(sorted(q for q in t if q <= n), 2)]
+        for cls in kirkman_triple_system(m).classes
+    ]
+    if d == 3:
+        classes[0] += [idx[p] for p in itertools.combinations(range(m + 1, n + 1), 2)]
+    for v in range(m + 1, n + 1):
+        classes.append([idx[(a, v)] for a in range(1, m + 1 if d == 3 else v)])
     return classes
 
 
@@ -176,10 +147,6 @@ def _multipartite_gp_classes(parts: tuple[int, ...]) -> list[list[int]]:
 
 
 # -- Cartesian grids -----------------------------------------------------------
-
-
-def _grid_id(n2: int):
-    return lambda i, j: (i - 1) * n2 + (j - 1)  # 1-based paper coordinates
 
 
 def _p2_grid_classes(n: int) -> list[list[Cell]]:
@@ -208,8 +175,6 @@ def _p2_grid_classes(n: int) -> list[list[Cell]]:
 
 
 def _p3_grid_classes(n: int) -> list[list[Cell]]:
-    if n % 4:
-        raise UnsupportedConstruction("P3-grid pattern needs 4 | n")
     classes: list[list[Cell]] = []
     for i in range(n // 4):
         classes.append([(2, 4 * i + 1), (1, 4 * i + 2), (3, 4 * i + 2), (2, 4 * i + 3)])
@@ -233,8 +198,6 @@ def _p3_grid_classes(n: int) -> list[list[Cell]]:
 
 
 def _p4_grid_classes(n: int) -> list[list[Cell]]:
-    if n < 4:
-        raise UnsupportedConstruction("P4-grid pattern needs n >= 4")
     classes = [
         [(1, j + 1), (2, j), (3, j + 2), (4, j + 1)] for j in range(1, n - 1)
     ]
@@ -246,9 +209,6 @@ def _p4_grid_classes(n: int) -> list[list[Cell]]:
 
 def _tessellation_classes(n1: int, n2: int) -> list[list[Cell]]:
     """Neighbourhood packing for odd n1, 4 | n2; leftovers paired along rows."""
-    if n1 < 3 or n1 % 2 == 0 or n2 % 4:
-        raise UnsupportedConstruction("tessellation needs odd n1 >= 3 and 4 | n2")
-
     def in_grid(i: int, j: int) -> bool:
         return 1 <= i <= n1 and 1 <= j <= n2
 
@@ -307,21 +267,31 @@ def _torus_classes(n1: int, n2: int) -> list[list[int]]:
 # -- closed-form metrics ----------------------------------------------------------
 
 
-def _cyc(n: int, a: int) -> int:
-    a %= n
-    return min(a, n - a)
-
-
-def _collinear(dist: list[list[int]]) -> bool:
-    """True iff, of the points with pairwise distances ``dist``, one lies on
-    a shortest path between two others."""
-    by_dist = [[0] * (max(row) + 1) for row in dist]
-    for a, row in enumerate(dist):
-        for j, d in enumerate(row):
-            by_dist[a][d] |= 1 << j
-    return has_collinear_triple(
-        range(len(dist)), lambda a, later: [m & later for m in by_dist[a]], len(dist)
-    )
+def _check_in_line(classes: list[list[int]], points, dist) -> None:
+    """Raise if a class holds three members in line under a closed-form
+    metric: ``points(cls)`` gives a class's members as points, ``dist(p, q)``
+    their distance.  Classes with equal points share one verdict; each
+    point's distance row is packed by distance for
+    :func:`~poscol.position.has_collinear_triple`."""
+    verdicts: dict[tuple, bool] = {}
+    for cls in classes:
+        if len(cls) < 3:
+            continue
+        key = points(cls)
+        collinear = verdicts.get(key)
+        if collinear is None:
+            by_dist = []
+            for p in key:
+                row = [dist(p, q) for q in key]
+                masks = [0] * (max(row) + 1)
+                for j, d in enumerate(row):
+                    masks[d] |= 1 << j
+                by_dist.append(masks)
+            collinear = verdicts[key] = has_collinear_triple(
+                range(len(key)), lambda a, later: [m & later for m in by_dist[a]], len(key)
+            )
+        if collinear:
+            raise AssertionError(f"class {cls} is not in general position")
 
 
 def _product_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
@@ -332,28 +302,25 @@ def _product_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
     cyclic distance mod n; on a path P_n it is the cyclic distance mod 2n,
     which is |i - j| since no two cells are n or more apart.  A Cartesian
     product adds the two, a strong product takes their max.  The metric
-    depends only on the differences between cells, so each class shape, its
-    cells' offsets from its first cell mod each axis's modulus, is tested
-    once for a collinear triple.  No graph is built; ``Colouring.from_classes``
-    checks the partition.
+    depends only on the differences between cells, so a class's points are
+    its shape, its cells' offsets from its first cell mod each axis's
+    modulus, and :func:`_check_in_line` tests each shape once.  No graph is
+    built; ``Colouring.from_classes`` checks the partition.
     """
     f1, f2 = spec.args
     n2 = f2.args[0]
     m1, m2 = (f.args[0] if f.name == "cycle" else 2 * f.args[0] for f in (f1, f2))
     combine = max if spec.name == "strong" else operator.add
-    shapes: dict[tuple[Cell, ...], bool] = {}
-    for cls in classes:
-        if len(cls) < 3:
-            continue
+
+    def shape(cls: list[int]) -> tuple[Cell, ...]:
         r0, c0 = divmod(cls[0], n2)
-        shape = tuple([((v // n2 - r0) % m1, (v % n2 - c0) % m2) for v in cls])
-        collinear = shapes.get(shape)
-        if collinear is None:
-            collinear = shapes[shape] = _collinear(
-                [[combine(_cyc(m1, r - q), _cyc(m2, c - e)) for q, e in shape] for r, c in shape]
-            )
-        if collinear:
-            raise AssertionError(f"product class {cls} is not in general position")
+        return tuple([((v // n2 - r0) % m1, (v % n2 - c0) % m2) for v in cls])
+
+    def dist(p: Cell, q: Cell) -> int:
+        dr, dc = (p[0] - q[0]) % m1, (p[1] - q[1]) % m2
+        return combine(min(dr, m1 - dr), min(dc, m2 - dc))
+
+    _check_in_line(classes, shape, dist)
     return Colouring.from_classes(f1.args[0] * n2, classes)
 
 
@@ -361,23 +328,19 @@ def _pair_colouring(spec: FamilySpec, classes: list[list[int]]) -> Colouring:
     """gp check of K(n,2) or L(K_n) by the metric of the pair labels.
 
     Vertex v is the v-th 2-subset of [n], as in
-    :func:`~poscol.families.pair_ids`.  Two pairs are adjacent when they are
-    disjoint in K(n,2), when they meet in L(K_n), and at distance 2
-    otherwise: both graphs have diameter at most 2 over the arguments
-    ``resolve`` admits (n >= 5 for K(n,2)).  No graph is built.
+    :func:`~poscol.families.pair_ids`, and a class's points are its labels.
+    Two pairs are adjacent when they are disjoint in K(n,2), when they meet
+    in L(K_n), and at distance 2 otherwise: both graphs have diameter at most
+    2 over the arguments ``resolve`` admits (n >= 5 for K(n,2)).  No graph
+    is built.
     """
     pairs = list(pair_ids(spec.args[0]))
     disjoint = spec.name == "kneser2"
-    for cls in classes:
-        if len(cls) < 3:
-            continue
-        labels = [pairs[v] for v in cls]
-        dist = [
-            [0 if p == q else 1 if (p[0] in q or p[1] in q) != disjoint else 2 for q in labels]
-            for p in labels
-        ]
-        if _collinear(dist):
-            raise AssertionError(f"pair class {cls} is not in general position")
+    _check_in_line(
+        classes,
+        lambda cls: tuple([pairs[v] for v in cls]),
+        lambda p, q: 0 if p == q else 1 if (p[0] in q or p[1] in q) != disjoint else 2,
+    )
     return Colouring.from_classes(len(pairs), classes)
 
 
@@ -525,11 +488,12 @@ def construct_colouring(
     pair with no construction raises :class:`UnsupportedConstruction` before
     the graph is generated.  Only the pairs without a closed-form check in
     ``_CLOSED_FORM`` generate their graph: the gp products
-    (:func:`_product_colouring`), the mu strong grids
-    (:func:`_strong_mu_colouring`) and the gp classes of ``kneser2`` and
-    ``line_complete`` (:func:`_pair_colouring`) never do.  The colouring is
-    ``exact`` exactly when :func:`~poscol.formulas.predicted_chi` proves its
-    class count.
+    (:func:`_product_colouring`) and the gp classes of ``kneser2`` and
+    ``line_complete`` (:func:`_pair_colouring`), which share the one metric
+    check :func:`_check_in_line`, and the mu strong grids
+    (:func:`_strong_mu_colouring`) never do.  The colouring is ``exact``
+    exactly when :func:`~poscol.formulas.predicted_chi` proves its class
+    count.
     """
     spec = resolve(spec)
     classes, provenance = _family_classes(spec, kind)
@@ -541,7 +505,6 @@ def construct_colouring(
     return CertifiedColouring(
         check(spec, classes), kind, True, provenance, "exact" if exact else "upper_bound_only"
     )
-
 
 
 def _family_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[int]], str]:
@@ -592,8 +555,8 @@ def _product_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[in
     def finish(cells: list[list[Cell]], provenance: str, transposed: bool):
         if transposed:
             cells = [[(j, i) for i, j in cls] for cls in cells]
-        to_id = _grid_id(n2)
-        return [[to_id(i, j) for i, j in cls] for cls in cells], provenance
+        # 1-based paper coordinates
+        return [[(i - 1) * n2 + j - 1 for i, j in cls] for cls in cells], provenance
 
     if spec.name == "strong":
         if kind is PositionKind.GP:

@@ -107,7 +107,7 @@ class Colouring:
                 if assignment[v] != -1:
                     raise GraphInputError(f"vertex {v} assigned twice")
                 assignment[v] = c
-        if any(c == -1 for c in assignment):
+        if -1 in assignment:
             raise GraphInputError("colouring leaves a vertex unassigned")
         if any(not cls for cls in classes):
             raise GraphInputError("empty colour class")

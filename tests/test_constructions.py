@@ -109,11 +109,14 @@ class TestKneserAndLineGraphs:
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
         ]
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15])
+    @pytest.mark.parametrize("n", range(2, 18))
     def test_line_complete_counts(self, n):
-        c = construct_colouring(parse_family(f"line_complete:{n}"), K.GP)
+        spec = parse_family(f"line_complete:{n}")
+        c = construct_colouring(spec, K.GP)
         assert c.verified
-        assert c.k == line_complete_chi_gp(n)
+        assert c.k == predicted_chi(spec, K.GP).value
+        if n >= 3:
+            assert c.k == line_complete_chi_gp(n)
         assert c.optimality == "exact"
 
     def test_line_complete_18_upper_bound_only(self):
@@ -514,7 +517,8 @@ def test_an_unsupported_pair_builds_no_graph(monkeypatch):
     for module in (poscol.constructions, poscol.formulas):
         monkeypatch.setattr(module, "generate", fail)
     for text, kind in [("complete:1500", K.GP), ("cartesian(path:300,path:300)", K.MU),
-                       ("cartesian(cycle:14,cycle:15)", K.GP), ("kneser2:40", K.MONO)]:
+                       ("cartesian(cycle:14,cycle:15)", K.GP), ("kneser2:40", K.MONO),
+                       ("line_complete:19", K.GP), ("line_complete:25", K.GP)]:
         with pytest.raises(UnsupportedConstruction):
             construct_colouring(parse_family(text), kind)
     with pytest.raises(GraphInputError) as caught:

@@ -92,6 +92,20 @@ class TestVerifyColouring:
         with pytest.raises(GraphInputError):
             verify_colouring(path(4), Colouring.from_classes(3, [[0, 1, 2]]), K.GP)
 
+    @pytest.mark.parametrize("classes, message", [
+        ([[0, 3]], "vertex 3 out of range"),
+        ([[0, -1]], "vertex -1 out of range"),
+        ([[0, 1], [2, 1]], "vertex 1 assigned twice"),
+        ([[0, 1]], "colouring leaves a vertex unassigned"),
+        ([[0, 1, 2], []], "empty colour class"),
+        # an unassigned vertex is reported before an empty class
+        ([[0], [], [2]], "colouring leaves a vertex unassigned"),
+    ])
+    def test_each_malformed_colouring_names_its_fault(self, classes, message):
+        with pytest.raises(GraphInputError) as caught:
+            Colouring.from_classes(3, classes)
+        assert str(caught.value) == message
+
     def test_json_roundtrip(self):
         c = Colouring.from_classes(4, [[0, 2], [1, 3]])
         obj = colouring_to_dict(c, K.GP)
