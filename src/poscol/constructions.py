@@ -32,7 +32,7 @@ import operator
 from .errors import DEFAULT_LIMITS, GraphInputError, Limits
 from .families import FamilySpec, generate, pair_ids, part_ranges, resolve, turan_parts
 from .formulas import multipartite_chi_gp, predicted_chi
-from .graphs import Graph, diameter, extreme_vertices, induced_subgraph, is_block_graph, is_diamond_free
+from .graphs import Graph, diameter, is_block_graph, is_diamond_free, simplicial_rounds
 from .kirkman import kirkman_triple_system
 from .position import PositionKind, has_collinear_triple
 from .solver import (
@@ -589,20 +589,15 @@ def _product_classes(spec: FamilySpec, kind: PositionKind) -> tuple[list[list[in
 def colour_block_graph_peeling(
     g: Graph, limits: Limits = DEFAULT_LIMITS
 ) -> CertifiedColouring:
-    """Repeatedly strip extreme vertices of a block graph; classes are gp-sets.
+    """Strip the extreme (simplicial) vertices of a block graph round by round;
+    each round of :func:`simplicial_rounds` is one class, and a gp-set.
 
     Produces exactly ceil((diam*+1)/2) classes, matching the block-graph
     formula, so the result is exact.
     """
     if not is_block_graph(g):
         raise GraphInputError("peeling colouring requires a block graph")
-    alive = list(range(g.n))
-    classes: list[list[int]] = []
-    while alive:
-        sub = induced_subgraph(g, alive)
-        ext = extreme_vertices(sub)
-        classes.append(sorted(alive[i] for i in ext))
-        alive = [v for i, v in enumerate(alive) if i not in ext]
+    classes = [[v for v in range(g.n) if strip >> v & 1] for strip in simplicial_rounds(g)]
     expected = -(-(diameter(g) + 1) // 2)
     if g.n and len(classes) != expected:
         raise AssertionError(
@@ -625,7 +620,9 @@ def colour_by_total_domination(
     g: Graph, limits: Limits = DEFAULT_LIMITS
 ) -> CertifiedColouring:
     """Cover a diamond-free graph by open neighbourhoods of a minimum
-    total dominating set; each vertex joins exactly one covering class."""
+    total dominating set; each vertex joins exactly one covering class.  Cliques
+    qualify: a collinear x, y, z in N(u) has d(x, z) = 2, so u, x, y, z would
+    induce a diamond (K4 minus an edge), and each class is a gp-set."""
     if not is_diamond_free(g):
         raise GraphInputError("total-domination colouring requires a diamond-free graph")
     _, dominators = total_dominating_set(g, limits)

@@ -14,6 +14,8 @@ from .errors import DEFAULT_LIMITS, GraphInputError, Limits
 from .families import FamilySpec, generate, resolve, turan_parts
 from .graphs import (
     Graph,
+    _cliques_apart,
+    adjacency_masks,
     build_graph,
     complete_graph_edges,
     diameter,
@@ -314,35 +316,30 @@ def chi_gp_two_characterization(g: Graph, limits: Limits = DEFAULT_LIMITS) -> bo
         return False
     if diameter(g) > 3:
         return False
+    adj = adjacency_masks(g)
     at_two = [row[2] if len(row) > 2 else 0 for row in distance_layers(g)]
     ticker = limits.ticker()
     for mask in range(1 << (n - 1)):
         ticker.tick()
-        side0 = [0] + [v for v in range(1, n) if mask >> (v - 1) & 1]
-        side1 = [v for v in range(1, n) if not mask >> (v - 1) & 1]
-        if not side1:
-            continue
-        if not all(is_disjoint_union_of_cliques(g, side) for side in (side0, side1)):
-            continue
-        if _cross_condition(g, at_two, side0, side1) and _cross_condition(g, at_two, side1, side0):
-            return True
+        side0 = mask << 1 | 1  # vertex 0 is always on side 0
+        side1 = (1 << n) - 1 ^ side0
+        if side1 and _cliques_apart(adj, side0) and _cliques_apart(adj, side1):
+            if _cross_condition(adj, at_two, side0, side1) and _cross_condition(adj, at_two, side1, side0):
+                return True
     return False
 
 
-def _cross_condition(g, at_two, side_w: list[int], side_c: list[int]) -> bool:
+def _cross_condition(adj, at_two, side_w: int, side_c: int) -> bool:
     # side_c induces disjoint cliques, so the clique of v is its closed neighbourhood there
-    inside = set(side_c)
-    clique = {v: g.adj[v] & inside | {v} for v in side_c}
-    for w in side_w:
-        nb = [u for u in g.adj[w] if u in inside]
-        for i, u in enumerate(nb):
-            for v in nb[i + 1 :]:
-                if v in clique[u]:
-                    continue
-                if any(not at_two[u] >> vp & 1 for vp in clique[v]) or any(
-                    not at_two[v] >> up & 1 for up in clique[u]
-                ):
-                    return False
+    n = len(adj)
+    clique = [adj[v] & side_c | 1 << v for v in range(n)]
+    for w in range(n):
+        if side_w >> w & 1:
+            nb = [u for u in range(n) if (adj[w] & side_c) >> u & 1]
+            for i, u in enumerate(nb):
+                for v in nb[i + 1 :]:
+                    if not clique[u] >> v & 1 and (clique[v] & ~at_two[u] or clique[u] & ~at_two[v]):
+                        return False
     return True
 
 

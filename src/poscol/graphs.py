@@ -14,6 +14,11 @@ first.  Visibility past a set of vertices is read off these layers by
 ``position.sees``.  ``Graph.distance_matrix`` reads a float matrix off the
 layers; nothing in the library calls it, and it stays only as the hook that
 the benchmark's tracer wraps.
+
+Every clique question reads the adjacency masks through ``_is_clique``.
+``simplicial_rounds`` strips the simplicial vertices round by round: the
+rounds empty exactly the chordal graphs, and they are the classes of the
+block-graph peeling colouring.
 """
 
 from __future__ import annotations
@@ -365,23 +370,42 @@ def join(g: Graph, h: Graph) -> Graph:
 # -- structural predicates -------------------------------------------------
 
 
+def _is_clique(adj: Sequence[int], s: int, within: int) -> bool:
+    """True iff each member of the mask ``s`` has ``s`` as its closed neighbourhood
+    in the mask ``within``: ``s`` is a clique that no other member of ``within`` touches."""
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if (adj[low.bit_length() - 1] | low) & within != s:
+            return False
+    return True
+
+
+def _cliques_apart(adj: Sequence[int], s: int) -> bool:
+    """True iff the mask ``s`` induces a disjoint union of cliques (no induced P3),
+    taking off the clique of its least member at a time."""
+    while s:
+        low = s & -s
+        part = adj[low.bit_length() - 1] & s | low
+        if not _is_clique(adj, part, s):
+            return False
+        s ^= part
+    return True
+
+
 def extreme_vertices(g: Graph) -> set[int]:
     """Vertices whose open neighbourhood induces a clique."""
-    out = set()
-    for v in range(g.n):
-        nb = list(g.adj[v])
-        if all(nb[j] in g.adj[nb[i]] for i in range(len(nb)) for j in range(i + 1, len(nb))):
-            out.add(v)
-    return out
+    adj = adjacency_masks(g)
+    return {v for v in range(g.n) if _is_clique(adj, adj[v], adj[v])}
 
 
 def is_diamond_free(g: Graph) -> bool:
-    """True iff no edge has two common neighbours (no K4-minus-an-edge)."""
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u < v and len(g.adj[u] & g.adj[v]) >= 2:
-                return False
-    return True
+    """True iff no induced diamond (K4 minus an edge), so K4 is diamond-free: each
+    edge's common neighbourhood is a clique, that is, each neighbourhood is a
+    disjoint union of cliques (an edge uv and non-adjacent x, y make x-v-y in N(u))."""
+    adj = adjacency_masks(g)
+    return all(_cliques_apart(adj, nb) for nb in adj)
 
 
 def degree_order(g: Graph) -> tuple[int, ...]:
@@ -399,57 +423,46 @@ def complete_graph_edges(n: int) -> list[Edge]:
 
 def is_disjoint_union_of_cliques(g: Graph, vertices: Iterable[int] | None = None) -> bool:
     """True iff ``vertices`` (default: all) induce a disjoint union of cliques,
-    that is, no induced P3."""
-    inside = range(g.n) if vertices is None else set(vertices)
-    for w in inside:
-        nb = [u for u in g.adj[w] if u in inside]
-        for i, u in enumerate(nb):
-            for v in nb[i + 1 :]:
-                if v not in g.adj[u]:
-                    return False
-    return True
+    that is, no induced P3.  Raises GraphInputError for a vertex out of range."""
+    s = 0
+    for v in range(g.n) if vertices is None else vertices:
+        if not 0 <= v < g.n:
+            raise GraphInputError("set contains out-of-range vertex")
+        s |= 1 << v
+    return _cliques_apart(adjacency_masks(g), s)
 
 
-def is_chordal(g: Graph) -> bool:
-    """Chordality via maximum cardinality search + perfect elimination check."""
-    n = g.n
-    weight = [0] * n
-    order: list[int] = []
-    placed = [False] * n
-    for _ in range(n):
-        v = max((u for u in range(n) if not placed[u]), key=lambda u: (weight[u], -u))
-        placed[v] = True
-        order.append(v)
-        for w in g.adj[v]:
-            if not placed[w]:
-                weight[w] += 1
-    order.reverse()  # perfect elimination order if chordal
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = [w for w in g.adj[v] if pos[w] > i]
-        if not later:
-            continue
-        w = min(later, key=pos.get)
-        if any(x != w and x not in g.adj[w] for x in later):
-            return False
-    return True
+def simplicial_rounds(g: Graph) -> list[int] | None:
+    """Masks of the simplicial vertices stripped round by round, or None once a
+    round strips nothing: the rounds empty the graph iff it is chordal
+    (Fulkerson and Gross).  A round changes only its vertices' neighbours'
+    neighbourhoods, so the next round tests just those."""
+    adj = adjacency_masks(g)
+    alive = retest = (1 << g.n) - 1
+    rounds = []
+    while alive:
+        strip = 0
+        while retest:
+            low = retest & -retest
+            retest ^= low
+            nb = adj[low.bit_length() - 1] & alive
+            if _is_clique(adj, nb, nb):
+                strip |= low
+        if not strip:
+            return None
+        rounds.append(strip)
+        alive ^= strip
+        while strip:
+            low = strip & -strip
+            strip ^= low
+            retest |= adj[low.bit_length() - 1]
+        retest &= alive
+    return rounds
 
 
 def is_block_graph(g: Graph) -> bool:
-    """True iff every biconnected block induces a clique.
-
-    Equivalent form used here: chordal and the common neighbourhood of every
-    edge induces a clique (no induced diamond).
-    """
-    for u in range(g.n):
-        for v in g.adj[u]:
-            if u < v:
-                common = sorted(g.adj[u] & g.adj[v])
-                for i, x in enumerate(common):
-                    for y in common[i + 1 :]:
-                        if y not in g.adj[x]:
-                            return False
-    return is_chordal(g)
+    """True iff every biconnected block induces a clique: diamond-free and chordal."""
+    return is_diamond_free(g) and simplicial_rounds(g) is not None
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -464,16 +477,3 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
             new[perm[old]] = lab
         labels = tuple(new)
     return Graph(g.n, edges, labels)
-
-
-def induced_subgraph(g: Graph, verts: Sequence[int]) -> Graph:
-    """Subgraph induced on ``verts``, re-indexed to 0..len(verts)-1 in order."""
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u in verts
-        for v in g.adj[u]
-        if v in index and index[u] < index[v]
-    ]
-    labels = tuple(g.labels[v] for v in verts) if g.labels is not None else None
-    return Graph(len(verts), edges, labels)

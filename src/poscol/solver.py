@@ -781,7 +781,8 @@ def bounds(
     without it).  Upper bounds: n - pi + 1; pairing the leftovers for the
     non-independent kinds; the clique cover number for the non-independent
     kinds; splitting a longest geodesic for independent kinds; total
-    domination for gp on diamond-free graphs without isolated vertices.
+    domination for gp on graphs with no isolated vertex and no induced
+    diamond (K4 qualifies; see ``constructions.colour_by_total_domination``).
     """
     n = g.n
     if n == 0:

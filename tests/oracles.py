@@ -258,6 +258,42 @@ def oracle_is_block_graph(g: Graph) -> bool:
     return True
 
 
+def oracle_is_chordal(g: Graph) -> bool:
+    """No hole: no simple cycle of at least 4 vertices in which each member
+    has exactly 2 neighbours inside the cycle's vertex set."""
+    return not any(
+        len(cyc) >= 4 and all(len(g.adj[v] & cyc) == 2 for v in cyc)
+        for cyc in all_simple_cycles(g)
+    )
+
+
+def oracle_is_diamond_free(g: Graph) -> bool:
+    """No 4 vertices span exactly 5 edges (an induced K4 minus an edge)."""
+    return not any(
+        sum(b in g.adj[a] for a, b in itertools.combinations(quad, 2)) == 5
+        for quad in itertools.combinations(range(g.n), 4)
+    )
+
+
+def oracle_is_p3_free(g: Graph, s) -> bool:
+    """No 3 vertices of ``s`` span exactly 2 edges (no induced P3 inside ``s``)."""
+    return not any(
+        sum(b in g.adj[a] for a, b in itertools.combinations(triple, 2)) == 2
+        for triple in itertools.combinations(sorted(set(s)), 3)
+    )
+
+
+def oracle_simplicial(g: Graph, alive=None) -> set[int]:
+    """The vertices of ``alive`` (default: all) whose neighbours in ``alive``
+    are pairwise adjacent; with every vertex alive, the extreme vertices."""
+    alive = set(range(g.n) if alive is None else alive)
+    return {
+        v
+        for v in alive
+        if all(b in g.adj[a] for a, b in itertools.combinations(sorted(g.adj[v] & alive), 2))
+    }
+
+
 def oracle_monophonic_diameter(g: Graph) -> int:
     paths = all_induced_paths(g)
     return max((len(p) - 1 for p in paths), default=0)

@@ -5,15 +5,19 @@ import re
 import pytest
 
 from conftest import cycle, path
+from oracles import oracle_is_diamond_free, oracle_simplicial
+from poscol.catalogue import graphs_of_order
 from poscol.errors import GraphInputError
 from poscol.families import generate, parse_family, random_block_graph
 from poscol.formulas import (
     line_complete_chi_gp, multipartite_chi_gp, predicted_chi, predicted_position_number,
 )
-from poscol.graphs import diameter
+from poscol.graphs import build_graph, diameter, is_block_graph
 from poscol.kirkman import TripleSystem, audit_triple_system, kirkman_triple_system
 from poscol.position import PositionKind
-from poscol.solver import Colouring, chromatic_position_number, verify_colouring
+from poscol.solver import (
+    Colouring, bounds, chromatic_position_number, total_domination_number, verify_colouring,
+)
 from poscol.constructions import (
     UnsupportedConstruction,
     colour_block_graph_peeling,
@@ -240,8 +244,6 @@ class TestGraphLevelConstructions:
         assert c.verified and c.k == 4
 
     def test_peeling_two_cliques(self):
-        from poscol.graphs import build_graph
-
         two_k4 = build_graph(
             7,
             [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -256,6 +258,20 @@ class TestGraphLevelConstructions:
             assert c.verified
             assert c.k == -(-(diameter(g) + 1) // 2)
             assert c.k == chromatic_position_number(g, K.GP).k
+
+    def test_each_peeling_class_is_the_simplicial_vertices_left(self):
+        blocks = 0
+        for n in range(1, 8):
+            for g in graphs_of_order(n):
+                if not is_block_graph(g):
+                    continue
+                blocks += 1
+                alive = set(range(n))
+                for cls in colour_block_graph_peeling(g).colouring.classes():
+                    assert set(cls) == oracle_simplicial(g, alive), g.edges()
+                    alive -= set(cls)
+                assert not alive
+        assert blocks == 214
 
     def test_peeling_rejects_non_block(self):
         with pytest.raises(GraphInputError):
@@ -280,11 +296,33 @@ class TestGraphLevelConstructions:
         assert colour_by_total_domination(cycle(6)).verified
 
     def test_total_domination_rejects_diamond(self):
-        from poscol.graphs import build_graph
-
         diamond = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(GraphInputError):
             colour_by_total_domination(diamond)
+
+    @pytest.mark.parametrize("spec", ["complete:4", "g_star:4,6"])
+    def test_total_domination_accepts_cliques(self, spec):
+        # an edge of a K4 has two common neighbours, but they are adjacent
+        g = generate(parse_family(spec))
+        c = colour_by_total_domination(g)
+        assert c.verified and c.k <= total_domination_number(g)
+
+    def test_total_domination_on_every_diamond_free_catalogue_graph(self):
+        """Every catalogue graph with no induced diamond and no isolated
+        vertex: the colouring verifies, and chi_gp <= k <= gamma_t, an upper
+        bound that bounds() offers."""
+        admitted = 0
+        for n in range(1, 8):
+            for g in graphs_of_order(n):
+                if not oracle_is_diamond_free(g) or not all(g.adj[v] for v in range(n)):
+                    continue
+                admitted += 1
+                c = colour_by_total_domination(g)
+                gamma = total_domination_number(g)
+                assert c.verified and c.k <= gamma, g.edges()
+                assert chromatic_position_number(g, K.GP).k <= c.k
+                assert bounds(g, K.GP).upper <= gamma
+        assert admitted == 298
 
 
 def test_constructions_match_exact_predictions():

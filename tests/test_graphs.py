@@ -10,11 +10,16 @@ from oracles import (
     floyd_warshall,
     oracle_components,
     oracle_is_block_graph,
+    oracle_is_chordal,
+    oracle_is_diamond_free,
+    oracle_is_p3_free,
     oracle_monophonic_diameter,
+    oracle_simplicial,
     row_layers,
 )
 from poscol.catalogue import graphs_of_order
 from poscol.errors import BudgetExceededError, GraphInputError, Limits
+from poscol.families import generate, parse_family
 from poscol.graphs import (
     adjacency_masks,
     build_graph,
@@ -35,6 +40,7 @@ from poscol.graphs import (
     monophonic_diameter,
     product,
     relabel,
+    simplicial_rounds,
 )
 
 
@@ -368,6 +374,16 @@ class TestJoinUnion:
         assert g.n == 6 and g.m == 6 and len(set(component_masks(g))) == 2
 
 
+@pytest.fixture(scope="module")
+def predicate_graphs():
+    """Every catalogue graph of order 1 to 7 and 300 seeded random graphs on
+    0 to 10 vertices."""
+    rng = random.Random(33)
+    out = [g for n in range(1, 8) for g in graphs_of_order(n)]
+    out += [random_graph(rng.randint(0, 10), rng.random() * 0.7, rng) for _ in range(300)]
+    return out
+
+
 class TestPredicates:
     def test_extreme_path(self):
         assert extreme_vertices(path(4)) == {0, 3}
@@ -398,15 +414,62 @@ class TestPredicates:
         )
         assert is_block_graph(two_k4)
 
-    def test_block_graph_matches_cycle_oracle(self):
-        rng = random.Random(23)
-        for _ in range(120):
-            g = random_graph(rng.randint(1, 9), rng.random() * 0.7, rng)
-            assert is_block_graph(g) == oracle_is_block_graph(g)
+    def test_block_graph_matches_cycle_oracle(self, predicate_graphs):
+        for g in predicate_graphs:
+            assert is_block_graph(g) == oracle_is_block_graph(g), g.edges()
+            assert (simplicial_rounds(g) is not None) == oracle_is_chordal(g), g.edges()
 
     def test_disjoint_union_of_cliques(self):
         assert is_disjoint_union_of_cliques(disjoint_union(complete(3), complete(1)))
         assert not is_disjoint_union_of_cliques(path(3))
+
+    @pytest.mark.parametrize("vertices", [[7], [-1, 2, 3]])
+    def test_disjoint_union_of_cliques_rejects_out_of_range_vertices(self, vertices):
+        with pytest.raises(GraphInputError, match="set contains out-of-range vertex"):
+            is_disjoint_union_of_cliques(path(5), vertices)
+
+    def test_cliques_are_diamond_free(self):
+        # only an induced diamond counts: an edge of K4 has two adjacent common neighbours
+        assert is_diamond_free(complete(4)) and is_diamond_free(complete(7))
+        assert is_diamond_free(generate(parse_family("g_star:4,6")))
+
+    def test_rounds_stop_at_a_hole(self):
+        # C4 with a pendant vertex: the pendant is stripped, then no C4 vertex is simplicial
+        assert simplicial_rounds(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])) is None
+        assert simplicial_rounds(path(5)) == [0b10001, 0b01010, 0b00100]
+        assert simplicial_rounds(build_graph(0, [])) == []
+
+
+class TestPredicatesAgainstOracles:
+    """The mask predicates against brute-force definitions in ``oracles.py``."""
+
+    def test_diamond_free(self, predicate_graphs):
+        for g in predicate_graphs:
+            assert is_diamond_free(g) == oracle_is_diamond_free(g), g.edges()
+
+    def test_extreme_vertices(self, predicate_graphs):
+        for g in predicate_graphs:
+            assert extreme_vertices(g) == oracle_simplicial(g), g.edges()
+
+    def test_disjoint_union_of_cliques_on_random_subsets(self, predicate_graphs):
+        rng = random.Random(34)
+        for g in predicate_graphs:
+            assert is_disjoint_union_of_cliques(g) == oracle_is_p3_free(g, range(g.n))
+            for _ in range(4):
+                s = [v for v in range(g.n) if rng.random() < 0.6]
+                assert is_disjoint_union_of_cliques(g, s) == oracle_is_p3_free(g, s), (g.edges(), s)
+
+    def test_each_round_is_the_simplicial_vertices_left(self, predicate_graphs):
+        for g in predicate_graphs:
+            rounds = simplicial_rounds(g)
+            if rounds is None:
+                continue
+            alive = set(range(g.n))
+            for strip in rounds:
+                members = {v for v in range(g.n) if strip >> v & 1}
+                assert members and members == oracle_simplicial(g, alive), g.edges()
+                alive -= members
+            assert not alive
 
 
 def test_relabel_preserves_structure():

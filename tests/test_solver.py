@@ -218,6 +218,12 @@ class TestBounds:
         b = bounds(complete(6), K.GP)
         assert (b.lower, b.upper) == (1, 1)
 
+    @pytest.mark.parametrize("line", ["Fxf__", "Fhctg"])
+    def test_total_domination_bound_admits_a_k4(self, line):
+        # each holds a K4 but no induced diamond; the clique cover gives only 3
+        b = bounds(graph6_decode(line), K.GP)
+        assert (b.upper, b.upper_reason) == (2, "total domination")
+
     def test_grid_lower_bounds_come_from_pi(self):
         # the solver no longer computes pi up front; bounds() still does
         g = generate(parse_family("cartesian(path:4,path:6)"))
