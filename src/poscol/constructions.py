@@ -17,9 +17,9 @@ The family constructions only build classes.  ``construct_colouring``
 resolves the spec first, so malformed arguments raise an input error before
 any class is built, and finds the classes before it generates the graph, so
 an unsupported (family, kind) pair builds no graph.  It tags a colouring
-``exact`` exactly when
+``exact`` exactly when the proven lower end of
 :func:`~poscol.formulas.predicted_chi`, the one owner of the optimality
-claims for named families, is exact with its class count; otherwise it is
+claims for named families, meets its class count; otherwise it is
 ``upper_bound_only``.  The graph-level constructions (block-graph peeling,
 clique cover, total domination) state their own tags.
 """
@@ -492,13 +492,12 @@ def construct_colouring(
     ``line_complete`` (:func:`_pair_colouring`), which share the one metric
     check :func:`_check_in_line`, and the mu strong grids
     (:func:`_strong_mu_colouring`) never do.  The colouring is ``exact``
-    exactly when :func:`~poscol.formulas.predicted_chi` proves its class
-    count.
+    exactly when the lower end of :func:`~poscol.formulas.predicted_chi`
+    meets its class count.
     """
     spec = resolve(spec)
     classes, provenance = _family_classes(spec, kind)
-    prediction = predicted_chi(spec, kind)
-    exact = prediction.status == "exact" and prediction.value == len(classes)
+    exact = predicted_chi(spec, kind).low == len(classes)
     check = _CLOSED_FORM.get((spec.name, kind))
     if check is None:
         return _certify(generate(spec), classes, kind, provenance, exact, limits)

@@ -1,26 +1,26 @@
 """Deterministic generators for the named graph families.
 
-This module is the one owner of what a family name means.  ``generate``
-looks each leaf name up in one name -> generator table; the composites
-(``cartesian``, ``strong``, ``complementary_prism``) nest child specs.
-``resolve`` expands the one alias, ``petersen`` (which takes no arguments)
-to ``kneser2:5``, and applies the argument rule: every argument is an
-integer, except the edge probability of ``random``.  It then tests each
-leaf's arguments against the family's ranges, all kept in one table, so the
-generators assume them.  ``generate``, ``predicted_chi``,
-``predicted_position_number`` and ``construct_colouring`` all read a spec
-through ``resolve``, so each rejects a malformed spec the same way, without
-building any graph.
+This module is the one owner of what a family name means.  One table maps
+each leaf name to its generator and the ranges its arguments must lie in;
+the composites (``cartesian``, ``strong``, ``complementary_prism``) nest
+child specs.  ``resolve`` expands the one alias, ``petersen`` (which takes
+no arguments) to ``kneser2:5``, and applies the argument rule: every
+argument is an integer, except the edge probability of ``random``.  It then
+tests the argument count against the generator and each leaf's arguments
+against its ranges, so the generators assume them.  ``generate``,
+``predicted_chi``, ``predicted_position_number`` and ``construct_colouring``
+all read a spec through ``resolve``, so each rejects a malformed spec the
+same way, without building any graph.
 
 Every generator fixes a documented vertex numbering so that the pattern
 colourings built elsewhere are reproducible bit-exactly, and the numberings
-other modules rely on come from one helper each here:
+other modules rely on come from one helper each:
 
 * paths carry 1-based coordinate labels ``1..n``; cycles carry ``0..n-1``
   (integers mod n);
-* products flatten ``(i, j)`` to ``i * n2 + j`` over 0-based ids, so a grid
-  vertex with paper coordinates ``(i, j)`` (1-based) has id
-  ``(i-1) * n2 + (j-1)`` and label ``(i, j)``;
+* products (``graphs.product``) flatten ``(i, j)`` to ``i * n2 + j`` over
+  0-based ids, so a grid vertex with paper coordinates ``(i, j)`` (1-based)
+  has id ``(i-1) * n2 + (j-1)`` and label ``(i, j)``;
 * Kneser-type vertices are the 2-subsets ``{a, b}`` of ``{1..n}`` with
   ``a < b`` in lexicographic order (``pair_ids``);
 * a complete multipartite graph numbers its parts consecutively
@@ -225,29 +225,25 @@ def t_tree_graph(a: int, b: int) -> Graph:
     return tree_leaves_graph(a, b - a)
 
 
-def h_graph(r: int, s: int) -> Graph:
-    """K_{r,r} minus a perfect matching, a tail path, and a hub joined to X.
-
-    Vertices: x_1..x_r are 0..r-1, y_1..y_r are r..2r-1, z_j is 2r+j for
-    0 <= j <= s.
-    """
-    edges = [(i, r + j) for i in range(r) for j in range(r) if i != j]
-    z0 = 2 * r
-    edges += [(z0, i) for i in range(r)]
-    edges += [(z0 + j, z0 + j + 1) for j in range(s)]
-    labels = (
-        [("x", i + 1) for i in range(r)]
-        + [("y", i + 1) for i in range(r)]
-        + [("z", j) for j in range(s + 1)]
-    )
-    return build_graph(2 * r + s + 1, edges, labels=labels)
-
-
 def k_gadget_graph(r: int) -> Graph:
     """K_{r,r} minus the perfect matching x_i y_i."""
     edges = [(i, r + j) for i in range(r) for j in range(r) if i != j]
     labels = [("x", i + 1) for i in range(r)] + [("y", i + 1) for i in range(r)]
     return build_graph(2 * r, edges, labels=labels)
+
+
+def h_graph(r: int, s: int) -> Graph:
+    """The K gadget, a hub joined to X, and a tail path from the hub.
+
+    Vertices: x_1..x_r are 0..r-1 and y_1..y_r are r..2r-1, as in
+    ``k_gadget_graph``; z_j is 2r+j for 0 <= j <= s, and z_0 is the hub.
+    """
+    gadget = k_gadget_graph(r)
+    z0 = 2 * r
+    edges = gadget.edges() + [(z0, i) for i in range(r)]
+    edges += [(z0 + j, z0 + j + 1) for j in range(s)]
+    labels = list(gadget.labels) + [("z", j) for j in range(s + 1)]
+    return build_graph(2 * r + s + 1, edges, labels=labels)
 
 
 def j_graph(r: int, s: int) -> Graph:
@@ -402,79 +398,59 @@ def random_split_graph(n: int, seed: int) -> Graph:
 # -- dispatch -------------------------------------------------------------------
 
 
-# leaf family name -> generator over the spec's arguments
-_GENERATORS = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "multipartite": lambda *parts: multipartite_graph(parts),
-    "turan": turan_graph,
-    "kneser2": kneser2_graph,
-    "line_complete": line_complete_graph,
-    "tree_leaves": tree_leaves_graph,
-    "t": t_tree_graph,
-    "h": h_graph,
-    "j": j_graph,
-    "g_star": g_star_graph,
-    "g": g_graph,
-    "s": s_tree_graph,
-    "q": q_graph,
-    "k_gadget": k_gadget_graph,
-    "complete_minus_cliques": complete_minus_cliques_graph,
-    "cycle_join_clique": cycle_join_clique_graph,
-    "split_random": random_split_graph,
-    "block_random": random_block_graph,
-    "random": random_graph,
-}
-
-_SIGNATURES = {name: inspect.signature(make) for name, make in _GENERATORS.items()}
-
-
 def _cliques_need(a: int) -> int:
     """The vertices that the disjoint K_2, K_3, ..., K_a of complete_minus_cliques take."""
     return a * (a + 1) // 2 - 1
 
 
-# leaf family name -> the ranges its arguments must lie in, each a test over
-# the arguments and the message (or a function of them giving it) when it fails;
-# the generators trust them, so they are tested once, here, in ``resolve``
-_RANGES = {
-    "path": ((lambda n: n >= 1, "path needs n >= 1"),),
-    "cycle": ((lambda n: n >= 3, "cycle needs n >= 3"),),
-    "complete": ((lambda n: n >= 1, "complete needs n >= 1"),),
+# leaf family name -> its generator over the spec's arguments, then the ranges
+# those arguments must lie in, each a test over them and the message (or a
+# function of them giving it) when it fails; the generators trust the ranges,
+# so they are tested once, here, in ``resolve``
+_FAMILIES = {
+    "path": (path_graph, (lambda n: n >= 1, "path needs n >= 1")),
+    "cycle": (cycle_graph, (lambda n: n >= 3, "cycle needs n >= 3")),
+    "complete": (complete_graph, (lambda n: n >= 1, "complete needs n >= 1")),
     "multipartite": (
+        lambda *parts: multipartite_graph(parts),
         (lambda *parts: parts and min(parts) >= 1, "multipartite parts must be positive"),
         (lambda *parts: list(parts) == sorted(parts, reverse=True),
          "multipartite parts must be in descending order"),
     ),
-    "turan": ((lambda a, n: 1 <= a <= n, "turan needs 1 <= a <= n"),),
-    "kneser2": ((lambda n: n >= 5, "kneser2 needs n >= 5"),),
-    "line_complete": ((lambda n: n >= 2, "line_complete needs n >= 2"),),
+    "turan": (turan_graph, (lambda a, n: 1 <= a <= n, "turan needs 1 <= a <= n")),
+    "kneser2": (kneser2_graph, (lambda n: n >= 5, "kneser2 needs n >= 5")),
+    "line_complete": (line_complete_graph, (lambda n: n >= 2, "line_complete needs n >= 2")),
     "tree_leaves": (
+        tree_leaves_graph,
         (lambda a, leaves: a >= 2 and leaves >= 0, "tree_leaves needs a >= 2, leaves >= 0"),
     ),
-    "t": ((lambda a, b: 2 <= a <= b, "t needs 2 <= a <= b"),),
-    "h": ((lambda r, s: r >= 3 and s >= 0, "h needs r >= 3, s >= 0"),),
-    "j": ((lambda r, s: r >= 1 and s >= 1, "j needs r >= 1, s >= 1"),),
-    "g_star": ((lambda a, n: 1 <= a <= n, "g_star needs 1 <= a <= n"),),
-    "g": ((lambda a, b: 2 <= a <= b, "g needs 2 <= a <= b"),),
-    "s": ((lambda r, t: r >= 0 and t >= 1, "s needs r >= 0, t >= 1"),),
-    "q": ((lambda r: r >= 4, "q needs r >= 4"),),
-    "k_gadget": ((lambda r: r >= 3, "k_gadget needs r >= 3"),),
+    "t": (t_tree_graph, (lambda a, b: 2 <= a <= b, "t needs 2 <= a <= b")),
+    "h": (h_graph, (lambda r, s: r >= 3 and s >= 0, "h needs r >= 3, s >= 0")),
+    "j": (j_graph, (lambda r, s: r >= 1 and s >= 1, "j needs r >= 1, s >= 1")),
+    "g_star": (g_star_graph, (lambda a, n: 1 <= a <= n, "g_star needs 1 <= a <= n")),
+    "g": (g_graph, (lambda a, b: 2 <= a <= b, "g needs 2 <= a <= b")),
+    "s": (s_tree_graph, (lambda r, t: r >= 0 and t >= 1, "s needs r >= 0, t >= 1")),
+    "q": (q_graph, (lambda r: r >= 4, "q needs r >= 4")),
+    "k_gadget": (k_gadget_graph, (lambda r: r >= 3, "k_gadget needs r >= 3")),
     "complete_minus_cliques": (
+        complete_minus_cliques_graph,
         (lambda n, a: a >= 2, "complete_minus_cliques needs a >= 2"),
         (lambda n, a: n >= _cliques_need(a),
          lambda n, a: f"complete_minus_cliques needs n >= {_cliques_need(a)} for a={a}"),
     ),
     "cycle_join_clique": (
+        cycle_join_clique_graph,
         (lambda a, n: a >= 2 and n >= 2 * a, "cycle_join_clique needs a >= 2 and n >= 2a"),
     ),
-    "split_random": ((lambda n, seed: n >= 1, "split_random needs n >= 1"),),
-    "block_random": ((lambda n, seed: n >= 1, "block_random needs n >= 1"),),
+    "split_random": (random_split_graph, (lambda n, seed: n >= 1, "split_random needs n >= 1")),
+    "block_random": (random_block_graph, (lambda n, seed: n >= 1, "block_random needs n >= 1")),
     "random": (
+        random_graph,
         (lambda n, p, seed: n >= 1 and 0 <= p <= 1, "random needs n >= 1 and 0 <= p <= 1"),
     ),
 }
+
+_SIGNATURES = {name: inspect.signature(make) for name, (make, *_) in _FAMILIES.items()}
 
 _ALIASES = {"petersen": FamilySpec("kneser2", (5,))}
 
@@ -506,7 +482,7 @@ def resolve(spec: FamilySpec) -> FamilySpec:
     for position, arg in enumerate(args):
         if not _allowed(name, position, arg):
             raise GraphInputError(f"bad argument {arg!r} for family {name!r}")
-    for test, message in _RANGES[name]:
+    for test, message in _FAMILIES[name][1:]:
         if not test(*args):
             raise GraphInputError(message if isinstance(message, str) else message(*args))
     return spec
@@ -520,4 +496,4 @@ def generate(spec: FamilySpec) -> Graph:
         return complementary_prism(generate(args[0]))
     if name in ("cartesian", "strong"):
         return product(name, generate(args[0]), generate(args[1]))
-    return _GENERATORS[name](*args)
+    return _FAMILIES[name][0](*args)

@@ -7,6 +7,7 @@ arbiter in tests; predictions never feed back into it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .catalogue import graphs_of_order
@@ -17,7 +18,6 @@ from .graphs import (
     _cliques_apart,
     adjacency_masks,
     build_graph,
-    complete_graph_edges,
     diameter,
     distance_layers,
     is_block_graph,
@@ -95,15 +95,12 @@ def _grid_chi_gp(m: int, n: int) -> Prediction:
         r, rem = divmod(n, 3)
         return Prediction.exact(2 * r + (0, 1, 2)[rem], "ladder three-case formula")
     if m == 3:
-        lo = n // 2 + _ceil(3 * n - 4 * (n // 2), 3)
-        if n % 12 == 0:
-            return Prediction.exact(5 * n // 6, "three-row grid, twelve-periodic pattern")
-        if n % 4 == 0:
-            from .constructions import _p3_grid_classes
-
-            hi = len(_p3_grid_classes(n))
-            return Prediction.bounds(lo, hi, "central-layer count vs pattern")
-        return Prediction.unknown()
+        if n % 4:
+            return Prediction.unknown()
+        # the central-layer count, met by the pattern's n/2 + ceil(n/3) classes
+        return Prediction.exact(
+            n // 2 + _ceil(3 * n - 4 * (n // 2), 3), "three-row grid: central-layer count"
+        )
     if m == 4:
         return Prediction.exact(n + 1, "four-row diagonal packing")
     if m >= 16 and n >= 16:
@@ -366,7 +363,7 @@ def large_value_characterization(n: int) -> LargeValueCatalogues:
     gp2: list[Graph] = []
     if n == 3:
         gp2 = [
-            build_graph(3, complete_graph_edges(3)),  # K3
+            build_graph(3, itertools.combinations(range(3), 2)),  # K3
             build_graph(3, []),  # 3K1
             build_graph(3, [(0, 1)]),  # K2 + K1
         ]
@@ -382,7 +379,7 @@ def large_value_characterization(n: int) -> LargeValueCatalogues:
     gpi1 = []
     if n >= 3:
         for d in range(1, n - 1):
-            edges = list(complete_graph_edges(n - 1)) + [(i, n - 1) for i in range(d)]
+            edges = [*itertools.combinations(range(n - 1), 2), *((i, n - 1) for i in range(d))]
             gpi1.append(build_graph(n, edges))
     return LargeValueCatalogues(
         tuple(near), tuple(near), tuple(gp2), tuple(mono2), tuple(gpi1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .errors import GraphInputError, json_int
-from .graphs import Graph, build_graph
+from .graphs import Graph, adjacency_masks, build_graph
 
 _MAX_N = 258047
 
@@ -25,20 +25,11 @@ def graph6_encode(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        row = g.adj[j]
-        for i in range(j):
-            bits.append(1 if i in row else 0)
-    body = []
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        body.append(chr(val + 63))
-    return head + "".join(body)
+    adj = adjacency_masks(g)
+    # column j is x(0,j) .. x(j-1,j): the low j bits of adj[j], lowest first
+    bits = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def graph6_decode(text: str) -> Graph:

@@ -417,10 +417,6 @@ def degree_order(g: Graph) -> tuple[int, ...]:
     return order
 
 
-def complete_graph_edges(n: int) -> list[Edge]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def is_disjoint_union_of_cliques(g: Graph, vertices: Iterable[int] | None = None) -> bool:
     """True iff ``vertices`` (default: all) induce a disjoint union of cliques,
     that is, no induced P3.  Raises GraphInputError for a vertex out of range."""

@@ -53,7 +53,6 @@ still returns a colouring.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -903,17 +902,15 @@ def check_inequality_suite(g: Graph, limits: Limits = DEFAULT_LIMITS) -> Inequal
             chi[kind] + chi_bar <= theta + theta_bar <= n + 1,
             f"{chi[kind]}+{chi_bar} <= {theta}+{theta_bar} <= {n + 1}",
         )
-    if n >= 1:
-        # the classical product bound is chi * chi-bar >= n; it implies the
-        # 2*sqrt(n) form only once n >= 4 (K2 already violates the latter)
-        floor_val = max(n, 2 * math.sqrt(n)) if n >= 4 else n
-        for kind in (K.GP_I, K.MONO_I):
-            chi_bar = chromatic_position_number(gbar, kind, budget).k
-            rep.check(
-                f"nordhaus-gaddum product chain ({kind.value})",
-                chi[kind] * chi_bar >= chrom * chrom_bar >= floor_val,
-                f"{chi[kind]}*{chi_bar} >= {chrom}*{chrom_bar} >= {floor_val:.2f}",
-            )
+    # the classical product bound is chi * chi-bar >= n; its 2*sqrt(n) form
+    # adds nothing, since n >= 2*sqrt(n) once n >= 4 (and K2 violates it)
+    for kind in (K.GP_I, K.MONO_I):
+        chi_bar = chromatic_position_number(gbar, kind, budget).k
+        rep.check(
+            f"nordhaus-gaddum product chain ({kind.value})",
+            chi[kind] * chi_bar >= chrom * chrom_bar >= n,
+            f"{chi[kind]}*{chi_bar} >= {chrom}*{chrom_bar} >= {n}",
+        )
     return rep
 
 

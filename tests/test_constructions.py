@@ -144,6 +144,13 @@ class TestGrids:
         if n % 12 == 0:
             assert c.optimality == "exact"
 
+    @pytest.mark.parametrize("n", range(4, 201, 4))
+    def test_p3_meets_the_central_layer_count(self, n):
+        central = n // 2 + -(-(3 * n - 4 * (n // 2)) // 3)
+        for spec in (f"cartesian(path:3,path:{n})", f"cartesian(path:{n},path:3)"):
+            c = construct_colouring(parse_family(spec), K.GP)
+            assert c.verified and c.k == central and c.optimality == "exact", spec
+
     @pytest.mark.parametrize("n", range(4, 11))
     def test_p4(self, n):
         c = construct_colouring(parse_family(f"cartesian(path:4,path:{n})"), K.GP)
@@ -156,6 +163,14 @@ class TestGrids:
     def test_tessellation(self):
         c = construct_colouring(parse_family("cartesian(path:5,path:8)"), K.GP)
         assert c.verified and c.optimality == "upper_bound_only"
+
+    @pytest.mark.parametrize("m,n", [(17, 16), (17, 20), (19, 24), (21, 32)])
+    def test_long_grid_bracket_holds_the_tessellation(self, m, n):
+        spec = parse_family(f"cartesian(path:{m},path:{n})")
+        p = predicted_chi(spec, K.GP)
+        assert p.status == "bounds" and p.low == -(-m * n // 4)
+        c = construct_colouring(spec, K.GP)
+        assert c.verified and p.low <= c.k <= p.high and c.optimality == "upper_bound_only"
 
     def test_unsupported_grid(self):
         with pytest.raises(UnsupportedConstruction):

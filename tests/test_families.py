@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from poscol import families
 from poscol.errors import GraphInputError
 from poscol.families import (
     FamilySpec,
@@ -44,6 +45,38 @@ class TestGrammar:
             generate(parse_family("wibble:3"))
         with pytest.raises(GraphInputError):
             generate(FamilySpec("nosuch", ()))
+
+
+# one valid argument tuple for each leaf family in the table
+LEAF_EXAMPLES = {
+    "path": (4,), "cycle": (5,), "complete": (3,), "multipartite": (3, 2),
+    "turan": (3, 7), "kneser2": (5,), "line_complete": (4,),
+    "tree_leaves": (3, 2), "t": (2, 4), "h": (3, 2), "j": (2, 2),
+    "g_star": (3, 5), "g": (3, 4), "s": (2, 3), "q": (5,), "k_gadget": (3,),
+    "complete_minus_cliques": (7, 3), "cycle_join_clique": (2, 6),
+    "split_random": (6, 1), "block_random": (6, 2), "random": (6, 0.5, 3),
+}
+
+
+class TestFamilyTable:
+    def test_examples_cover_the_table(self):
+        assert set(LEAF_EXAMPLES) == set(families._FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(LEAF_EXAMPLES))
+    def test_every_leaf_resolves_and_generates(self, name):
+        spec = FamilySpec(name, LEAF_EXAMPLES[name])
+        assert resolve(spec) == spec
+        assert generate(spec).n >= 1
+
+    @pytest.mark.parametrize("name", sorted(LEAF_EXAMPLES))
+    def test_a_wrong_argument_count_raises(self, name):
+        args = LEAF_EXAMPLES[name]
+        # multipartite takes any number of parts, so only none is wrong
+        wrong = () if name == "multipartite" else args + (1,)
+        with pytest.raises(GraphInputError):
+            resolve(FamilySpec(name, wrong))
+        with pytest.raises(GraphInputError):
+            generate(FamilySpec(name, wrong))
 
 
 class TestElementaryFamilies:
@@ -127,6 +160,13 @@ class TestRealisationFamilies:
     def test_k_gadget(self):
         g = generate(parse_family("k_gadget:4"))
         assert g.n == 8 and g.m == 12  # K44 minus a perfect matching
+
+    @pytest.mark.parametrize("r,s", [(3, 0), (3, 2), (4, 1), (5, 5)])
+    def test_h_holds_the_k_gadget(self, r, s):
+        """h:r,s on its first 2r vertices is k_gadget:r, edges and labels."""
+        h, gadget = generate(parse_family(f"h:{r},{s}")), generate(parse_family(f"k_gadget:{r}"))
+        assert sorted(e for e in h.edges() if max(e) < 2 * r) == sorted(gadget.edges())
+        assert list(h.labels[: 2 * r]) == list(gadget.labels)
 
     def test_q_gp_number_three(self):
         for r in range(4, 9):

@@ -92,8 +92,12 @@ class TestPredictedChi:
         assert p.status == "bounds" and (p.low, p.high) == (3, 4)
 
     def test_p3_grid_bounds(self):
-        p = predicted_chi(parse_family("cartesian(path:3,path:8)"), K.GP)
-        assert p.status == "bounds" and p.low <= p.high
+        """The central-layer count 7 is exact on P3 x P8, and the solver agrees."""
+        spec = parse_family("cartesian(path:3,path:8)")
+        p = predicted_chi(spec, K.GP)
+        assert p.status == "exact" and p.value == 7
+        solved = chromatic_position_number(generate(spec), K.GP)
+        assert solved.k == 7 and solved.optimality == "exact"
 
     def test_non_exact_raises_on_value(self):
         with pytest.raises(GraphInputError):

@@ -133,3 +133,9 @@ class TestCatalogues:
 
         keys = {canonical_key(g) for g in graphs_of_order(4)}
         assert len(keys) == 11
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_encoding_reproduces_every_catalogue_line(n):
+    for line in catalogue_lines(n):
+        assert graph6_encode(graph6_decode(line)) == line

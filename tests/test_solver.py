@@ -469,6 +469,15 @@ class TestInequalitySuite:
     def test_empty_graph(self):
         assert check_inequality_suite(build_graph(0, [])).all_hold
 
+    @pytest.mark.parametrize("n", [0, 1, 10])
+    def test_product_chain_floor_is_the_order(self, n):
+        """chi * chi-bar >= n is the floor at every order, printed as an integer."""
+        g = generate(parse_family("petersen")) if n == 10 else build_graph(n, [])
+        products = [r for r in check_inequality_suite(g).records
+                    if r.name.startswith("nordhaus-gaddum product")]
+        assert len(products) == 2
+        assert all(r.holds and r.detail.endswith(f" >= {n}") for r in products)
+
     def test_random_connected(self):
         rng = random.Random(7)
         for i in range(60):
