@@ -175,6 +175,9 @@ def predicted_chi(spec: FamilySpec, kind: PositionKind) -> Prediction:
             return Prediction.exact(1, "L(K_2) is K_1")
         if kind is K.GP and n >= 3:
             return Prediction.exact(line_complete_chi_gp(n), "Kirkman-system classes")
+        if kind in (K.GP_I, K.MU_I):
+            # the chromatic index of K_n: n - 1 for even n, n for odd n
+            return Prediction.exact(n - 1 + n % 2, "diameter <= 2: equals chromatic number")
     if name == "h":
         r, s = args
         if kind is K.GP:

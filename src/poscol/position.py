@@ -21,9 +21,13 @@ the graph.  Each search compiles it once, on its own budget, and grows
 The verifier, ``are_position_sets`` (and ``is_position_set``, the same on
 one set), works from the distances among the members alone and the
 induced-path oracle and never touches the compiled form, so it re-verifies
-every search result independently: for gp it packs each member's later
-members by distance into one int and tests every triple with a few shifted
-ANDs per member and distance (:func:`has_collinear_triple`).  For mu one
+every search result independently.  That holds for the one shortcut the
+gp and gp_i searches take: on a graph with diam* <= 2 they join by the P3
+rule (three vertices are collinear exactly when they induce a P3), and the
+verifier does not, so a fault in the rule cannot certify a wrong colouring.
+For gp the verifier packs each member's later members by distance into one
+int and tests every triple with a few shifted ANDs per member and distance
+(:func:`has_collinear_triple`).  For mu one
 breadth-first sweep from every member of every set at once finds any pair
 that no shortest path joins past the rest of its set (:func:`_hides_a_pair`),
 so a whole colouring costs one sweep.  For mono the two sides do not share a search either: the
@@ -35,10 +39,12 @@ Both take the metric from :mod:`poscol.graphs`: the cached distance layers,
 built by one sweep from every vertex at once, and the component masks.  The
 compiled forms of gp and mu read the layers, mono only the component masks;
 the gp and mono forms fill their lines per join, every line between the
-joining vertex and the members in one call of ``Constraints.lines_through``;
-the gp verifier masks the layers down to the later members when the graph
-already has them, and otherwise walks from each member only as far as the
-later members, with the single-source ``layer_walk``.  The mu sweep reads
+joining vertex and the members in one call of ``Constraints.lines_through``,
+except that the gp form of a graph with diam* <= 2 ORs the P3 rule's lines
+from the neighbourhoods alone and fills none; the gp verifier masks the
+layers down to the later members when the graph already has them, and
+otherwise walks from each member only as far as the later members, with the
+single-source ``layer_walk``.  The mu sweep reads
 only the component masks.  Whether one vertex sees some targets past a set
 is one walk along its distance layers, :func:`sees`, which the mu search
 runs for the one vertex that joins a class.  Which candidates can join a mu
@@ -58,8 +64,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DEFAULT_LIMITS, TICK_BLOCK, BudgetTicker, GraphInputError, Limits
 from .graphs import (
-    Graph, adjacency_masks, component_masks, degree_order, distance_layers, induced_paths,
-    layer_walk,
+    Graph, adjacency_masks, component_masks, degree_order, diameter, distance_layers,
+    induced_paths, layer_walk,
 )
 
 
@@ -385,7 +391,11 @@ class Constraints:
     lazily into ``lines``, one join at a time: ``lines_through(v, members)``
     fills every line still missing between a joining vertex v and the
     members in one call, under both ends, so ``lines[a][b]`` and
-    ``lines[b][a]`` hold the same mask.  For
+    ``lines[b][a]`` hold the same mask.  :class:`SetState` joins through
+    ``joined``, which is ``lines_through`` here; :func:`compiled` gives a
+    gp core of a graph with diam* <= 2 the :class:`_DiameterTwo` form
+    instead, whose ``joined`` reads the P3 rule off the neighbourhoods, and
+    mono and mu cores never take it.  The verifier uses neither.  For
     mu, ``keeps_visibility`` hands the distance layers of one vertex to
     :func:`sees`, so one walk decides the visibility of many targets, and
     ``visible_joins`` answers for many candidates at once from one walk per
@@ -537,6 +547,40 @@ class Constraints:
             found = self._behind_masks[key] = found & -(2 << a)
         return found
 
+    # what a vertex joining a gp or mono set adds to ``forbidden``
+    joined = lines_through
+
+
+class _DiameterTwo(Constraints):
+    """The gp core of a graph with diam* <= 2, whose joins read the P3 rule.
+
+    When no two vertices of a component are more than 2 apart, three
+    vertices are collinear exactly when they induce a P3, so the line of an adjacent pair a, b is N(a) xor N(b) less
+    the pair and the line of a pair at distance 2 is N(a) & N(b).  ``joined``
+    ORs those lines from the neighbourhoods alone, with no per-pair cache
+    and no layers read; ``lines_through`` stays as the reference.
+    """
+
+    __slots__ = ()
+
+    def joined(self, v: int, members: Sequence[int]) -> int:
+        """``lines_through(v, members)``, and also the members adjacent to
+        v: ``N(v) & ~N(b)`` holds b.  No search reads a member's bit.
+
+        A member in another component adds nothing, since its neighbourhood
+        misses N(v).
+        """
+        adj = self.adj
+        near = adj[v]
+        common, some, far = -1, 0, 0  # over the members adjacent to v, and the rest
+        for b in members:
+            if near >> b & 1:
+                common &= adj[b]
+                some |= adj[b]
+            else:
+                far |= adj[b]
+        return (near & ~common | some & ~near) & ~(1 << v) | near & far
+
 
 def compiled(
     g: Graph, kind: PositionKind, limits: Limits | BudgetTicker = DEFAULT_LIMITS
@@ -545,12 +589,15 @@ def compiled(
 
     Only the build draws from ``limits`` (for mono, the induced-path walk);
     a build the budget stops caches nothing.  A search calls it once and
-    hands the core to every :class:`SetState` it makes.
+    hands the core to every :class:`SetState` it makes.  A gp core is the
+    :class:`_DiameterTwo` form when diam* <= 2, read off the cached layers
+    once here, so no join tests for it.
     """
     key = ("constraints", kind.base)
     core = g._memo.get(key)
     if core is None:
-        core = g._memo[key] = Constraints(g, kind, limits)
+        p3_rule = kind.base is PositionKind.GP and diameter(g) <= 2
+        core = g._memo[key] = (_DiameterTwo if p3_rule else Constraints)(g, kind, limits)
     return core
 
 
@@ -602,7 +649,13 @@ class SetState:
         return out
 
     def try_add(self, v: int) -> bool:
-        """Add ``v`` if the set stays a position set; report success."""
+        """Add ``v`` if the set stays a position set; report success.
+
+        A gp or mono join ORs ``core.joined(v, members)`` into ``forbidden``:
+        the lines of the generic core, or on a gp core of diam* <= 2 the P3
+        rule's closed form, which may also set the bits of members, and no
+        search reads those.
+        """
         if self.forbidden >> v & 1:
             return False
         core = self.core
@@ -613,7 +666,7 @@ class SetState:
             ):
                 return False
         else:
-            grown |= core.lines_through(v, self.members)
+            grown |= core.joined(v, self.members)
         if self.independent:
             grown |= core.adj[v]
         self._saved.append((self.forbidden, self.ok))

@@ -779,7 +779,8 @@ def bounds(
     mono kinds; the chromatic number for independent kinds (a solve does
     without it).  Upper bounds: n - pi + 1; pairing the leftovers for the
     non-independent kinds; the clique cover number for the non-independent
-    kinds; splitting a longest geodesic for independent kinds; total
+    kinds; splitting a longest geodesic for independent kinds; the
+    chromatic number for gp_i and mu_i when diam* <= 2; total
     domination for gp on graphs with no isolated vertex and no induced
     diamond (K4 qualifies; see ``constructions.colour_by_total_domination``).
     """
@@ -789,7 +790,8 @@ def bounds(
     budget = limits.ticker()
     lo = max(_lower_bounds(g, kind, budget))
     if kind.independent:
-        lo = max(lo, (chromatic_number(g, budget), "chromatic number"))
+        chi = chromatic_number(g, budget)
+        lo = max(lo, (chi, "chromatic number"))
     pi = position_number(g, kind, budget).value
     lo = max(lo, (-(-n // pi), "ceil(n/pi)"))
     upper: list[tuple[int, str]] = [(n - pi + 1, "n-pi+1")]
@@ -798,6 +800,11 @@ def bounds(
         diam = diameter(g)
         if diam >= 2:
             upper.append((n - (diam + 1) // 2, "geodesic split"))
+        # at diam* <= 2 an independent set induces no P3, so it is a gp set,
+        # and two of its members at distance 2 see each other through a
+        # common neighbour outside it, so it is a mu set
+        if diam <= 2 and kind.base is not PositionKind.MONO:
+            upper.append((chi, "diameter <= 2: chromatic number"))
     else:
         upper.append((-(-(n - pi + 2) // 2), "pairing"))
         upper.append((clique_cover_number(g, budget), "clique cover"))

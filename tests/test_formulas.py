@@ -166,7 +166,7 @@ _SWEEP_SPECS = (
     + ["multipartite:" + ",".join(map(str, parts))
        for n in range(1, 8) for parts in partitions_descending(n)]
     + [f"turan:{a},{n}" for a, n in product(range(1, 5), range(1, 9)) if a <= n]
-    + [f"kneser2:{n}" for n in range(5, 8)] + [f"line_complete:{n}" for n in range(3, 8)]
+    + [f"kneser2:{n}" for n in range(5, 8)] + [f"line_complete:{n}" for n in range(2, 9)]
     + [f"h:{r},{s}" for r, s in product(range(3, 6), range(5))]
     + [f"j:{r},{s}" for r, s in product(range(1, 4), range(1, 4)) if r + s <= 5]
     + [f"g_star:{a},{n}" for a, n in product(range(1, 5), range(1, 8)) if a <= n]

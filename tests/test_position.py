@@ -20,14 +20,16 @@ from poscol.graph6 import graph6_decode
 from poscol.constructions import construct_colouring
 from poscol.families import generate, kneser2_graph, parse_family
 from poscol.graphs import (
-    build_graph, degree_order, disjoint_union, distance_layers, product, relabel,
+    build_graph, degree_order, diameter, disjoint_union, distance_layers, product, relabel,
 )
 from poscol.reduction import NaeInstance, build_reduction, normalize, random_nae_instance
 from poscol.solver import Colouring, chromatic_position_number, verify_colouring
 from poscol.position import (
     ALL_KINDS,
+    Constraints,
     PositionKind,
     SetState,
+    _DiameterTwo,
     are_position_sets,
     compiled,
     completions,
@@ -558,6 +560,141 @@ class TestSetStateAgainstOracles:
         assert {("constraints", K.MONO), "induced_paths"}.isdisjoint(g._memo)
         core = compiled(g, K.MONO)
         assert g._memo[("constraints", K.MONO)] is core and core.paths is g._memo["induced_paths"]
+
+
+def _diameter_two_graphs(n):
+    """The catalogue graphs of order n with diam* <= 2, disconnected ones too."""
+    return [g for g in graphs_of_order(n) if diameter(g) <= 2]
+
+
+def _gadget(p, q):
+    return build_reduction(normalize(random_nae_instance(p, q, 10 * p + q))).graph
+
+
+_GADGETS = [f"nae {p} {q}" for p in range(3, 7) for q in range(3, 6)]
+
+
+class TestDiameterTwoJoins:
+    """The gp core of a graph with diam* <= 2 joins by the P3 rule
+    (``joined``); ``lines_through`` is the reference it must match."""
+
+    @staticmethod
+    def check_joins(g, generic, members, v):
+        """``joined(v, members)`` is ``lines_through``'s union outside the
+        members and v, and, when the members are a gp set that v fits, it is
+        that union itself once the members are masked out.  ``generic`` is a
+        plain :class:`Constraints` of ``g``; returns whether v fitted."""
+        core = compiled(g, K.GP)
+        mask = sum(1 << b for b in members)
+        keep = ~(mask | 1 << v)
+        closed, lines = core.joined(v, members), core.lines_through(v, members)
+        assert closed & keep == lines & keep, (g.edges(), v, members)
+        assert not closed >> v & 1, (g.edges(), v, members)
+        state = SetState(generic, False)
+        if not all(state.try_add(b) for b in members) or state.forbidden >> v & 1:
+            return False
+        assert closed & ~mask == lines, (g.edges(), v, members)
+        return True
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_the_closed_form_is_the_union_of_the_lines(self, n):
+        """Every catalogue graph of order n with diam* <= 2, every v and every
+        member set of at most three other vertices."""
+        fitted = 0
+        for g in _diameter_two_graphs(n):
+            generic = Constraints(g, K.GP, UNLIMITED)
+            for v in range(n):
+                others = [b for b in range(n) if b != v]
+                for size in range(4):
+                    for members in itertools.combinations(others, size):
+                        fitted += self.check_joins(g, generic, members, v)
+        assert fitted
+
+    @pytest.mark.parametrize("case", _GADGETS)
+    def test_the_closed_form_on_the_reduction_gadgets(self, case):
+        """Seeded member sets of up to 12 vertices, each once as drawn and
+        once grown greedily into a gp set, so that some joins fit."""
+        g = _gadget(*map(int, case.split()[1:]))
+        assert isinstance(compiled(g, K.GP), _DiameterTwo)
+        generic = Constraints(g, K.GP, UNLIMITED)
+        rng = random.Random(case)
+        fitted = 0
+        for _ in range(6):
+            for v in range(g.n):
+                others = [b for b in range(g.n) if b != v]
+                drawn = rng.sample(others, rng.randint(0, 12))
+                self.check_joins(g, generic, drawn, v)
+                rng.shuffle(others)
+                state = SetState(generic, False)
+                size = rng.randint(1, 12)
+                for b in others:
+                    if len(state.members) < size:
+                        state.try_add(b)
+                fitted += self.check_joins(g, generic, state.members, v)
+        assert fitted
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_searches_read_the_same_forbidden_masks(self, n):
+        """For both gp kinds, every catalogue graph of order n with diam* <= 2
+        and every such position set S of at most three vertices: a state on
+        the closed form and one on the generic core, grown through S, take
+        the same vertices, and every join leaves the same ``forbidden`` mask
+        outside the members, the only bits a search reads."""
+        for g in _diameter_two_graphs(n):
+            for kind in (K.GP, K.GP_I):
+                closed = SetState(compiled(g, kind), kind.independent)
+                generic = SetState(Constraints(g, kind, UNLIMITED), kind.independent)
+                for size in range(4):
+                    for s in itertools.combinations(range(n), size):
+                        if not is_position_set(g, s, kind):
+                            continue
+                        for b in s:
+                            assert closed.try_add(b) and generic.try_add(b)
+                        for v in range(n):
+                            if v in s:
+                                continue
+                            took = closed.try_add(v)
+                            assert took == generic.try_add(v), (g.edges(), kind, s, v)
+                            outside = ~closed.mask
+                            assert closed.forbidden & outside == generic.forbidden & outside, (
+                                g.edges(), kind, s, v,
+                            )
+                            if took:
+                                closed.pop()
+                                generic.pop()
+                        for _ in s:
+                            closed.pop()
+                            generic.pop()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_only_gp_cores_of_diameter_two_take_the_closed_form(self, n):
+        """The six kinds on every catalogue graph of order n and on two
+        disjoint unions, one of them with a component of diameter 3."""
+        cases = graphs_of_order(n) + [disjoint_union(complete(3), cycle(5)),
+                                      disjoint_union(complete(3), path(4))]
+        for g in cases:
+            for kind in ALL_KINDS:
+                core = compiled(g, kind)
+                closed = kind.base is K.GP and diameter(g) <= 2
+                assert isinstance(core, _DiameterTwo) == closed, (g.edges(), kind)
+                assert (type(core).joined is Constraints.lines_through) != closed
+
+    @pytest.mark.parametrize("graphs", [f"order{n}" for n in range(1, 8)] + ["gadgets"])
+    def test_at_diameter_two_betweenness_is_an_induced_p3(self, graphs):
+        """Against ``tests/oracles.py``: on every catalogue graph of order at
+        most 7 with diam* <= 2 and on the reduction gadgets, w lies on a
+        shortest a-b path exactly when a, w, b induce a P3 with middle w."""
+        if graphs == "gadgets":
+            cases = [_gadget(*map(int, case.split()[1:])) for case in _GADGETS]
+        else:
+            cases = _diameter_two_graphs(int(graphs.removeprefix("order")))
+        for g in cases:
+            p3s = {
+                (a, w, b) for a, b in itertools.combinations(range(g.n), 2)
+                if b not in g.adj[a]
+                for w in g.adj[a] if b in g.adj[w]
+            }
+            assert geodesic_betweenness_triples(g) == p3s, g.edges()
 
 
 class TestPositionNumber:

@@ -239,6 +239,19 @@ class TestBounds:
                 k = chromatic_position_number(g, kind).k
                 assert b.lower <= k <= b.upper, (g.edges(), kind, b, k)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_independent_gp_and_mu_bounds_meet_at_diameter_two(self, n):
+        """On every catalogue graph of order n with diam* <= 2, an independent
+        set is a gp set and a mu set, so gp_i and mu_i have lower = upper =
+        the solver's exact value, the chromatic number."""
+        for g in graphs_of_order(n):
+            if diameter(g) > 2:
+                continue
+            for kind in (K.GP_I, K.MU_I):
+                b = bounds(g, kind)
+                r = chromatic_position_number(g, kind)
+                assert r.optimality == "exact" and b.lower == b.upper == r.k, (g.edges(), kind, b)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_lower_bound_is_the_largest_oracle_candidate(self, n):
         """The lower end and its reason are the largest of the candidates, each
